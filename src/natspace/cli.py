@@ -164,7 +164,10 @@ class _Parser:
 
 
 def parse_expression(text: str) -> tuple:
-    return _Parser(_tokenize(text)).parse()
+    try:
+        return _Parser(_tokenize(text)).parse()
+    except RecursionError:
+        raise CliParseError("expression nested too deeply")
 
 
 def compile_expression(node: tuple) -> Point:
@@ -237,6 +240,8 @@ def _read_json(path: str):
 
 
 def _cmd_eval(args, out) -> int:
+    if args.bits < 1:
+        raise CliSemanticError("--bits must be >= 1")
     lo, hi = eval_expression_bounds(args.expr, args.bits)
     _emit(
         args.format,
@@ -267,20 +272,19 @@ def _cmd_cantor(args, out) -> int:
     return 0
 
 
-def _synthetic_stream(value: Fraction) -> Point:
-    return rational_to_point(value)
-
-
 def _cmd_linecall(args, out) -> int:
     space = std_space("sigma_R")
     if args.synthetic is not None:
         try:
-            stream = _synthetic_stream(Fraction(args.synthetic))
+            stream = rational_to_point(Fraction(args.synthetic))
         except (ValueError, ZeroDivisionError) as exc:
             raise CliParseError(f"bad synthetic value: {exc}")
     else:
         dots: List[Dot] = []
-        fh = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
+        try:
+            fh = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
+        except OSError as exc:
+            raise CliSemanticError(str(exc))
         try:
             for line in fh:
                 line = line.strip()
@@ -366,12 +370,13 @@ def _cmd_metric(args, out) -> int:
     y = _load_point(space, args.y, "y")
     ev = MetricEvaluator(space)
     lo, hi = evaluate_metric(ev, x, y, args.bits)
+    fx_of, fy_of = ev.values_of(x), ev.values_of(y)
     rows = []
     for m in range(args.bits + 1):
         a, b = ev.pair(m)
         goal = min(metric_digit_goal(args.bits), ev.digit_cap)
-        fx = ev._value(m, x, goal)
-        fy = ev._value(m, y, goal)
+        fx = fx_of(m, goal)
+        fy = fy_of(m, goal)
         rows.append(
             {
                 "m": m,

@@ -9,8 +9,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .dots import MAX, Dot, DyadicInterval, MaxDot, Seq, Trail
 from .morphisms import REFINEMENT, TRAIL, Morphism, MorphismDefect
@@ -20,6 +19,8 @@ from .spaces import (
     SpraidInfo,
     Successors,
     baire_enum,
+    prefix_tree,
+    seq_extensions,
     std_space,
 )
 
@@ -390,26 +391,8 @@ def baire_encode(space: Space, max_scan: int = 50_000) -> BaireEncoding:
         enc = enc_holder[0]
         return space.apart(enc.h(x), enc.h(y))
 
-    def refines(y: Dot, x: Dot) -> bool:
-        return y.extends(x)
-
-    def grade(d: Dot) -> int:
-        return len(d.syms)
-
-    def successors(d: Dot) -> Successors:
-        return Successors((), True, lambda k: Seq(d.syms + (k,)))
-
-    def predecessors(d: Dot) -> Tuple[Dot, ...]:
-        return (Seq(d.syms[:-1]),) if d.syms else ()
-
-    spread = Space(
-        f"spread({space.name})",
-        apart,
-        refines,
-        Seq(()),
-        baire_enum,
-        SpraidInfo(grade, successors, predecessors, False),
-        family="seq",
+    spread = prefix_tree(
+        f"spread({space.name})", apart, seq_extensions, baire_enum, False, family="seq"
     )
     enc = BaireEncoding(
         space=space,

@@ -16,9 +16,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .dots import MAX, Dot, DyadicInterval, MaxDot, TupleDot, dot_from_json, dot_to_json
+from .dots import (
+    MAX,
+    Dot,
+    DyadicInterval,
+    Isolated,
+    MaxDot,
+    Seq,
+    TupleDot,
+    dot_from_json,
+    dot_to_json,
+    endpoints,
+)
 from .morphisms import Morphism
-from .spaces import Space, SpaceDefect
+from .spaces import Space, SpaceDefect, seq_interval
 
 
 class BarDefect(Exception):
@@ -329,11 +340,21 @@ def separation_bar(space: Space, a: Dot, b: Dot) -> GeneticBar:
     return genetic_uniform(space, space.max_dot, depth)
 
 
-def _separation_depth(space: Space, a: Dot, b: Dot) -> int:
-    if space.interval_like:
-        from .dots import interval_gap, endpoints
+def _dot_interval(space: Space, d: Dot) -> Tuple[Fraction, Fraction]:
+    if isinstance(d, Seq):
+        # a digit string reads in the base its one-digit dots' width states
+        return seq_interval(d, int(1 / space.width(Seq((0,)))))
+    return endpoints(d)
 
-        gap = interval_gap(a, b)
+
+def _separation_depth(space: Space, a: Dot, b: Dot) -> int:
+    if isinstance(a, Isolated) or isinstance(b, Isolated):
+        # the other is a non-maximal original dot; each depth-1 dot is an
+        # original dot (apart from the isolated one) or iso(1) (apart from it)
+        return 1
+    if space.interval_like:
+        (alo, ahi), (blo, bhi) = _dot_interval(space, a), _dot_interval(space, b)
+        gap = max(blo - ahi, alo - bhi)
         if gap <= 0:
             raise BarDefect(f"{space.name}: {a!r}, {b!r} have no positive gap")
         return _uniform_separation_depth(space, gap)

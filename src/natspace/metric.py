@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .dots import (
     Dot,
@@ -293,7 +294,6 @@ def subfan_Wx(space: Space, x: Point, depth: int, star_index: int = 1) -> Space:
         SpraidInfo(space.grade, successors, predecessors, True),
         width=space._width,
         family="subfan",
-        base=space.base,
         is_isolated=space.is_isolated,
     )
     sub.wx_levels = tuple(levels)
@@ -789,7 +789,8 @@ class MetricEvaluator:
         self._pairs: List[Tuple[Dot, Dot]] = []
         self._pair_iter = _pair_stream(space)
         self._seps: Dict[int, UrysohnFunction] = {}
-        self._values: Dict[Tuple[int, int, int], Tuple[Fraction, Fraction]] = {}
+        # per point: (m, digits) -> value bounds; an entry dies with its point
+        self._values: "weakref.WeakKeyDictionary[Point, Dict]" = weakref.WeakKeyDictionary()
         self._lock = threading.RLock()
 
     def pair(self, m: int) -> Tuple[Dot, Dot]:
@@ -807,11 +808,21 @@ class MetricEvaluator:
                 )
             return self._seps[m]
 
-    def _value(self, m: int, x: Point, digits: int) -> Tuple[Fraction, Fraction]:
-        key = (m, id(x), digits)
-        if key not in self._values:
-            self._values[key] = self.separator(m).value_bounds(x, digits)
-        return self._values[key]
+    def values_of(self, x: Point) -> Callable[[int, int], Tuple[Fraction, Fraction]]:
+        """value(m, digits): bounds on f_m(x) to that many ternary digits,
+        cached for as long as x lives."""
+        with self._lock:
+            table = self._values.get(x)
+            if table is None:
+                table = self._values[x] = {}
+
+        def value(m: int, digits: int) -> Tuple[Fraction, Fraction]:
+            key = (m, digits)
+            if key not in table:
+                table[key] = self.separator(m).value_bounds(x, digits)
+            return table[key]
+
+        return value
 
 
 def metric_digit_goal(precision_bits: int) -> int:
@@ -832,9 +843,10 @@ def evaluate_metric(
     goal = min(metric_digit_goal(precision_bits), ev.digit_cap)
     lo = Fraction(0)
     hi = Fraction(0)
+    fx_of, fy_of = ev.values_of(x), ev.values_of(y)
     for m in range(terms):
-        fx = ev._value(m, x, goal)
-        fy = ev._value(m, y, goal)
+        fx = fx_of(m, goal)
+        fy = fy_of(m, goal)
         dlo = max(Fraction(0), fx[0] - fy[1], fy[0] - fx[1])
         dhi = min(Fraction(1), max(fx[1] - fy[0], fy[1] - fx[0]))
         w = Fraction(1, 2**m)

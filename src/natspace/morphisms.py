@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from .dots import (
     MAX,
@@ -28,8 +28,8 @@ from .dots import (
     TupleDot,
     endpoints,
 )
-from .points import Point, PointDefect, approximate
-from .spaces import Space, SpaceDefect, product, std_space
+from .points import Point, PointDefect
+from .spaces import Space, product, std_space
 
 REFINEMENT = "refinement"
 TRAIL = "trail"
@@ -437,10 +437,10 @@ def nary_codec(base: int) -> Tuple[Morphism, Optional[Morphism]]:
         seq_sp = std_space("sigma_3_real")
         tgt = std_space("[0,1]_ter")
     else:
-        from .spaces import _nary_01, _sigma_k_real
+        from .spaces import _interval_space, _sigma_k_real
 
         seq_sp = _sigma_k_real(base, f"sigma_{base}_real")
-        tgt = _nary_01(base, f"[0,1]_base{base}")
+        tgt = _interval_space(f"[0,1]_base{base}", base, base, line=False)
 
     def enc(d: Dot) -> Dot:
         val = 0
@@ -542,11 +542,6 @@ class CodedBaireMorphism:
 
     morphism: Morphism
     code: Point
-
-    def decoded_pair(self, n: int) -> Tuple[Dot, Dot]:
-        sp = self.morphism.source
-        a = sp.enumerate_dot(n)
-        return a, self.morphism.map(a)
 
 
 def code_point_of(f: Morphism) -> Point:

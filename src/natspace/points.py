@@ -1,10 +1,9 @@
-"""Points: lazy refining dot streams with materialized choice moduli.
+"""Points: lazy refining dot streams.
 
 A point is a stream p0 >= p1 >= ... of dots that eventually strictly refines
-and chooses between every apart dot pair.  The choice modulus is an explicit
-function from apart-pair indices (the space's frozen pair enumeration) to
-stream indices; every constructor supplies one (the default is a bounded
-search, which terminates on every lawful point).
+and chooses between every apart dot pair.  Operations that ask a point
+something (approximation, apartness, membership) read the stream under an
+explicit step budget.
 
 Streams are materialized into a shared prefix cache as they are consumed, so
 a single Point can be read by several consumers.
@@ -19,11 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .dots import Dot, MaxDot, Seq, endpoints
-from .spaces import Space, SpaceDefect
+from .dots import Dot, DyadicInterval, endpoints
+from .spaces import Space, SpaceDefect, std_space
 
 STRICTNESS_BOUND = 4  # declared liveness contract for shipped constructors
-DEFAULT_MODULUS_BUDGET = 4096
 
 
 class PointDefect(Exception):
@@ -35,7 +33,6 @@ class Point:
         self,
         space: Space,
         dots: Union[Iterable[Dot], Callable[[], Iterator[Dot]]],
-        choice_modulus: Optional[Callable[[int], int]] = None,
         steps_for_grade: Optional[Callable[[int], int]] = None,
         strictness_bound: Optional[int] = None,
         name: str = "",
@@ -44,8 +41,6 @@ class Point:
         self._factory = dots if callable(dots) else (lambda it=dots: iter(it))
         self._iter: Optional[Iterator[Dot]] = None
         self._prefix: List[Dot] = []
-        self._modulus = choice_modulus
-        self._modulus_cache: dict = {}
         self.steps_for_grade = steps_for_grade or (
             lambda g: STRICTNESS_BOUND * (g + 1) + 16
         )
@@ -87,38 +82,6 @@ class Point:
     def prefix(self, k: int) -> Tuple[Dot, ...]:
         self.dot(k - 1)
         return tuple(self._prefix[:k])
-
-    # -- choice modulus ------------------------------------------------------
-
-    def choice_modulus(self, pair_index: int, budget: int = DEFAULT_MODULUS_BUDGET) -> int:
-        """A stream index whose dot is apart from one side of the idx-th
-        apart pair of the space."""
-        if pair_index in self._modulus_cache:
-            return self._modulus_cache[pair_index]
-        if self._modulus is not None:
-            k = self._modulus(pair_index)
-        else:
-            a, b = self.space.apart_pair(pair_index)
-            k = self._search_modulus(a, b, budget)
-        a, b = self.space.apart_pair(pair_index)
-        d = self.dot(k)
-        if not (self.space.apart(d, a) or self.space.apart(d, b)):
-            raise PointDefect(
-                f"point {self.name or '<anon>'}: modulus {k} for pair "
-                f"({a!r},{b!r}) does not choose"
-            )
-        self._modulus_cache[pair_index] = k
-        return k
-
-    def _search_modulus(self, a: Dot, b: Dot, budget: int) -> int:
-        for k in range(budget):
-            d = self.dot(k)
-            if self.space.apart(d, a) or self.space.apart(d, b):
-                return k
-        raise PointDefect(
-            f"point {self.name or '<anon>'}: no choice between {a!r} and {b!r} "
-            f"within budget {budget}"
-        )
 
     def __repr__(self) -> str:
         return f"Point({self.space.name}, {self.name or '...'})"
@@ -261,9 +224,6 @@ def rational_to_point(q: Fraction) -> Point:
     """The standard embedding of a rational into sigma_R: at each exponent m
     the dot [n/2^m,(n+2)/2^m] with n = floor(q*2^m - 1/2), which places q in
     the middle half; successive dots are successors."""
-    from .spaces import std_space
-    from .dots import DyadicInterval
-
     q = Fraction(q)
     space = std_space("sigma_R")
 
@@ -272,38 +232,13 @@ def rational_to_point(q: Fraction) -> Point:
             n = math.floor(q * 2**m - Fraction(1, 2))
             yield DyadicInterval(n, m)
 
-    pt = Point(
+    return Point(
         space,
         gen,
         steps_for_grade=lambda g: g + 1,
         strictness_bound=STRICTNESS_BOUND,
         name=f"rat({q})",
     )
-
-    def modulus(pair_index: int) -> int:
-        a, b = space.apart_pair(pair_index)
-        gap = _gap(a, b)
-        # a dot of width < gap cannot touch both sides of the gap
-        m = 0
-        while Fraction(2, 2**m) >= gap:
-            m += 1
-        k = m
-        # the width-based bound may land on a dot still touching one side;
-        # finish with the direct search from there
-        while True:
-            d = pt.dot(k)
-            if space.apart(d, a) or space.apart(d, b):
-                return k
-            k += 1
-
-    pt._modulus = modulus
-    return pt
-
-
-def _gap(a: Dot, b: Dot) -> Fraction:
-    from .dots import interval_gap
-
-    return interval_gap(a, b)
 
 
 def point_to_rational_bounds(p: Point, grade: int) -> Tuple[Fraction, Fraction]:

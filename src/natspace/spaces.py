@@ -10,11 +10,12 @@ sequence spaces are length-then-lexicographic, interval dot systems use an
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .dots import (
     MAX,
@@ -27,7 +28,6 @@ from .dots import (
     RatInterval,
     Seq,
     TupleDot,
-    endpoints,
     interval_contains,
     intervals_apart,
 )
@@ -84,7 +84,6 @@ class Space:
         spraid_info: Optional[SpraidInfo] = None,
         width: Optional[Callable[[Dot], Fraction]] = None,
         family: str = "generic",
-        base: Optional[int] = None,
         is_isolated: Optional[Callable[[Dot], bool]] = None,
     ):
         self.name = name
@@ -95,12 +94,12 @@ class Space:
         self.spraid_info = spraid_info
         self._width = width
         self.family = family
-        self.base = base
         self.is_isolated = is_isolated or (lambda d: False)
         self._lock = threading.RLock()
         self._enum_cache: List[Dot] = []
         self._enum_iter: Optional[Iterator[Dot]] = None
         self._index_cache: dict = {}
+        self._indexed = 0  # enumeration indices below this are in _index_cache
         self._pair_cache: List[Tuple[Dot, Dot]] = []
         self._level_cache: dict = {}
 
@@ -130,23 +129,19 @@ class Space:
             return self._enum_cache[i]
 
     def index_of(self, d: Dot, limit: int = 500_000) -> int:
-        """Enumeration index of a dot (mu-search with cache)."""
+        """Enumeration index of a dot (mu-search; each enumerated dot is
+        indexed once, scanning on from where the last search stopped)."""
         with self._lock:
-            if d in self._index_cache:
-                return self._index_cache[d]
-        i = len(self._enum_cache)
-        # walk already-cached prefix first
-        for j, e in enumerate(self._enum_cache):
-            self._index_cache.setdefault(e, j)
-        if d in self._index_cache:
-            return self._index_cache[d]
-        while i < limit:
-            e = self.enumerate_dot(i)
-            self._index_cache.setdefault(e, i)
-            if e == d:
-                return i
-            i += 1
-        raise SpaceDefect(f"{self.name}: dot {d!r} not found in first {limit} enumerated dots")
+            index = self._index_cache
+            while d not in index:
+                i = self._indexed
+                if i >= limit:
+                    raise SpaceDefect(
+                        f"{self.name}: dot {d!r} not found in first {limit} enumerated dots"
+                    )
+                index.setdefault(self.enumerate_dot(i), i)
+                self._indexed = i + 1
+            return index[d]
 
     def apart_pair(self, idx: int) -> Tuple[Dot, Dot]:
         """The idx-th apart dot pair (diagonal over the dot enumeration)."""
@@ -309,13 +304,13 @@ def validate_space(space: Space, depth: int) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_apart(a: Dot, b: Dot) -> bool:
+def _interval_apart(a: Dot, b: Dot) -> bool:
     if isinstance(a, MaxDot) or isinstance(b, MaxDot):
         return False
     return intervals_apart(a, b)
 
 
-def _dyadic_refines(b: Dot, a: Dot) -> bool:
+def _interval_refines(b: Dot, a: Dot) -> bool:
     if isinstance(a, MaxDot):
         return True
     if isinstance(b, MaxDot):
@@ -323,155 +318,57 @@ def _dyadic_refines(b: Dot, a: Dot) -> bool:
     return interval_contains(a, b)
 
 
-def _sigma_r() -> Space:
+def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
+    """The grid spaces: dot (n, m) sits at n/base^m and refines into its k
+    successors (base*n + i, m+1), i < k.  With k = base+1 the dots are the
+    half-overlapping dyadic intervals, with k = base the n-ary ones.  On the
+    whole line MAX sits above exponent 0; on the unit interval the maximal
+    dot is (0, m0) with m0 = k - base, and exponent m >= m0 holds
+    base^m - (k - base) dots."""
+    dot = DyadicInterval if k > base else functools.partial(NaryInterval, base)
+    spill = k - base
+    m0 = -1 if line else spill  # the exponent the maximal dot stands for
+
     def grade(d: Dot) -> int:
-        return 0 if isinstance(d, MaxDot) else d.m + 1
+        return 0 if type(d) is MaxDot else d.m - m0
 
     def successors(d: Dot) -> Successors:
-        if isinstance(d, MaxDot):
-            return Successors((), True, lambda k: DyadicInterval(zigzag(k), 0))
-        return Successors(
-            tuple(DyadicInterval(2 * d.n + i, d.m + 1) for i in range(3))
-        )
+        if type(d) is MaxDot:
+            return Successors((), True, lambda j: dot(zigzag(j), 0))
+        return Successors(tuple(dot(base * d.n + i, d.m + 1) for i in range(k)))
 
     def predecessors(d: Dot) -> Tuple[Dot, ...]:
-        if isinstance(d, MaxDot):
+        if type(d) is MaxDot or d.m == m0:
             return ()
-        if d.m == 0:
+        m = d.m - 1
+        if m < 0:
             return (MAX,)
-        if d.n % 2 == 0:
-            return (
-                DyadicInterval(d.n // 2 - 1, d.m - 1),
-                DyadicInterval(d.n // 2, d.m - 1),
-            )
-        return (DyadicInterval((d.n - 1) // 2, d.m - 1),)
+        # the parents n' with base*n' <= n < base*n' + k: at most two
+        lo, hi = -((k - 1 - d.n) // base), d.n // base
+        if not line:
+            lo, hi = max(lo, 0), min(hi, base**m - spill - 1)
+        return (dot(lo, m),) if lo == hi else (dot(lo, m), dot(hi, m))
 
     def enum() -> Iterator[Dot]:
-        yield MAX
-        for d in itertools.count(0):
-            for m in range(d + 1):
-                yield DyadicInterval(zigzag(d - m), m)
-
-    return Space(
-        "sigma_R",
-        _dyadic_apart,
-        _dyadic_refines,
-        MAX,
-        enum,
-        SpraidInfo(grade, successors, predecessors, False),
-        width=lambda d: d.width,
-        family="dyadic",
-    )
-
-
-def _sigma_01() -> Space:
-    max_dot = DyadicInterval(0, 1)
-
-    def valid(n: int, m: int) -> bool:
-        return m >= 1 and 0 <= n and n + 2 <= 2**m
-
-    def grade(d: Dot) -> int:
-        return d.m - 1
-
-    def successors(d: Dot) -> Successors:
-        return Successors(
-            tuple(DyadicInterval(2 * d.n + i, d.m + 1) for i in range(3))
-        )
-
-    def predecessors(d: Dot) -> Tuple[Dot, ...]:
-        if d == max_dot:
-            return ()
-        if d.n % 2 == 0:
-            cands = [(d.n // 2 - 1, d.m - 1), (d.n // 2, d.m - 1)]
+        if line:
+            yield MAX
+            for t in itertools.count(0):
+                for m in range(t + 1):
+                    yield dot(zigzag(t - m), m)
         else:
-            cands = [((d.n - 1) // 2, d.m - 1)]
-        return tuple(DyadicInterval(n, m) for (n, m) in cands if valid(n, m))
-
-    def enum() -> Iterator[Dot]:
-        for m in itertools.count(1):
-            for n in range(2**m - 1):
-                yield DyadicInterval(n, m)
-
-    return Space(
-        "sigma_[0,1]",
-        _dyadic_apart,
-        _dyadic_refines,
-        max_dot,
-        enum,
-        SpraidInfo(grade, successors, predecessors, True),
-        width=lambda d: d.width,
-        family="dyadic01",
-    )
-
-
-def _nary_r(base: int, name: str) -> Space:
-    def grade(d: Dot) -> int:
-        return 0 if isinstance(d, MaxDot) else d.m + 1
-
-    def successors(d: Dot) -> Successors:
-        if isinstance(d, MaxDot):
-            return Successors((), True, lambda k: NaryInterval(base, zigzag(k), 0))
-        return Successors(
-            tuple(NaryInterval(base, base * d.n + i, d.m + 1) for i in range(base))
-        )
-
-    def predecessors(d: Dot) -> Tuple[Dot, ...]:
-        if isinstance(d, MaxDot):
-            return ()
-        if d.m == 0:
-            return (MAX,)
-        return (NaryInterval(base, d.n // base, d.m - 1),)
-
-    def enum() -> Iterator[Dot]:
-        yield MAX
-        for d in itertools.count(0):
-            for m in range(d + 1):
-                yield NaryInterval(base, zigzag(d - m), m)
+            for m in itertools.count(m0):
+                for n in range(base**m - spill):
+                    yield dot(n, m)
 
     return Space(
         name,
-        _dyadic_apart,
-        _dyadic_refines,
-        MAX,
+        _interval_apart,
+        _interval_refines,
+        MAX if line else dot(0, m0),
         enum,
-        SpraidInfo(grade, successors, predecessors, False),
+        SpraidInfo(grade, successors, predecessors, not line),
         width=lambda d: d.width,
-        family="nary",
-        base=base,
-    )
-
-
-def _nary_01(base: int, name: str) -> Space:
-    max_dot = NaryInterval(base, 0, 0)
-
-    def grade(d: Dot) -> int:
-        return d.m
-
-    def successors(d: Dot) -> Successors:
-        return Successors(
-            tuple(NaryInterval(base, base * d.n + i, d.m + 1) for i in range(base))
-        )
-
-    def predecessors(d: Dot) -> Tuple[Dot, ...]:
-        if d.m == 0:
-            return ()
-        return (NaryInterval(base, d.n // base, d.m - 1),)
-
-    def enum() -> Iterator[Dot]:
-        for m in itertools.count(0):
-            for n in range(base**m):
-                yield NaryInterval(base, n, m)
-
-    return Space(
-        name,
-        _dyadic_apart,
-        _dyadic_refines,
-        max_dot,
-        enum,
-        SpraidInfo(grade, successors, predecessors, True),
-        width=lambda d: d.width,
-        family="nary01",
-        base=base,
+        family=("dyadic" if k > base else "nary") + ("" if line else "01"),
     )
 
 
@@ -483,25 +380,43 @@ def _seq_refines(b: Dot, a: Dot) -> bool:
     return b.extends(a)
 
 
-def _baire() -> Space:
-    def grade(d: Dot) -> int:
-        return len(d.syms)
+def _seq_grade(d: Dot) -> int:
+    return len(d.syms)
 
-    def successors(d: Dot) -> Successors:
-        return Successors((), True, lambda k: Seq(d.syms + (k,)))
 
-    def predecessors(d: Dot) -> Tuple[Dot, ...]:
-        return (Seq(d.syms[:-1]),) if d.syms else ()
+def _seq_parent(d: Dot) -> Tuple[Dot, ...]:
+    return (Seq(d.syms[:-1]),) if d.syms else ()
 
+
+def seq_extensions(d: Dot) -> Successors:
+    """Every one-symbol extension of a digit string (infinite branching)."""
+    return Successors((), True, lambda k: Seq(d.syms + (k,)))
+
+
+def prefix_tree(
+    name: str,
+    apart: Callable[[Dot, Dot], bool],
+    successors: Callable[[Dot], Successors],
+    enum_factory: Callable[[], Iterator[Dot]],
+    finitely_branching: bool,
+    **space_args,
+) -> Space:
+    """A space of digit strings under the empty string: grade is length, the
+    one predecessor drops the last symbol, refinement is extension.  Further
+    keyword arguments go to Space."""
     return Space(
-        "baire",
-        _seq_apart,
+        name,
+        apart,
         _seq_refines,
         Seq(()),
-        baire_enum,
-        SpraidInfo(grade, successors, predecessors, False),
-        family="seq",
+        enum_factory,
+        SpraidInfo(_seq_grade, successors, _seq_parent, finitely_branching),
+        **space_args,
     )
+
+
+def _baire() -> Space:
+    return prefix_tree("baire", _seq_apart, seq_extensions, baire_enum, False, family="seq")
 
 
 def baire_enum() -> Iterator[Dot]:
@@ -594,35 +509,16 @@ def baire_unrank(r: int) -> Seq:
     return Seq(tuple(syms))
 
 
-def _sigma_k(k: int, name: str, apart=None, family: str = "seq") -> Space:
-    def grade(d: Dot) -> int:
-        return len(d.syms)
-
+def _sigma_k(k: int, name: str, apart=_seq_apart, family: str = "seq", width=None) -> Space:
     def successors(d: Dot) -> Successors:
         return Successors(tuple(Seq(d.syms + (i,)) for i in range(k)))
-
-    def predecessors(d: Dot) -> Tuple[Dot, ...]:
-        return (Seq(d.syms[:-1]),) if d.syms else ()
 
     def enum() -> Iterator[Dot]:
         for ln in itertools.count(0):
             for syms in itertools.product(range(k), repeat=ln):
                 yield Seq(syms)
 
-    width = None
-    if family == "seq_real":
-        width = lambda d: Fraction(1, k ** len(d.syms))  # noqa: E731
-    return Space(
-        name,
-        apart or _seq_apart,
-        _seq_refines,
-        Seq(()),
-        enum,
-        SpraidInfo(grade, successors, predecessors, True),
-        width=width,
-        family=family,
-        base=k,
-    )
+    return prefix_tree(name, apart, successors, enum, True, family=family, width=width)
 
 
 def seq_interval(d: Seq, base: int) -> Tuple[Fraction, Fraction]:
@@ -640,22 +536,18 @@ def _sigma_k_real(k: int, name: str) -> Space:
         blo, bhi = seq_interval(b, k)
         return ahi < blo or bhi < alo
 
-    return _sigma_k(k, name, apart=apart, family="seq_real")
+    return _sigma_k(
+        k, name, apart, "seq_real", width=lambda d: Fraction(1, k ** len(d.syms))
+    )
 
 
 def _chain(k: int, name: str) -> Space:
     """The k-point space: k disjoint constant-digit chains under the root."""
 
-    def grade(d: Dot) -> int:
-        return len(d.syms)
-
     def successors(d: Dot) -> Successors:
         if not d.syms:
             return Successors(tuple(Seq((i,)) for i in range(k)))
         return Successors((Seq(d.syms + (d.syms[0],)),))
-
-    def predecessors(d: Dot) -> Tuple[Dot, ...]:
-        return (Seq(d.syms[:-1]),) if d.syms else ()
 
     def enum() -> Iterator[Dot]:
         yield Seq(())
@@ -666,16 +558,8 @@ def _chain(k: int, name: str) -> Space:
     def is_isolated(d: Dot) -> bool:
         return bool(d.syms)
 
-    return Space(
-        name,
-        _seq_apart,
-        _seq_refines,
-        Seq(()),
-        enum,
-        SpraidInfo(grade, successors, predecessors, True),
-        family="chain",
-        base=k,
-        is_isolated=is_isolated,
+    return prefix_tree(
+        name, _seq_apart, successors, enum, True, family="chain", is_isolated=is_isolated
     )
 
 
@@ -693,18 +577,6 @@ def rational_enum() -> Iterator[Fraction]:
 
 
 def _r_rat() -> Space:
-    def apart(a: Dot, b: Dot) -> bool:
-        if isinstance(a, MaxDot) or isinstance(b, MaxDot):
-            return False
-        return intervals_apart(a, b)
-
-    def refines(b: Dot, a: Dot) -> bool:
-        if isinstance(a, MaxDot):
-            return True
-        if isinstance(b, MaxDot):
-            return False
-        return interval_contains(a, b)
-
     def enum() -> Iterator[Dot]:
         yield MAX
         rats: List[Fraction] = []
@@ -723,8 +595,8 @@ def _r_rat() -> Space:
 
     return Space(
         "R_rat",
-        apart,
-        refines,
+        _interval_apart,
+        _interval_refines,
         MAX,
         enum,
         None,
@@ -735,13 +607,13 @@ def _r_rat() -> Space:
 
 _STD_BUILDERS: dict = {
     "R_rat": _r_rat,
-    "sigma_R": _sigma_r,
-    "sigma_[0,1]": _sigma_01,
-    "R_bin": lambda: _nary_r(2, "R_bin"),
-    "R_ter": lambda: _nary_r(3, "R_ter"),
-    "R_dec": lambda: _nary_r(10, "R_dec"),
-    "[0,1]_bin": lambda: _nary_01(2, "[0,1]_bin"),
-    "[0,1]_ter": lambda: _nary_01(3, "[0,1]_ter"),
+    "sigma_R": lambda: _interval_space("sigma_R", 2, 3, line=True),
+    "sigma_[0,1]": lambda: _interval_space("sigma_[0,1]", 2, 3, line=False),
+    "R_bin": lambda: _interval_space("R_bin", 2, 2, line=True),
+    "R_ter": lambda: _interval_space("R_ter", 3, 3, line=True),
+    "R_dec": lambda: _interval_space("R_dec", 10, 10, line=True),
+    "[0,1]_bin": lambda: _interval_space("[0,1]_bin", 2, 2, line=False),
+    "[0,1]_ter": lambda: _interval_space("[0,1]_ter", 3, 3, line=False),
     "baire": _baire,
     "cantor": lambda: _sigma_k(2, "cantor"),
     "T2": lambda: _chain(2, "T2"),
@@ -767,28 +639,13 @@ def std_space(name: str) -> Space:
         return _STD_CACHE[name]
 
 
-def successors(space: Space, a: Dot) -> Successors:
-    return space.successors(a)
-
-
-def predecessors(space: Space, a: Dot) -> Tuple[Dot, ...]:
-    return space.predecessors(a)
-
-
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfiniteFactors:
-    """An infinite factor list: factory(i) is the i-th factor space."""
-
-    factory: Callable[[int], Space]
-
-
 def product(factors, kind: str = "sigma") -> Space:
-    """Product space over a finite factor list (or InfiniteFactors).
+    """Product space over a finite factor list.
 
     Kinds: "simple" (coordinatewise refinement), "sigma" (graded product of
     graded factors; equal coordinate grades), "circ" (strict on isolated
@@ -797,8 +654,6 @@ def product(factors, kind: str = "sigma") -> Space:
     """
     if kind not in ("simple", "sigma", "circ", "strict"):
         raise ValueError(f"unknown product kind {kind!r}")
-    if isinstance(factors, InfiniteFactors):
-        return _infinite_sigma(factors)
     factors = list(factors)
     n = len(factors)
     if kind == "sigma":
@@ -930,120 +785,6 @@ def _tuple_unrank(k: int, n: int) -> Tuple[int, ...]:
                 return tup
             k -= 1
     raise AssertionError
-
-
-def _infinite_sigma(factors: InfiniteFactors) -> Space:
-    """Infinite sigma product: grade-n dots are n-tuples of grade-n dots."""
-    fac = factors.factory
-
-    def apart(a: Dot, b: Dot) -> bool:
-        return any(
-            fac(i).apart(a.items[i], b.items[i])
-            for i in range(min(len(a.items), len(b.items)))
-        )
-
-    def refines(b: Dot, a: Dot) -> bool:
-        if len(b.items) < len(a.items):
-            return False
-        return all(fac(i).refines(b.items[i], a.items[i]) for i in range(len(a.items)))
-
-    max_dot = TupleDot(())
-
-    def grade(d: Dot) -> int:
-        return len(d.items)
-
-    def succs(d: Dot) -> Successors:
-        g = len(d.items)
-        per = [fac(i).successors(d.items[i]) for i in range(g)]
-        new_levels = _graded_level(fac(g), g + 1)
-        if any(s.unbounded for s in per) or new_levels is None:
-            raise SpaceDefect("infinite sigma product: successors not materializable")
-        combos = itertools.product(*(s.dots for s in per), new_levels)
-        return Successors(tuple(TupleDot(c) for c in combos))
-
-    def preds(d: Dot) -> Tuple[Dot, ...]:
-        g = len(d.items)
-        if g == 0:
-            return ()
-        per = [fac(i).predecessors(d.items[i]) for i in range(g - 1)]
-        # dropping the last coordinate, each remaining one steps up a grade
-        return tuple(TupleDot(c) for c in itertools.product(*per)) if g > 1 else (max_dot,)
-
-    def enum() -> Iterator[Dot]:
-        yield max_dot
-        for g in itertools.count(1):
-            levels = [_graded_level(fac(i), g) for i in range(g)]
-            if any(lv is None for lv in levels):
-                return
-            for combo in itertools.product(*levels):
-                yield TupleDot(combo)
-
-    def fin_branching() -> bool:
-        return fac(0).spraid_info.finitely_branching
-
-    info = SpraidInfo(grade, succs, preds, fin_branching())
-    return Space(
-        "product[sigma](infinite)", apart, refines, max_dot, enum, info, family="product"
-    )
-
-
-def _graded_level(space: Space, g: int):
-    if space.spraid_info is None or not space.spraid_info.finitely_branching:
-        return None
-    return space.level(g)
-
-
-# ---------------------------------------------------------------------------
-# Direct limit R^infinity
-# ---------------------------------------------------------------------------
-
-
-def direct_limit_Romega() -> Space:
-    """Eventually-vanishing real sequences: finite tuples of rational
-    intervals; excess coordinates of the refining (longer) dot must contain 0,
-    and a longer dot is apart from a shorter one when an excess coordinate
-    excludes 0."""
-
-    zero = Fraction(0)
-
-    def apart(a: Dot, b: Dot) -> bool:
-        short, long_ = (a, b) if len(a.items) <= len(b.items) else (b, a)
-        nn = len(short.items)
-        for i in range(nn):
-            if intervals_apart(short.items[i], long_.items[i]):
-                return True
-        for i in range(nn, len(long_.items)):
-            lo, hi = endpoints(long_.items[i])
-            if zero < lo or hi < zero:
-                return True
-        return False
-
-    def refines(b: Dot, a: Dot) -> bool:
-        if len(b.items) < len(a.items):
-            return False
-        for i in range(len(a.items)):
-            if not interval_contains(a.items[i], b.items[i]):
-                return False
-        for i in range(len(a.items), len(b.items)):
-            lo, hi = endpoints(b.items[i])
-            if not (lo <= zero <= hi):
-                return False
-        return True
-
-    def enum() -> Iterator[Dot]:
-        yield TupleDot(())
-        rat = std_space("R_rat")
-        for t in itertools.count(1):
-            for ln in range(1, t + 1):
-                budget = t - ln
-                for idxs in _compositions(budget, ln):
-                    # R_rat enumeration index 0 is MAX; shift past it
-                    items = tuple(rat.enumerate_dot(i + 1) for i in idxs)
-                    yield TupleDot(items)
-
-    return Space(
-        "R^omega", apart, refines, TupleDot(()), enum, None, family="dirlim"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1240,18 +981,9 @@ def extend_with_isolated_point(space: Space) -> Space:
         return inner.predecessors(d)
 
     def enum() -> Iterator[Dot]:
-        k = 0
-        base_iter = None
-
-        def base(i):
-            return space.enumerate_dot(i)
-
-        for i in itertools.count(0):
-            if i % 2 == 0:
-                yield base(i // 2)
-            else:
-                k += 1
-                yield Isolated(k)
+        for i in itertools.count(1):
+            yield space.enumerate_dot(i - 1)
+            yield Isolated(i)
 
     def is_isolated(d: Dot) -> bool:
         return isinstance(d, Isolated) or space.is_isolated(d)
@@ -1265,6 +997,5 @@ def extend_with_isolated_point(space: Space) -> Space:
         SpraidInfo(grade, succs, preds, inner.finitely_branching),
         width=space._width,
         family="extended",
-        base=space.base,
         is_isolated=is_isolated,
     )

@@ -161,3 +161,19 @@ def test_validate_unknown_space_exit_2(capsys):
 def test_unknown_subcommand_exit_1(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_linecall_missing_file_exit_2(tmp_path, capsys):
+    code, _, err = run(capsys, "linecall", str(tmp_path / "missing.json"))
+    assert code == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bits", ["0", "-5"])
+def test_eval_nonpositive_bits_exit_2(capsys, bits):
+    code, _, err = run(capsys, "eval", "--bits", bits, "--", "1/3")
+    assert code == 2 and "bits" in err
+
+
+def test_eval_deep_nesting_parse_error(capsys):
+    code, _, err = run(capsys, "eval", "(" * 2000 + "1" + ")" * 2000)
+    assert code == 1 and "parse error" in err

@@ -134,6 +134,28 @@ def test_separation_bar_trees(cantor_space, baire):
         )
 
 
+@pytest.mark.parametrize(
+    "name, a, b",
+    [
+        ("sigma_2_real", Seq((0, 0)), Seq((1, 1))),
+        ("sigma_2_real", Seq((0,)), Seq((1, 1))),
+        ("sigma_3_real", Seq((0,)), Seq((2,))),
+        ("sigma_3_real", Seq((0,)), Seq((1, 2))),
+        ("sigma_2_real^+", Seq((0, 1, 1, 0)), Seq((1,))),
+        ("sigma_2_real^+", Seq((0,)), ns.Isolated(2)),
+        ("sigma_[0,1]^+", D(0, 3), ns.Isolated(2)),
+    ],
+)
+def test_separation_bar_digit_intervals(name, a, b):
+    if name.endswith("^+"):
+        space = ns.extend_with_isolated_point(ns.std_space(name[:-2]))
+    else:
+        space = ns.std_space(name)
+    bar = ns.separation_bar(space, a, b)
+    for d in ns.flatten(bar):
+        assert space.apart(d, a) or space.apart(d, b)
+
+
 def test_inductive_preimage_identity_and_neg(sigmaR, sigma01):
     G = ns.genetic_uniform(sigma01, D(0, 1), 2)
     H = ns.inductive_preimage(ns.identity(sigma01), G)

@@ -71,6 +71,13 @@ def test_codec_and_cantor_morphism_laws():
     assert ns.check_morphism(ns.doubling(), 60).ok
 
 
+@pytest.mark.parametrize("base", [2, 4])
+def test_nary_encode_morphism_laws(base):
+    enc, dec = ns.nary_codec(base)
+    assert dec is None
+    assert ns.check_morphism(enc, 60).ok
+
+
 def test_round_hull_maximal_containing_dot():
     d = ns.round_hull(F(1, 3), F(5, 12))
     lo, hi = endpoints(d)

@@ -1,5 +1,6 @@
 """Space descriptors: axioms, enumeration order, levels, pairing, oracles."""
 
+import hashlib
 import itertools
 from fractions import Fraction as F
 
@@ -37,6 +38,70 @@ def test_frozen_enumeration_prefixes(sigma01, sigmaR, ext01):
     assert [ext01.enumerate_dot(i) for i in range(4)] == [
         D(0, 1), Isolated(1), D(0, 2), Isolated(2),
     ]
+
+
+# SHA-256 of the first 2,000 enumerated dots of each catalogue space; see
+# _catalogue_digest for what each dot contributes.
+CATALOGUE_DIGESTS = {
+    "R_bin": "54e00946ec0b81145586af15f85146b64abb9a1a1b577eb0176c9f78e69062e8",
+    "R_dec": "c67bbc3988578d050d7a7c6862e0eba9bd19bdf58c06238935d0c978a15ace5b",
+    "R_rat": "3f07c985e3565c2a01bea56ca1f106fa6dec88f25e5791a2acfbf15d50032b57",
+    "R_ter": "5867faa614eb2c77e908dee296a97a48cb42a46b3bcab1aafc48fc36a7230358",
+    "T2": "1b7a0b6e88708eb426ae95bdab11357d99ba23c688fe0a8863ab3a3ee2245310",
+    "T3": "f7e72f3a1553113e087c84c0a616d5fe9193f2fec82c43e3b7d7348a927f8ba3",
+    "[0,1]_bin": "17096ea08d069ad54a4b4611a0f816a0c8678e2f2b1dee1061f00eb7f84eaa46",
+    "[0,1]_ter": "1e3b716080666b16065e06ada433b3b0a35120d15677e894b09316cb92ec3e98",
+    "baire": "0784379521c9b0ecb3ac757c2ee75d0a6618925788020dd1997bb06d6f0fbeb3",
+    "cantor": "333c3cc18f982fcf92887b75c1960062d2f7fcacb4bc51d13e7b474f435ea776",
+    "sigma_2": "333c3cc18f982fcf92887b75c1960062d2f7fcacb4bc51d13e7b474f435ea776",
+    "sigma_2_real": "1bb6af64f81c899305a048c5c84470405ee0e00ff45d67d7cb323c7eecd0aeae",
+    "sigma_3": "37c9ea4553eeb0f384108203470d64f0ad52f4abfdb5235b304a12cffb8000b4",
+    "sigma_3_real": "27ffc6a4eb2cbdad0731d8df1154f26a2b008229e3eb51a2ef214216b279215c",
+    "sigma_R": "8d2fde073e573182f1a6d9589c973428e2ec3caa6d06d739ec32d629296be9f6",
+    "sigma_[0,1]": "3fe0439329138aad55b652f3abaf59c8e71a8c2bf0309f12c84af204e3c81d5c",
+    "sigma_[0,1]^+": "2b8757add0620d2df89678216ee2070610764d845827470c8a06492c4f31fc63",
+    "product((sigma_R, sigma_R))":
+        "7687ff206d69520e6bb58eec0b9f577182a598dd75cf221ecf7dd6770a3b7e1b",
+}
+
+
+def _catalogue_space(name):
+    if name == "sigma_[0,1]^+":
+        return ns.extend_with_isolated_point(_STD_BUILDERS["sigma_[0,1]"]())
+    if name == "product((sigma_R, sigma_R))":
+        sigma_r = _STD_BUILDERS["sigma_R"]()
+        return ns.product((sigma_r, sigma_r))
+    return _STD_BUILDERS[name]()
+
+
+def _catalogue_digest(space, count=2000):
+    """Each dot contributes its repr, its apartness from and refinement of
+    the previous dot and, on graded spaces, its grade, its first three
+    successors and its predecessors."""
+    h = hashlib.sha256()
+    for i in range(count):
+        d = space.enumerate_dot(i)
+        row = [repr(d)]
+        if i:
+            prev = space.enumerate_dot(i - 1)
+            row += [str(space.apart(d, prev)), str(space.refines(d, prev))]
+        if space.spraid_info is not None:
+            row += [
+                str(space.grade(d)),
+                repr(space.successors(d).prefix(3)[:3]),
+                repr(space.predecessors(d)),
+            ]
+        h.update(("|".join(row) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_catalogue_digests_cover_every_std_space():
+    assert set(STD_NAMES) <= set(CATALOGUE_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_DIGESTS))
+def test_catalogue_digest(name):
+    assert _catalogue_digest(_catalogue_space(name)) == CATALOGUE_DIGESTS[name]
 
 
 def test_index_of_inverts_enumeration(sigma01):
