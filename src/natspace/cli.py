@@ -1,21 +1,23 @@
 """Batch command line: exact-real evaluation, Cantor function sampling,
 line calls, cover analysis, metric tables, and axiom validation.
 
-Exit codes: 0 success, 1 parse error (expression / digits / JSON syntax),
-2 semantic error (unknown space, missing witness, contract violation),
-3 budget exhaustion (a lazy stream could not deliver in time).
+Exit codes: 0 success, 1 parse error (expression / digits / JSON syntax / a
+malformed dot), 2 semantic error (unknown space, missing witness, a dot
+outside the space, contract violation), 3 budget exhaustion (a lazy stream
+could not deliver in time).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .dots import Dot, dot_from_json, dot_to_json, endpoints
-from .induction import BarDefect, Cover, bar_from_json, finite_subcover
+from .induction import BarDefect, Cover, GeneticBar, bar_from_json, finite_subcover
 from .metric import MetricDefect, MetricEvaluator, evaluate_metric, metric_digit_goal
 from .morphisms import (
     MorphismDefect,
@@ -164,10 +166,7 @@ class _Parser:
 
 
 def parse_expression(text: str) -> tuple:
-    try:
-        return _Parser(_tokenize(text)).parse()
-    except RecursionError:
-        raise CliParseError("expression nested too deeply")
+    return _Parser(_tokenize(text)).parse()
 
 
 def compile_expression(node: tuple) -> Point:
@@ -235,6 +234,41 @@ def _read_json(path: str):
         raise CliSemanticError(str(exc))
 
 
+@contextlib.contextmanager
+def _parsing(where: str):
+    """Reading file contents inside the block: a missing field, or a field
+    of the wrong type or value, is a parse error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CliParseError(f"{where}: {type(exc).__name__}: {exc}")
+
+
+def _read_dots(space, objs, where: str) -> Tuple[Dot, ...]:
+    """The dots of space that a file lists: a malformed dot is a parse
+    error, one that does not refine the maximal dot a semantic one."""
+    with _parsing(where):
+        dots = tuple(dot_from_json(obj) for obj in objs)
+    for d in dots:
+        try:  # a dot of another kind has no grade or fails the relation
+            ok = space.grade(d) >= 0 and space.refines(d, space.max_dot)
+        except (AttributeError, TypeError):
+            ok = False
+        if not ok:
+            raise CliSemanticError(f"{where}: {d!r} is not a dot of {space.name}")
+    return dots
+
+
+def _read_witness(space, blob) -> GeneticBar:
+    """The genetic witness of a cover file, a bar rooted at the maximal dot."""
+    with _parsing("witness"):
+        node = blob["derivation"]
+        root = dot_from_json(node["leaf"] if "leaf" in node else node["split"])
+        if root != space.max_dot:
+            raise CliSemanticError(f"witness rooted at {root!r}, not at {space.max_dot!r}")
+        return bar_from_json(space, blob)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -242,7 +276,12 @@ def _read_json(path: str):
 def _cmd_eval(args, out) -> int:
     if args.bits < 1:
         raise CliSemanticError("--bits must be >= 1")
-    lo, hi = eval_expression_bounds(args.expr, args.bits)
+    try:
+        # every operation deepens the stack of parsing, compiling and each
+        # dot pull
+        lo, hi = eval_expression_bounds(args.expr, args.bits)
+    except RecursionError:
+        raise CliParseError("expression nested too deeply")
     _emit(
         args.format,
         {"lo": _frac(lo), "hi": _frac(hi)},
@@ -280,23 +319,16 @@ def _cmd_linecall(args, out) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise CliParseError(f"bad synthetic value: {exc}")
     else:
-        dots: List[Dot] = []
         try:
-            fh = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
+            if args.input == "-":
+                fh = contextlib.nullcontext(sys.stdin)
+            else:
+                fh = open(args.input, "r", encoding="utf-8")
         except OSError as exc:
             raise CliSemanticError(str(exc))
-        try:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    dots.append(dot_from_json(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise CliParseError(f"bad dot line {line!r}: {exc}")
-        finally:
-            if fh is not sys.stdin:
-                fh.close()
+        with fh as lines, _parsing(args.input):
+            objs = [json.loads(line) for line in lines if line.strip()]
+        dots = _read_dots(space, objs, args.input)
         if not dots:
             raise CliSemanticError("empty measurement stream")
         stream = point_from_prefix(space, dots, name="measurements")
@@ -306,13 +338,11 @@ def _cmd_linecall(args, out) -> int:
 
 
 def _union_covers_root(space, dots) -> Optional[bool]:
-    if not space.interval_like:
-        return None
     try:
         root_lo, root_hi = endpoints(space.max_dot)
-    except TypeError:
+        segs = sorted(endpoints(d) for d in dots)
+    except TypeError:  # the root or a cover dot is no interval
         return None
-    segs = sorted(endpoints(d) for d in dots)
     cursor = root_lo
     for lo, hi in segs:
         if lo > cursor:
@@ -327,15 +357,11 @@ def _cmd_subcover(args, out) -> int:
     data = _read_json(args.cover_file)
     if not isinstance(data, dict) or "space" not in data or "cover" not in data:
         raise CliParseError("cover file needs 'space' and 'cover' fields")
-    space = _resolve_space(data["space"])
-    try:
-        cover_dots = tuple(dot_from_json(obj) for obj in data["cover"])
-    except (KeyError, TypeError) as exc:
-        raise CliParseError(f"bad cover dot: {exc}")
+    space = _resolve_space(str(data["space"]))
+    cover_dots = _read_dots(space, data["cover"], "cover")
     if "witness" not in data:
         raise CliSemanticError("inductive cover without a genetic witness")
-    witness = bar_from_json(space, data["witness"])
-    cover = Cover(dots=cover_dots, witness=witness)
+    cover = Cover(dots=cover_dots, witness=_read_witness(space, data["witness"]))
     selected = finite_subcover(space, cover)
     union_ok = _union_covers_root(space, selected)
     sel_json = [dot_to_json(d) for d in selected]
@@ -357,14 +383,12 @@ def _load_point(space, path: str, name: str) -> Point:
     data = _read_json(path)
     if not isinstance(data, list) or not data:
         raise CliParseError(f"{path}: point file must be a nonempty JSON list of dots")
-    try:
-        dots = tuple(dot_from_json(obj) for obj in data)
-    except (KeyError, TypeError) as exc:
-        raise CliParseError(f"{path}: bad dot: {exc}")
-    return point_from_prefix(space, dots, name=name)
+    return point_from_prefix(space, _read_dots(space, data, path), name=name)
 
 
 def _cmd_metric(args, out) -> int:
+    if args.bits < 0:
+        raise CliSemanticError("--bits must be >= 0")
     space = _resolve_space(args.space)
     x = _load_point(space, args.x, "x")
     y = _load_point(space, args.y, "y")

@@ -168,10 +168,6 @@ class Trail(Dot):
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def last(self) -> Dot:
-        return self.items[-1]
-
     def extends(self, other: "Trail") -> bool:
         n = len(other.items)
         return len(self.items) >= n and self.items[:n] == other.items
@@ -262,10 +258,6 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _frac_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def dot_to_json(d: Dot) -> dict:
     """Serialize a dot to its canonical JSON object form."""
     if isinstance(d, MaxDot):
@@ -297,7 +289,7 @@ def dot_from_json(obj: dict) -> Dot:
     if kind == "dyadic":
         return DyadicInterval(int(obj["n"]), int(obj["m"]))
     if kind == "rat":
-        return RatInterval(_frac_parse(obj["lo"]), _frac_parse(obj["hi"]))
+        return RatInterval(Fraction(obj["lo"]), Fraction(obj["hi"]))
     if kind == "nary":
         return NaryInterval(int(obj["base"]), int(obj["n"]), int(obj["m"]))
     if kind == "seq":

@@ -5,11 +5,10 @@ sequences, and Cantor space surjects onto every finitely branching fann.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .dots import MAX, Dot, DyadicInterval, MaxDot, Seq, Trail
 from .morphisms import REFINEMENT, TRAIL, Morphism, MorphismDefect
@@ -43,25 +42,60 @@ def _check_chain(space: Space, t: Trail) -> None:
             )
 
 
-def trail_space(space: Space) -> Space:
-    """The space of strict-descent trails: refinement is trail extension,
-    apartness is last-dot apartness, the empty trail is maximal."""
+def _last(space: Space, t: Trail) -> Dot:
+    """The last dot of a trail (the maximal dot for the empty trail)."""
+    return t.items[-1] if t.items else space.max_dot
+
+
+def _trail_tree(
+    name: str,
+    space: Space,
+    check: Callable[[Trail], None],
+    successors: Callable[[Dot], Successors],
+    items_of: Callable[[Tuple[int, ...]], Optional[Tuple[Dot, ...]]],
+    finitely_branching: bool,
+) -> Space:
+    """A tree of trails over space under the empty trail: grade is length,
+    the one predecessor drops the last dot, refinement is extension and
+    apartness is last-dot apartness, each after check vets both trails.
+    The enumeration follows baire_enum: items_of maps an index string to
+    the dots of its trail, or to None when the string names no trail."""
 
     def apart(a: Dot, b: Dot) -> bool:
-        _check_chain(space, a)
-        _check_chain(space, b)
+        check(a)
+        check(b)
         if not a.items or not b.items:
             return False
         return space.apart(a.items[-1], b.items[-1])
 
     def refines(b: Dot, a: Dot) -> bool:
-        _check_chain(space, a)
-        _check_chain(space, b)
+        check(a)
+        check(b)
         return b.extends(a)
 
-    def grade(d: Dot) -> int:
-        return len(d.items)
+    def predecessors(t: Dot) -> Tuple[Dot, ...]:
+        return (Trail(t.items[:-1]),) if t.items else ()
 
+    def enum() -> Iterator[Dot]:
+        for s in baire_enum():
+            items = items_of(s.syms)
+            if items is not None:
+                yield Trail(items)
+
+    return Space(
+        name,
+        apart,
+        refines,
+        Trail(()),
+        enum,
+        SpraidInfo(len, successors, predecessors, finitely_branching),
+        family="trail",
+    )
+
+
+def trail_space(space: Space) -> Space:
+    """The space of strict-descent trails: refinement is trail extension,
+    apartness is last-dot apartness, the empty trail is maximal."""
     ext_cache: Dict[Trail, List[Dot]] = {}
     lock = threading.Lock()
 
@@ -69,7 +103,7 @@ def trail_space(space: Space) -> Space:
         """The k-th one-step extension of t (underlying enumeration order)."""
         with lock:
             found = ext_cache.setdefault(t, [])
-        last = t.items[-1] if t.items else space.max_dot
+        last = _last(space, t)
         i = 0 if not found else space.index_of(found[-1]) + 1
         while len(found) <= k:
             d = space.enumerate_dot(i)
@@ -81,42 +115,27 @@ def trail_space(space: Space) -> Space:
     def successors(t: Dot) -> Successors:
         return Successors((), True, lambda k: _extensions(t, k))
 
-    def predecessors(t: Dot) -> Tuple[Dot, ...]:
-        return (Trail(t.items[:-1]),) if t.items else ()
+    def items_of(idxs: Tuple[int, ...]) -> Optional[Tuple[Dot, ...]]:
+        # index string s names the dots enumerated at 1 + s (MAX left out)
+        dots = tuple(space.enumerate_dot(1 + i) for i in idxs)
+        if all(space.strictly_refines(b, a) for a, b in zip(dots, dots[1:])):
+            return dots
+        return None
 
-    def enum() -> Iterator[Dot]:
-        yield Trail(())
-        for cap in itertools.count(1):
-            for ln in range(1, cap + 1):
-                for idxs in itertools.product(range(1, cap + 1), repeat=ln):
-                    if max(max(idxs), ln) != cap:
-                        continue
-                    dots = tuple(space.enumerate_dot(i) for i in idxs)
-                    if all(
-                        space.strictly_refines(b, a) for a, b in zip(dots, dots[1:])
-                    ):
-                        yield Trail(dots)
-
-    return Space(
+    return _trail_tree(
         f"trails({space.name})",
-        apart,
-        refines,
-        Trail(()),
-        enum,
-        SpraidInfo(grade, successors, predecessors, False),
-        family="trail",
+        space,
+        lambda t: _check_chain(space, t),
+        successors,
+        items_of,
+        False,
     )
 
 
 def id_str(space: Space) -> Morphism:
     """The trail identity: a trail maps to its last dot."""
     return Morphism(
-        TRAIL,
-        space,
-        space,
-        lambda t: t.items[-1] if t.items else space.max_dot,
-        lambda g: g,
-        tag="id_str",
+        TRAIL, space, space, lambda t: _last(space, t), lambda g: g, tag="id_str"
     )
 
 
@@ -147,70 +166,41 @@ def unglue(space: Space) -> Space:
     if space.spraid_info is None:
         raise SpaceDefect(f"{space.name}: unglue needs spraid structure")
 
-    def apart(a: Dot, b: Dot) -> bool:
-        if not a.items or not b.items:
-            return False
-        return space.apart(a.items[-1], b.items[-1])
-
-    def refines(b: Dot, a: Dot) -> bool:
-        return b.extends(a)
-
-    def grade(t: Dot) -> int:
-        return len(t.items)
-
     def successors(t: Dot) -> Successors:
-        base = t.items[-1] if t.items else space.max_dot
-        succ = space.successors(base)
+        succ = space.successors(_last(space, t))
         if not succ.unbounded:
             return Successors(tuple(Trail(t.items + (s,)) for s in succ.dots))
         return Successors((), True, lambda k: Trail(t.items + (succ.more(k),)))
 
-    def predecessors(t: Dot) -> Tuple[Dot, ...]:
-        return (Trail(t.items[:-1]),) if t.items else ()
+    def items_of(idxs: Tuple[int, ...]) -> Optional[Tuple[Dot, ...]]:
+        # index string s walks down from MAX, taking successor s_j at step j
+        items: List[Dot] = []
+        cur = space.max_dot
+        for i in idxs:
+            opts = space.successors(cur).prefix(i + 1)
+            if len(opts) <= i:
+                return None
+            cur = opts[i]
+            items.append(cur)
+        return tuple(items)
 
-    def enum() -> Iterator[Dot]:
-        yield Trail(())
-        for cap in itertools.count(1):
-            for ln in range(1, cap + 1):
-                for idxs in itertools.product(range(cap), repeat=ln):
-                    if max(max(idxs) + 1, ln) != cap:
-                        continue
-                    items: List[Dot] = []
-                    cur = space.max_dot
-                    ok = True
-                    for i in idxs:
-                        succ = space.successors(cur)
-                        opts = succ.prefix(i + 1)
-                        if len(opts) <= i:
-                            ok = False
-                            break
-                        cur = opts[i]
-                        items.append(cur)
-                    if ok:
-                        yield Trail(tuple(items))
-
-    return Space(
+    return _trail_tree(
         f"unglued({space.name})",
-        apart,
-        refines,
-        Trail(()),
-        enum,
-        SpraidInfo(
-            grade, successors, predecessors,
-            space.spraid_info.finitely_branching,
-        ),
-        family="trail",
+        space,
+        lambda t: None,
+        successors,
+        items_of,
+        space.spraid_info.finitely_branching,
     )
 
 
 def unglue_projection(space: Space) -> Morphism:
     """id_str on unglued dots: the projection back onto the glued space."""
-    unglued = unglue(space)
     return Morphism(
         REFINEMENT,
-        unglued,
+        unglue(space),
         space,
-        lambda t: t.items[-1] if t.items else space.max_dot,
+        lambda t: _last(space, t),
         lambda g: g,
         tag="unglue_proj",
     )
@@ -263,36 +253,22 @@ def compress_sigmaR(f: Morphism) -> Morphism:
 # Pregrades and the Baire encoding
 # ---------------------------------------------------------------------------
 
-SENTINEL_PAIR = "sentinel"
-
-
 @dataclass
 class Pregrade:
-    """Pair enumeration with the formal sentinel pair at index 0 (every dot
-    chooses it), and the induced e-grades: e_grade(d) >= n iff d chooses
-    every pair of index below n."""
+    """The apart pairs of a space indexed from 1 (index 0 is the implicit
+    sentinel pair, which every dot chooses), and the induced e-grades: d
+    has e-grade >= n iff d chooses every pair of index below n."""
 
     space: Space
-
-    def pair(self, i: int):
-        if i == 0:
-            return SENTINEL_PAIR
-        return self.space.apart_pair(i - 1)
 
     def chooses(self, d: Dot, i: int) -> bool:
         if i == 0:
             return True
-        x, y = self.pair(i)
+        x, y = self.space.apart_pair(i - 1)
         return self.space.apart(d, x) or self.space.apart(d, y)
 
     def has_e_grade(self, d: Dot, n: int) -> bool:
         return all(self.chooses(d, i) for i in range(1, n))
-
-    def e_grade(self, d: Dot, bound: int) -> int:
-        n = 1
-        while n < bound and self.chooses(d, n):
-            n += 1
-        return n
 
 
 @dataclass
@@ -385,11 +361,9 @@ def baire_encode(space: Space, max_scan: int = 50_000) -> BaireEncoding:
     pullback spread carries the apartness of the h-images; h is a surjective
     refinement morphism and the inverse is a trail morphism; the round trip
     is never apart on points."""
-    enc_holder: List[BaireEncoding] = []
 
     def apart(x: Dot, y: Dot) -> bool:
-        enc = enc_holder[0]
-        return space.apart(enc.h(x), enc.h(y))
+        return space.apart(enc.h(x), enc.h(y))  # enc is bound below
 
     spread = prefix_tree(
         f"spread({space.name})", apart, seq_extensions, baire_enum, False, family="seq"
@@ -402,7 +376,6 @@ def baire_encode(space: Space, max_scan: int = 50_000) -> BaireEncoding:
         pregrade=Pregrade(space),
         max_scan=max_scan,
     )
-    enc_holder.append(enc)
     enc.forward = Morphism(
         REFINEMENT, spread, space, enc.h, lambda g: 2 * g + 8, tag=f"h[{space.name}]"
     )

@@ -29,6 +29,7 @@ from .dots import (
     endpoints,
 )
 from .morphisms import Morphism
+from .points import ancestors_at
 from .spaces import Space, SpaceDefect, seq_interval
 
 
@@ -78,31 +79,17 @@ class GeneticBar:
     def root(self) -> Dot:
         return self.node.dot
 
-    def flatten(self) -> Tuple[Dot, ...]:
-        return flatten(self)
-
-    def contains(self, d: Dot) -> bool:
-        return bar_contains(self, d)
-
 
 @dataclass
 class Cover:
     """A decidable dot set, optionally with the genetic bar it descends from.
 
     Finite covers carry their dots; predicate covers carry a membership test.
-    covered_by(d) decides whether d refines some cover element.
     """
 
     dots: Optional[Tuple[Dot, ...]] = None
     member: Optional[Callable[[Dot], bool]] = None
     witness: Optional[GeneticBar] = None
-
-    def covered_by(self, space: Space, d: Dot) -> bool:
-        if self.dots is not None and any(space.refines(d, c) for c in self.dots):
-            return True
-        if self.member is not None and self.member(d):
-            return True
-        return False
 
 
 def _finite_successors(space: Space, a: Dot) -> Tuple[Dot, ...]:
@@ -113,6 +100,16 @@ def _finite_successors(space: Space, a: Dot) -> Tuple[Dot, ...]:
             f"this operation needs a fann (or a finite cone)"
         )
     return succ.dots
+
+
+def _successors_above(space: Space, r: Dot, d: Dot) -> List[Dot]:
+    """The successors of r that d refines (d strictly refines r); under an
+    infinitely branching r they are found among d's own ancestors."""
+    succ = space.successors(r)
+    if succ.unbounded:
+        return [s for s in ancestors_at(space, d, space.grade(r) + 1)
+                if space.refines(s, r)]
+    return [s for s in succ.dots if space.refines(d, s)]
 
 
 def flatten(bar: GeneticBar) -> Tuple[Dot, ...]:
@@ -144,30 +141,9 @@ def bar_contains(bar: GeneticBar, d: Dot) -> bool:
             return d == node.dot
         if not sp.strictly_refines(d, node.dot):
             return False
-        succ = sp.successors(node.dot)
-        if succ.unbounded:
-            # only the successors d actually refines matter; find them among
-            # d's own ancestors at the next grade
-            cands = [s for s in _ancestor_candidates(sp, d, sp.grade(node.dot) + 1)
-                     if sp.refines(s, node.dot)]
-        else:
-            cands = [s for s in succ.dots if sp.refines(d, s)]
-        return any(walk(node.child(s)) for s in cands if sp.refines(d, s))
+        return any(walk(node.child(s)) for s in _successors_above(sp, node.dot, d))
 
     return walk(bar.node)
-
-
-def _ancestor_candidates(space: Space, d: Dot, g: int) -> Tuple[Dot, ...]:
-    """All ancestors of d at grade g (walk up the finite predecessor spread)."""
-    frontier = {d}
-    while frontier and space.grade(next(iter(frontier))) > g:
-        nxt = set()
-        for x in frontier:
-            for p in space.predecessors(x):
-                if p != space.max_dot or g == 0:
-                    nxt.add(p)
-        frontier = nxt
-    return tuple(x for x in frontier if space.grade(x) == g)
 
 
 def genetic_uniform(space: Space, a: Dot, n: int) -> GeneticBar:
@@ -260,12 +236,7 @@ def reduce_bar(bar: GeneticBar, c: Dot) -> GeneticBar:
             return node
         if isinstance(node, Leaf):
             return Leaf(c)
-        succ = sp.successors(r)
-        if succ.unbounded:
-            cands = [s for s in _ancestor_candidates(sp, c, sp.grade(r) + 1)
-                     if sp.refines(s, r)]
-        else:
-            cands = [s for s in succ.dots if sp.refines(c, s)]
+        cands = _successors_above(sp, r, c)
         if not cands:
             raise BarDefect(f"reduce_bar: no successor of {r!r} above {c!r}")
         parts = [GeneticBar(sp, rec(node.child(s), s)) for s in cands]
@@ -653,15 +624,21 @@ def bar_to_json(bar: GeneticBar) -> dict:
 
 
 def bar_from_json(space: Space, data: dict) -> GeneticBar:
-    def walk(obj: dict) -> BarNode:
-        if "leaf" in obj:
-            return Leaf(dot_from_json(obj["leaf"]))
-        dot = dot_from_json(obj["split"])
+    """The bar of bar_to_json's format; each child's own dot must be the
+    successor of its parent that it stands for."""
+
+    def walk(obj: dict, expected: Optional[Dot]) -> BarNode:
+        leaf = "leaf" in obj
+        dot = dot_from_json(obj["leaf"] if leaf else obj["split"])
+        if expected is not None and dot != expected:
+            raise BarDefect(f"bar JSON: child {dot!r} stands for the successor {expected!r}")
+        if leaf:
+            return Leaf(dot)
         succ = _finite_successors(space, dot)
-        kids = [walk(c) for c in obj["children"]]
+        kids = obj["children"]
         if len(kids) != len(succ):
             raise BarDefect(f"bar JSON: {dot!r} has {len(kids)} children, expected {len(succ)}")
-        table = dict(zip(succ, kids))
+        table = {s: walk(c, s) for s, c in zip(succ, kids)}
         return Split(dot, lambda s: table[s])
 
-    return GeneticBar(space, walk(data["derivation"]))
+    return GeneticBar(space, walk(data["derivation"], None))

@@ -27,9 +27,10 @@ from .dots import (
     RatInterval,
     Seq,
     endpoints,
+    interval_contains,
 )
 from .points import Point, successor_normalize
-from .morphisms import Morphism, REFINEMENT, compose, nary_codec
+from .morphisms import Morphism, REFINEMENT
 from .spaces import Space, SpaceDefect, SpraidInfo, seq_interval, std_space
 
 
@@ -71,16 +72,10 @@ def star_dots(space: Space, d: Dot) -> Tuple[Dot, ...]:
     root = space.max_dot
     out = []
     for c in cands:
-        if isinstance(root, MaxDot) or interval_valid_under(c, root):
+        if isinstance(root, MaxDot) or interval_contains(root, c):
             if not space.apart(c, d):
                 out.append(c)
     return tuple(out)
-
-
-def interval_valid_under(c: Dot, root: Dot) -> bool:
-    clo, chi = endpoints(c)
-    rlo, rhi = endpoints(root)
-    return rlo <= clo and chi <= rhi
 
 
 def star_set(space: Space, n: int, a: Dot) -> Tuple[Dot, ...]:
@@ -105,15 +100,8 @@ def star_relation(space: Space, n: int, a: Dot, b: Dot) -> bool:
     n-1 staying at the grade of the coarser dot."""
     if space.grade(b) < space.grade(a):
         a, b = b, a
-    if n == 1:
-        return space.touch(a, b)
-    cur = {a}
-    for _ in range(n - 1):
-        nxt = set()
-        for c in cur:
-            nxt.update(star_dots(space, c))
-        cur = nxt
-    return any(space.touch(c, b) for c in cur)
+    near = star_set(space, n - 1, a) if n > 1 else (a,)
+    return any(space.touch(c, b) for c in near)
 
 
 @dataclass
@@ -178,9 +166,6 @@ class _TouchSet:
         self.other = tuple(
             d for d in self.dots if not _is_interval(d) and not isinstance(d, Isolated)
         )
-
-    def __len__(self) -> int:
-        return len(self.dots)
 
     def touches(self, c: Dot) -> bool:
         if isinstance(c, Isolated):
@@ -318,9 +303,6 @@ class _GenSet:
                 self.kind, self.m, self.base = "nary", d.m, d.base
                 break
 
-    def __bool__(self) -> bool:
-        return bool(self.dots)
-
     def contains_refiner(self, c: Dot) -> bool:
         if c in self.dots:
             return True
@@ -347,67 +329,41 @@ _CONE_A = -1
 _CONE_B = 3
 
 
-def _index_value(i: Tuple[int, ...]) -> int:
+def _shift(i: Tuple[int, ...], step: int):
+    """The zone index step places after i (-1: the predecessor, +1: the
+    successor) in the lexicographic order of its level, or the cone beyond
+    the level's first or last index."""
     v = 0
     for s in i:
         v = 3 * v + s
-    return v
-
-
-def _prd(i: Tuple[int, ...]):
-    v = _index_value(i)
-    if v == 0:
+    v += step
+    if v < 0:
         return _CONE_A
-    v -= 1
-    out = []
-    for _ in range(len(i)):
-        out.append(v % 3)
-        v //= 3
-    return tuple(reversed(out))
-
-
-def _scz(i: Tuple[int, ...]):
-    v = _index_value(i)
-    if v == 3 ** len(i) - 1:
+    if v >= 3 ** len(i):
         return _CONE_B
-    v += 1
-    out = []
-    for _ in range(len(i)):
-        out.append(v % 3)
-        v //= 3
-    return tuple(reversed(out))
+    return tuple(v // 3**k % 3 for k in reversed(range(len(i))))
 
 
-# ---------------------------------------------------------------------------
-# Separating functions on fanns (zone construction via splitting depths).
+class _Zones:
+    """Ternary zone system between two apart same-grade dots a and b.
 
+    Level n indexes zones by {0,1,2}^n; the cone under a sits before the
+    first index of every level and the cone under b after the last one.
+    Subclasses decide membership in the child zone head + (s,) through
+    _in_child; member() answers the cones and the root and memoizes."""
 
-class _FanZones:
-    """Ternary zone system between two apart same-grade dots of a fann.
-
-    Level n assigns zones indexed by {0,1,2}^n; the two cones sit behind the
-    lexicographic extremes.  Each refinement step takes the grade-t members
-    of the two neighbouring zones, finds a splitting depth N, and classifies
-    the grade-N dots into near-left / middle / near-right."""
-
-    def __init__(self, fann: Space, a: Dot, b: Dot, max_level_grade: int):
-        if fann.spraid_info is None or not fann.spraid_info.finitely_branching:
-            raise MetricDefect("zone systems need a finitely branching space")
-        if not fann.apart(a, b):
+    def __init__(self, space: Space, a: Dot, b: Dot):
+        if space.spraid_info is None:
+            raise MetricDefect("zone systems need a graded space")
+        if not space.apart(a, b):
             raise MetricDefect("zone endpoints must be apart")
-        if fann.grade(a) != fann.grade(b):
+        if space.grade(a) != space.grade(b):
             raise MetricDefect("zone endpoints must share a grade")
-        self.space = fann
+        self.space = space
         self.a = a
         self.b = b
-        self.M = fann.grade(a)
-        if self.M < 1:
-            raise MetricDefect("zone endpoints must be proper dots")
-        self.max_level_grade = max_level_grade
-        self.t: List[int] = [self.M]
-        self.alive: Dict[int, Tuple[Tuple[int, ...], ...]] = {0: ((),)}
-        self.X: Dict[Tuple[Tuple[int, ...], int], _GenSet] = {}
-        self.exhausted = False
+        self.M = space.grade(a)
+        self.pending_set: List[Tuple[Dot, int]] = []
         self._mem: Dict[Tuple[Dot, Tuple[int, ...]], bool] = {}
         self._lock = threading.RLock()
 
@@ -423,15 +379,45 @@ class _FanZones:
         key = (c, i)
         if key in self._mem:
             return self._mem[key]
-        head, s = i[:-1], i[-1]
+        self._mem[key] = False  # cut recursive re-entry on the same query
+        res = self._in_child(c, i[:-1], i[-1])
+        self._mem[key] = res
+        return res
+
+    def pending(self) -> Tuple[Tuple[Dot, int], ...]:
+        """The dots (with their digit counts) whose classification the
+        depth budget cut off."""
+        return tuple(self.pending_set)
+
+
+# ---------------------------------------------------------------------------
+# Separating functions on fanns (zone construction via splitting depths).
+
+
+class _FanZones(_Zones):
+    """The zone system on a fann.  Each refinement step takes the grade-t
+    members of the two neighbouring zones, finds a splitting depth N, and
+    classifies the grade-N dots into near-left / middle / near-right."""
+
+    def __init__(self, fann: Space, a: Dot, b: Dot, max_level_grade: int):
+        if fann.spraid_info is None or not fann.spraid_info.finitely_branching:
+            raise MetricDefect("zone systems need a finitely branching space")
+        super().__init__(fann, a, b)
+        if self.M < 1:
+            raise MetricDefect("zone endpoints must be proper dots")
+        self.max_level_grade = max_level_grade
+        self.t: List[int] = [self.M]
+        self.alive: Dict[int, Tuple[Tuple[int, ...], ...]] = {0: ((),)}
+        self.X: Dict[Tuple[Tuple[int, ...], int], _GenSet] = {}
+        self.exhausted = False
+
+    def _in_child(self, c: Dot, head: Tuple[int, ...], s: int) -> bool:
         gens = self.X.get((head, s))
-        res = (
+        return (
             gens is not None
             and self.member(c, head)
             and gens.contains_refiner(c)
         )
-        self._mem[key] = res
-        return res
 
     def _zone_dots(self, i, level) -> Tuple[Dot, ...]:
         return tuple(c for c in level if self.member(c, i))
@@ -452,8 +438,8 @@ class _FanZones:
         level_t = self.space.level(t)
         depths = []
         for i in self.alive[n]:
-            A = self._zone_dots(_prd(i), level_t)
-            B = self._zone_dots(_scz(i), level_t)
+            A = self._zone_dots(_shift(i, -1), level_t)
+            B = self._zone_dots(_shift(i, 1), level_t)
             try:
                 if A and B:
                     N = splitting_depth(
@@ -494,8 +480,7 @@ class _FanZones:
     # -- the digit map -------------------------------------------------------
 
     def digits(self, c: Dot) -> Seq:
-        out: List[int] = []
-        i: Tuple[int, ...] = ()
+        i: Tuple[int, ...] = ()  # the zone index of c so far: its digits
         g = self.space.grade(c)
         while True:
             n = len(i)
@@ -508,8 +493,7 @@ class _FanZones:
             if len(hits) != 1:
                 break
             i = i + (hits[0],)
-            out.append(hits[0])
-        return Seq(tuple(out))
+        return Seq(i)
 
     def grade_for_digits(self, k: int) -> int:
         self.ensure_level(k)
@@ -517,38 +501,23 @@ class _FanZones:
         penalty = 3 * max(0, k - (len(self.t) - 1))
         return self.t[idx] + 1 + penalty
 
-    def pending(self) -> Tuple:
-        return ()
-
 
 # ---------------------------------------------------------------------------
 # Separating functions on star-finite spreads (star-based zones, no level
 # sets needed, classification is dot-local and may stay pending).
 
 
-class _SpreadZones:
-    """Ternary zone system on a star-finite spread.  Zone membership is
-    decided from a dot's finite star and its ancestors; a security predicate
-    (the whole 2-star already classified one level up) gates refinement."""
+class _SpreadZones(_Zones):
+    """The zone system on a star-finite spread.  Zone membership is decided
+    from a dot's finite star and its ancestors; a security predicate (the
+    whole 2-star already classified one level up) gates refinement."""
 
     def __init__(self, space: Space, a: Dot, b: Dot, depth_budget: int):
-        if space.spraid_info is None:
-            raise MetricDefect("zone systems need a graded space")
-        if not space.apart(a, b):
-            raise MetricDefect("zone endpoints must be apart")
-        if space.grade(a) != space.grade(b):
-            raise MetricDefect("zone endpoints must share a grade")
-        self.space = space
-        self.a = a
-        self.b = b
-        self.M = space.grade(a)
+        super().__init__(space, a, b)
         self.depth_budget = depth_budget
-        self.pending_set: List[Tuple[Dot, int]] = []
-        self._mem: Dict[Tuple[Dot, Tuple[int, ...]], bool] = {}
         self._sec: Dict[Tuple[Dot, int], bool] = {}
         self._zone: Dict[Tuple[Dot, int], bool] = {}
         self._star: Dict[Dot, Tuple[Dot, ...]] = {}
-        self._lock = threading.RLock()
 
     # -- stars and ancestors --------------------------------------------------
 
@@ -612,64 +581,43 @@ class _SpreadZones:
         self._zone[key] = res
         return res
 
-    def member(self, c: Dot, i) -> bool:
-        if i == _CONE_A:
-            return self.space.refines(c, self.a)
-        if i == _CONE_B:
-            return self.space.refines(c, self.b)
-        if i == ():
-            return True
-        key = (c, i)
-        if key in self._mem:
-            return self._mem[key]
-        self._mem[key] = False  # cut recursive re-entry on the same query
-        head, s = i[:-1], i[-1]
+    def _in_child(self, c: Dot, head: Tuple[int, ...], s: int) -> bool:
         n = len(head)
-        left, right = _prd(head), _scz(head)
+        left, right = _shift(head, -1), _shift(head, 1)
         if s == 0 or s == 2:
             near, far = (left, right) if s == 0 else (right, left)
-            res = any(
+            return any(
                 self.member(d, head)
                 and self.sec(d, n)
                 and self._touch_zone(d, near)
                 and not self._touch2_zone(d, far)
                 for d in self._ancestors(c)
             )
-        else:
-            res = (
-                self.member(c, head)
-                and self.sec(c, n)
-                and not self.member(c, head + (0,))
-                and not self.member(c, head + (2,))
-                and not self._touch_zone(c, left)
-                and not self._touch_zone(c, right)
-            )
-        self._mem[key] = res
-        return res
+        return (
+            self.member(c, head)
+            and self.sec(c, n)
+            and not self.member(c, head + (0,))
+            and not self.member(c, head + (2,))
+            and not self._touch_zone(c, left)
+            and not self._touch_zone(c, right)
+        )
 
     # -- the digit map -----------------------------------------------------------
 
     def digits(self, c: Dot) -> Seq:
-        out: List[int] = []
-        i: Tuple[int, ...] = ()
-        budget_hit = True
+        i: Tuple[int, ...] = ()  # the zone index of c so far: its digits
         for _ in range(self.depth_budget):
             hits = [s for s in (0, 1, 2) if self.member(c, i + (s,))]
             if len(hits) != 1:
-                budget_hit = False
                 break
             i = i + (hits[0],)
-            out.append(hits[0])
-        if budget_hit:
+        else:  # the budget ran out with the digit string still going
             with self._lock:
-                self.pending_set.append((c, len(out)))
-        return Seq(tuple(out))
+                self.pending_set.append((c, len(i)))
+        return Seq(i)
 
     def grade_for_digits(self, k: int) -> int:
         return self.M + 3 * k + 2
-
-    def pending(self) -> Tuple[Tuple[Dot, int], ...]:
-        return tuple(self.pending_set)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +627,14 @@ class _SpreadZones:
 @dataclass
 class UrysohnFunction:
     """A three-value separating function between two apart dots: a digit
-    morphism into the ternary reals plus its realized [0,1] evaluation."""
+    morphism into the ternary reals (sigma_3_real); value_bounds reads its
+    [0,1] value at a point off the digits."""
 
     space: Space
     a: Dot
     b: Dot
     kind: str
     h_map: Morphism
-    realized: Morphism
     builder: object
 
     def digits(self, c: Dot) -> Seq:
@@ -727,9 +675,7 @@ def _package(space: Space, a: Dot, b: Dot, kind: str, builder) -> UrysohnFunctio
         builder.grade_for_digits,
         tag=f"sep[{kind}]",
     )
-    encode, _ = nary_codec(3)
-    realized = compose(encode, h_map)
-    return UrysohnFunction(space, a, b, kind, h_map, realized, builder)
+    return UrysohnFunction(space, a, b, kind, h_map, builder)
 
 
 def urysohn_fan(

@@ -244,7 +244,7 @@ def sigma_rr() -> Space:
     global _SIGMA_RR
     if _SIGMA_RR is None:
         s = std_space("sigma_R")
-        _SIGMA_RR = product([s, s], "sigma")
+        _SIGMA_RR = product([s, s])
     return _SIGMA_RR
 
 

@@ -164,29 +164,34 @@ def canonical_point(space: Space, a: Dot, search_limit: int = 500_000) -> Point:
     return Point(space, gen, strictness_bound=STRICTNESS_BOUND, name=f"canon({a!r})")
 
 
-def ancestor_at(space: Space, d: Dot, g: int, under: Optional[Dot] = None) -> Dot:
-    """A grade-g dot c with d <= c (and c <= under when given); deterministic
-    first hit of a breadth-first predecessor walk."""
+def ancestors_at(space: Space, d: Dot, g: int) -> Tuple[Dot, ...]:
+    """Every grade-g dot c with d <= c, in the order of a breadth-first
+    predecessor walk."""
     cur_grade = space.grade(d)
     if cur_grade < g:
         raise ValueError(f"dot {d!r} has grade {cur_grade} < {g}")
     frontier = [d]
-    seen = {d}
-    while frontier:
-        if space.grade(frontier[0]) == g:
-            for c in frontier:
-                if under is None or space.refines(c, under):
-                    return c
-            raise SpaceDefect(f"no grade-{g} ancestor of {d!r} under {under!r}")
+    while space.grade(frontier[0]) != g:
         nxt: List[Dot] = []
-        nseen = set()
+        seen = set()
         for x in frontier:
             for pr in space.predecessors(x):
-                if pr not in nseen:
-                    nseen.add(pr)
+                if pr not in seen:
+                    seen.add(pr)
                     nxt.append(pr)
+        if not nxt:
+            raise SpaceDefect(f"predecessor walk from {d!r} died out before grade {g}")
         frontier = nxt
-    raise SpaceDefect(f"predecessor walk from {d!r} died out before grade {g}")
+    return tuple(frontier)
+
+
+def ancestor_at(space: Space, d: Dot, g: int, under: Optional[Dot] = None) -> Dot:
+    """A grade-g dot c with d <= c (and c <= under when given); deterministic
+    first hit of a breadth-first predecessor walk."""
+    for c in ancestors_at(space, d, g):
+        if under is None or space.refines(c, under):
+            return c
+    raise SpaceDefect(f"no grade-{g} ancestor of {d!r} under {under!r}")
 
 
 def successor_normalize(p: Point) -> Point:

@@ -380,10 +380,6 @@ def _seq_refines(b: Dot, a: Dot) -> bool:
     return b.extends(a)
 
 
-def _seq_grade(d: Dot) -> int:
-    return len(d.syms)
-
-
 def _seq_parent(d: Dot) -> Tuple[Dot, ...]:
     return (Seq(d.syms[:-1]),) if d.syms else ()
 
@@ -410,7 +406,7 @@ def prefix_tree(
         _seq_refines,
         Seq(()),
         enum_factory,
-        SpraidInfo(_seq_grade, successors, _seq_parent, finitely_branching),
+        SpraidInfo(len, successors, _seq_parent, finitely_branching),
         **space_args,
     )
 
@@ -644,22 +640,15 @@ def std_space(name: str) -> Space:
 # ---------------------------------------------------------------------------
 
 
-def product(factors, kind: str = "sigma") -> Space:
-    """Product space over a finite factor list.
-
-    Kinds: "simple" (coordinatewise refinement), "sigma" (graded product of
-    graded factors; equal coordinate grades), "circ" (strict on isolated
-    coordinates), "strict" (strict on all coordinates).  Apartness is always
-    existence of an apart coordinate pair.
-    """
-    if kind not in ("simple", "sigma", "circ", "strict"):
-        raise ValueError(f"unknown product kind {kind!r}")
+def product(factors) -> Space:
+    """The sigma product of a finite list of graded factors: its dots are
+    tuples whose coordinates share a grade, refinement is coordinatewise,
+    and apartness is the existence of an apart coordinate pair."""
     factors = list(factors)
     n = len(factors)
-    if kind == "sigma":
-        for f in factors:
-            if f.spraid_info is None:
-                raise ValueError("sigma product needs graded factors")
+    for f in factors:
+        if f.spraid_info is None:
+            raise ValueError("sigma product needs graded factors")
 
     def apart(a: Dot, b: Dot) -> bool:
         return any(
@@ -667,77 +656,47 @@ def product(factors, kind: str = "sigma") -> Space:
             for i in range(min(len(a.items), len(b.items)))
         )
 
-    def refines_simple(b: Dot, a: Dot) -> bool:
+    def refines(b: Dot, a: Dot) -> bool:
         if len(b.items) < len(a.items):
             return False
         return all(factors[i].refines(b.items[i], a.items[i]) for i in range(len(a.items)))
 
-    if kind == "circ":
-
-        def refines(b: Dot, a: Dot) -> bool:
-            if b == a:
-                return True
-            if not refines_simple(b, a):
-                return False
-            return all(
-                b.items[i] != a.items[i]
-                for i in range(len(a.items))
-                if factors[i].is_isolated(a.items[i])
-            )
-
-    elif kind == "strict":
-
-        def refines(b: Dot, a: Dot) -> bool:
-            if b == a:
-                return True
-            if len(b.items) < len(a.items):
-                return False
-            return all(
-                factors[i].strictly_refines(b.items[i], a.items[i])
-                for i in range(len(a.items))
-            )
-
-    else:
-        refines = refines_simple
-
     max_dot = TupleDot(tuple(f.max_dot for f in factors))
-    info = None
-    width = None
-    if kind == "sigma":
 
-        def grade(d: Dot) -> int:
-            return factors[0].grade(d.items[0])
+    def grade(d: Dot) -> int:
+        return factors[0].grade(d.items[0])
 
-        def succs(d: Dot) -> Successors:
-            per = [factors[i].successors(d.items[i]) for i in range(n)]
-            if any(s.unbounded for s in per):
+    def succs(d: Dot) -> Successors:
+        per = [factors[i].successors(d.items[i]) for i in range(n)]
+        if any(s.unbounded for s in per):
 
-                def more(k: int) -> Dot:
-                    # diagonal over the per-coordinate successor indices
-                    idxs = _tuple_unrank(k, n)
-                    return TupleDot(
-                        tuple(
-                            per[i].more(idxs[i]) if per[i].unbounded else per[i].dots[
-                                idxs[i] % len(per[i].dots)
-                            ]
-                            for i in range(n)
-                        )
+            def more(k: int) -> Dot:
+                # diagonal over the per-coordinate successor indices
+                idxs = _tuple_unrank(k, n)
+                return TupleDot(
+                    tuple(
+                        per[i].more(idxs[i]) if per[i].unbounded else per[i].dots[
+                            idxs[i] % len(per[i].dots)
+                        ]
+                        for i in range(n)
                     )
+                )
 
-                return Successors((), True, more)
-            return Successors(
-                tuple(TupleDot(c) for c in itertools.product(*(s.dots for s in per)))
-            )
-
-        def preds(d: Dot) -> Tuple[Dot, ...]:
-            per = [factors[i].predecessors(d.items[i]) for i in range(n)]
-            return tuple(TupleDot(c) for c in itertools.product(*per))
-
-        info = SpraidInfo(
-            grade, succs, preds, all(f.spraid_info.finitely_branching for f in factors)
+            return Successors((), True, more)
+        return Successors(
+            tuple(TupleDot(c) for c in itertools.product(*(s.dots for s in per)))
         )
-        if all(f.interval_like for f in factors):
-            width = lambda d: max(factors[i].width(d.items[i]) for i in range(n))  # noqa: E731
+
+    def preds(d: Dot) -> Tuple[Dot, ...]:
+        per = [factors[i].predecessors(d.items[i]) for i in range(n)]
+        return tuple(TupleDot(c) for c in itertools.product(*per))
+
+    info = SpraidInfo(
+        grade, succs, preds, all(f.spraid_info.finitely_branching for f in factors)
+    )
+    width = None
+    if all(f.interval_like for f in factors):
+        width = lambda d: max(factors[i].width(d.items[i]) for i in range(n))  # noqa: E731
 
     def enum() -> Iterator[Dot]:
         yield max_dot
@@ -747,14 +706,13 @@ def product(factors, kind: str = "sigma") -> Space:
                 d = TupleDot(items)
                 if d == max_dot:
                     continue
-                if kind == "sigma":
-                    gs = {factors[i].grade(items[i]) for i in range(n)}
-                    if len(gs) != 1:
-                        continue
+                gs = {factors[i].grade(items[i]) for i in range(n)}
+                if len(gs) != 1:
+                    continue
                 yield d
 
     sp = Space(
-        f"product[{kind}](" + ",".join(f.name for f in factors) + ")",
+        "product[sigma](" + ",".join(f.name for f in factors) + ")",
         apart,
         refines,
         max_dot,

@@ -174,6 +174,78 @@ def test_eval_nonpositive_bits_exit_2(capsys, bits):
     assert code == 2 and "bits" in err
 
 
-def test_eval_deep_nesting_parse_error(capsys):
-    code, _, err = run(capsys, "eval", "(" * 2000 + "1" + ")" * 2000)
-    assert code == 1 and "parse error" in err
+def test_metric_negative_bits_exit_2(tmp_path, capsys):
+    point = tmp_path / "x.json"
+    point.write_text(json.dumps([dot_to_json(D(0, 1))]))
+    code, _, err = run(capsys, "metric", "sigma_[0,1]^+", str(point), str(point),
+                       "--bits=-5")
+    assert code == 2 and "bits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * 2000 + "1" + ")" * 2000,
+        "+".join(["1"] * 200),  # each operation nests one generator level
+        "-" * 600 + "1",
+    ],
+    ids=["parens", "sum-chain", "minus-chain"],
+)
+def test_eval_deep_nesting_parse_error(capsys, expr):
+    code, _, err = run(capsys, "eval", "--bits", "4", "--", expr)
+    assert code == 1 and "parse error" in err and "Traceback" not in err
+
+
+_ROOT = {"kind": "dyadic", "n": 0, "m": 1}  # the maximal dot of sigma_[0,1]
+_LEVEL1 = [{"kind": "dyadic", "n": n, "m": 2} for n in range(3)]
+
+
+def _cover(cover=_LEVEL1, derivation=None):
+    node = {"leaf": _ROOT} if derivation is None else derivation
+    return {"space": "sigma_[0,1]", "cover": cover, "witness": {"derivation": node}}
+
+
+@pytest.mark.parametrize(
+    "blob, code",
+    [
+        (_cover(derivation={"children": []}), 1),  # neither leaf nor split
+        ({"space": "sigma_[0,1]", "cover": _LEVEL1, "witness": [1, 2]}, 1),
+        (_cover(cover=[{"kind": "foo"}]), 1),  # unknown kind
+        (_cover(cover=[{"kind": "dyadic", "n": 1}]), 1),  # missing field
+        (_cover(cover=[{"kind": "dyadic", "n": "x", "m": 0}]), 1),  # not a number
+        (_cover(_LEVEL1 + [{"kind": "max"}], {"leaf": {"kind": "max"}}), 2),
+        (_cover(derivation={"split": {"kind": "seq", "syms": [0]}, "children": []}), 2),
+        (_cover(derivation={"leaf": _LEVEL1[0]}), 2),  # not rooted at the root
+        (_cover(cover=[{"kind": "max"}]), 2),  # a cover dot above the root
+        (_cover(cover=[{"kind": "seq", "syms": [0]}]), 2),  # a dot of another space
+        # every child claims the first successor
+        (_cover(derivation={"split": _ROOT, "children": [{"leaf": _LEVEL1[0]}] * 3}), 2),
+    ],
+    ids=[
+        "no-leaf-or-split", "witness-list", "unknown-kind", "missing-field",
+        "non-numeric", "leaf-max", "split-seq", "leaf-below-root", "cover-max",
+        "cover-seq", "child-dot",
+    ],
+)
+def test_subcover_malformed_file_exit_codes(tmp_path, capsys, blob, code):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(blob))
+    got, _, err = run(capsys, "subcover", str(path))
+    assert got == code and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "dot, code",
+    [({"kind": "foo"}, 1), ({"kind": "dyadic", "n": "x", "m": 0}, 1),
+     ({"kind": "seq", "syms": [0]}, 2)],
+    ids=["unknown-kind", "non-numeric", "seq"],
+)
+def test_point_files_malformed_dot_exit_codes(tmp_path, capsys, dot, code):
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps(dot) + "\n")
+    got, _, err = run(capsys, "linecall", str(stream))
+    assert got == code and "Traceback" not in err
+    point = tmp_path / "x.json"
+    point.write_text(json.dumps([dot]))
+    got, _, err = run(capsys, "metric", "sigma_[0,1]^+", str(point), str(point))
+    assert got == code and "Traceback" not in err

@@ -103,6 +103,24 @@ def test_reduce_bar_identity_cases(sigma01):
     assert ns.flatten(ns.reduce_bar(leaf, D(1, 3))) == (D(1, 3),)
 
 
+def test_bar_walks_on_infinitely_branching_root(sigmaR):
+    # MAX of sigma_R has infinitely many successors: the walks find the one
+    # they need among the ancestors of the dot they are asked about
+    bar = ns.genetic_uniform(sigmaR, ns.MAX, 3)
+    dots = (D(1, 2), D(-3, 2), D(5, 1), D(0, 0), D(7, 3))
+    assert [ns.bar_contains(bar, d) for d in dots] == [True, True, False, False, False]
+    assert ns.flatten(ns.reduce_bar(bar, D(-3, 1))) == (D(-6, 2), D(-5, 2), D(-4, 2))
+    assert ns.flatten(ns.reduce_bar(bar, D(2, 0))) == tuple(D(n, 2) for n in range(8, 15))
+
+
+def test_bar_from_json_checks_child_dots(sigma01):
+    blob = ns.bar_to_json(ns.genetic_uniform(sigma01, D(0, 1), 2))
+    kids = blob["derivation"]["children"]
+    kids[0], kids[2] = kids[2], kids[0]
+    with pytest.raises(BarDefect, match="stands for the successor"):
+        ns.bar_from_json(sigma01, blob)
+
+
 def test_expand_bar_frozen(sigma01):
     leaf = GeneticBar(sigma01, Leaf(D(0, 2)))
     exp = ns.expand_bar(leaf, D(0, 1))
