@@ -3,8 +3,8 @@ line calls, cover analysis, metric tables, and axiom validation.
 
 Exit codes: 0 success, 1 parse error (expression / digits / JSON syntax / a
 malformed dot), 2 semantic error (unknown space, missing witness, a dot
-outside the space, contract violation), 3 budget exhaustion (a lazy stream
-could not deliver in time).
+outside the space, contract violation, a linecall --threshold-exp outside
+1..10000), 3 budget exhaustion (a lazy stream could not deliver in time).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # syntax, or nested too deeply
         raise CliParseError(f"{path}: {exc}")
     except OSError as exc:
         raise CliSemanticError(str(exc))
@@ -236,11 +236,11 @@ def _read_json(path: str):
 
 @contextlib.contextmanager
 def _parsing(where: str):
-    """Reading file contents inside the block: a missing field, or a field
-    of the wrong type or value, is a parse error."""
+    """Reading file contents inside the block: a missing field, a field of
+    the wrong type or value, or nesting too deep to read, is a parse error."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise CliParseError(f"{where}: {type(exc).__name__}: {exc}")
 
 

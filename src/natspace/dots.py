@@ -249,6 +249,13 @@ def interval_gap(a: Dot, b: Dot) -> Fraction:
     return Fraction(0)
 
 
+def dyadic_span(lo: Fraction, hi: Fraction, m: int) -> range:
+    """The n of the exponent-m dyadic dots [n/2^m, (n+2)/2^m] containing
+    [lo, hi] (m >= 0): from ceil(hi*2^m) - 2 to floor(lo*2^m)."""
+    hi_num, lo_num = hi.numerator << m, lo.numerator << m
+    return range(-(-hi_num // hi.denominator) - 2, lo_num // lo.denominator + 1)
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization (bit-exact round trip).
 # ---------------------------------------------------------------------------

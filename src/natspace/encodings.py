@@ -5,7 +5,6 @@ sequences, and Cantor space surjects onto every finitely branching fann.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -392,7 +391,7 @@ def baire_encode(space: Space, max_scan: int = 50_000) -> BaireEncoding:
 
 
 def _block_size(branching: int) -> int:
-    return max(1, math.ceil(math.log2(branching))) if branching > 1 else 1
+    return max(1, (branching - 1).bit_length())
 
 
 def cantor_surjection(fann: Space) -> Morphism:

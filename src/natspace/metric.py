@@ -11,7 +11,6 @@ weights 2^-m yields a metric compatible with the apartness topology.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 import weakref
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .dots import (
     NaryInterval,
     RatInterval,
     Seq,
+    dyadic_span,
     endpoints,
     interval_contains,
 )
@@ -36,9 +36,6 @@ from .spaces import Space, SpaceDefect, SpraidInfo, seq_interval, std_space
 
 class MetricDefect(Exception):
     """A precondition of the metric machinery failed."""
-
-
-_LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 
 
 def _is_interval(d: Dot) -> bool:
@@ -310,12 +307,7 @@ class _GenSet:
             return any(self.space.refines(c, x) for x in self.iso)
         if self.kind == "dyadic" and isinstance(c, DyadicInterval) and c.m >= self.m:
             lo, hi = endpoints(c)
-            scale = 2**self.m
-            n_min = math.ceil(hi * scale) - 2
-            n_max = math.floor(lo * scale)
-            return any(
-                DyadicInterval(n, self.m) in self.dots for n in range(n_min, n_max + 1)
-            )
+            return any(DyadicInterval(n, self.m) in self.dots for n in dyadic_span(lo, hi, self.m))
         if self.kind == "nary" and isinstance(c, NaryInterval) and c.m >= self.m:
             anc = NaryInterval(self.base, c.n // self.base ** (c.m - self.m), self.m)
             return anc in self.dots
@@ -772,8 +764,12 @@ class MetricEvaluator:
 
 
 def metric_digit_goal(precision_bits: int) -> int:
-    """Ternary digits per separator term for the requested output width."""
-    return max(1, math.ceil((precision_bits + 2) * _LOG2_OVER_LOG3))
+    """Ternary digits per separator term for the requested output width: the
+    least k >= 1 with 3^k >= 2^(precision_bits+2)."""
+    k = max(1, precision_bits * 41 // 65)  # 41/65 < log(2)/log(3): from below
+    while 3**k < 1 << max(0, precision_bits + 2):
+        k += 1
+    return k
 
 
 def evaluate_metric(

@@ -26,6 +26,7 @@ from .dots import (
     Seq,
     Trail,
     TupleDot,
+    dyadic_span,
     endpoints,
 )
 from .points import Point, PointDefect
@@ -254,37 +255,37 @@ _SIGMA_RR: Optional[Space] = None
 def round_hull(lo: Fraction, hi: Fraction, m_hint: int = 0) -> Dot:
     """The dyadic dot with maximal exponent m containing [lo,hi], least n as
     tie-break; MaxDot when no dot contains the hull.  Zero-width hulls round
-    at exponent m_hint+1 so output grade tracks input grade."""
+    at exponent m_hint+1 so output grade tracks input grade.
+
+    Closed form: exponent-m dots step by 2^-m and span 2^(1-m), so with k the
+    largest m such that the width is at most 2^-m, every hull fits at k and
+    none at k+2; the answer is k+1 if it fits, else k, else (k < 0) MaxDot."""
     if hi < lo:
         raise ValueError("empty hull")
     if hi == lo:
         m = m_hint + 1
-        n = math.ceil(hi * 2**m) - 2
-        return DyadicInterval(n, m)
-
-    def fits(m: int) -> Optional[int]:
-        n_min = math.ceil(hi * 2**m) - 2
-        n_max = math.floor(lo * 2**m)
-        return n_min if n_min <= n_max else None
-
-    if fits(0) is None:
-        return MAX
-    m = 0
-    while fits(m + 1) is not None:
-        m += 1
-    return DyadicInterval(fits(m), m)
+        return DyadicInterval(dyadic_span(lo, hi, m).start, m)
+    w = hi - lo
+    num, den = w.numerator, w.denominator
+    k = den.bit_length() - num.bit_length()
+    if num << max(k, 0) > den << max(-k, 0):  # w > 2^-k
+        k -= 1
+    for m in (k + 1, k):
+        if m >= 0 and (span := dyadic_span(lo, hi, m)):
+            return DyadicInterval(span.start, m)
+    return MAX
 
 
-def _hull_neg(lo, hi):
-    return (-hi, -lo)
+def _hull_neg(a):
+    return (-a[1], -a[0])
 
 
-def _hull_abs(lo, hi):
-    if lo >= 0:
-        return (lo, hi)
-    if hi <= 0:
-        return (-hi, -lo)
-    return (Fraction(0), max(-lo, hi))
+def _hull_abs(a):
+    if a[0] >= 0:
+        return a
+    if a[1] <= 0:
+        return _hull_neg(a)
+    return (Fraction(0), max(-a[0], a[1]))
 
 
 def _hull_add(a, b):
@@ -313,50 +314,27 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
     maximal-exponent containing dyadic dot (MaxDot when the hull is too wide).
     """
     sr = std_space("sigma_R")
-    unary = op in ("neg", "abs", "scalar")
+    extra = {"neg": 0, "abs": 1, "mul": 12}.get(op, 3)  # liveness(g) = g + extra
     if op == "scalar":
         if q is None:
             raise ValueError("scalar needs a rational factor")
         q = Fraction(q)
-
-    def hull_of(d: Dot):
-        return endpoints(d)
-
-    if unary:
-
-        def fmap(d: Dot) -> Dot:
-            if isinstance(d, MaxDot):
-                return MAX
-            lo, hi = hull_of(d)
-            if op == "neg":
-                lo, hi = _hull_neg(lo, hi)
-            elif op == "abs":
-                lo, hi = _hull_abs(lo, hi)
-            else:
-                lo, hi = sorted((q * lo, q * hi))
-            return round_hull(lo, hi, d.m)
-
-        if op == "neg":
-            live = lambda g: g  # noqa: E731
-        elif op == "abs":
-            live = lambda g: g + 1  # noqa: E731
-        else:
-            shift = 0 if q == 0 else max(0, (abs(q).numerator // abs(q).denominator).bit_length())
-            live = lambda g, s=shift: g + s + 2  # noqa: E731
-        return Morphism(REFINEMENT, sr, sr, fmap, live, tag=op if op != "scalar" else f"scalar({q})")
-
-    if op not in ("add", "mul", "min", "max"):
+        extra = (abs(q.numerator) // q.denominator).bit_length() + 2
+    hull_op = {"neg": _hull_neg, "abs": _hull_abs, "add": _hull_add, "mul": _hull_mul,
+               "min": _hull_min, "max": _hull_max,
+               "scalar": lambda a: tuple(sorted((q * a[0], q * a[1])))}.get(op)
+    if hull_op is None:
         raise ValueError(f"unknown arith op {op!r}")
-    src = sigma_rr()
-    hull_op = {"add": _hull_add, "mul": _hull_mul, "min": _hull_min, "max": _hull_max}[op]
+    binary = op in ("add", "mul", "min", "max")
 
     def fmap(d: Dot) -> Dot:
-        a, b = d.items
-        if isinstance(a, MaxDot) or isinstance(b, MaxDot):
+        items = d.items if binary else (d,)
+        if any(isinstance(x, MaxDot) for x in items):
             return MAX
-        lo, hi = hull_op(hull_of(a), hull_of(b))
-        return round_hull(lo, hi, max(a.m, b.m))
+        lo, hi = hull_op(*(endpoints(x) for x in items))
+        return round_hull(lo, hi, max(x.m for x in items))
 
+    dyn = None
     if op == "mul":
 
         def dyn(p: Point) -> Callable[[int], int]:
@@ -373,11 +351,10 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
 
             return live
 
-        return Morphism(
-            REFINEMENT, src, sr, fmap, lambda g: g + 12, tag="mul", dynamic_liveness=dyn
-        )
-
-    return Morphism(REFINEMENT, src, sr, fmap, lambda g: g + 3, tag=op)
+    return Morphism(
+        REFINEMENT, sigma_rr() if binary else sr, sr, fmap, lambda g: g + extra,
+        tag=f"scalar({q})" if op == "scalar" else op, dynamic_liveness=dyn,
+    )
 
 
 def pair_point(p: Point, r: Point) -> Point:
@@ -484,11 +461,14 @@ def doubling() -> Morphism:
 IN, OUT, LET = "IN", "OUT", "LET"
 
 
+LINE_CALL_MAX_EXPONENT = 10_000  # the work grows about quadratically in it
+
+
 def line_call(stream: Point, threshold_exponent: int) -> str:
     """Consume the measurement stream until the interval width is at most
     2^-threshold_exponent, then call IN (lo>0), OUT (hi<0) or LET (0 inside)."""
-    if threshold_exponent < 1:
-        raise ValueError("threshold_exponent >= 1 required")
+    if not 1 <= threshold_exponent <= LINE_CALL_MAX_EXPONENT:
+        raise ValueError(f"threshold_exponent must be in 1..{LINE_CALL_MAX_EXPONENT}")
     space = stream.space
     thr = Fraction(1, 2**threshold_exponent)
     budget = stream.steps_for_grade(threshold_exponent + 2)

@@ -7,6 +7,7 @@ checks the library against independently derived answers.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -195,3 +196,28 @@ def sign_call(limit: Fraction, threshold_exp: int) -> Optional[str]:
     if limit < -eps:
         return "OUT"
     return None
+
+
+# ---------------------------------------------------------------------------
+# Dyadic rounding by probing exponents one at a time.
+# ---------------------------------------------------------------------------
+
+
+def round_hull_reference(lo: Fraction, hi: Fraction, m_hint: int = 0) -> Optional[Tuple[int, int]]:
+    """(n, m) of the deepest dyadic dot [n/2^m, (n+2)/2^m] (m >= 0, least n)
+    containing [lo, hi], found by probing m = 0, 1, 2, ...; None when no dot
+    contains the hull.  A zero-width hull takes exponent m_hint + 1."""
+
+    def fits(m: int) -> Optional[int]:
+        n_min = math.ceil(hi * 2**m) - 2
+        n_max = math.floor(lo * 2**m)
+        return n_min if n_min <= n_max else None
+
+    if hi == lo:
+        return (fits(m_hint + 1), m_hint + 1)
+    if fits(0) is None:
+        return None
+    m = 0
+    while fits(m + 1) is not None:
+        m += 1
+    return (fits(m), m)

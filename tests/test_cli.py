@@ -1,13 +1,17 @@
 """Command-line surface: outputs, formats, determinism, exit codes."""
 
 import json
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import natspace as ns
 from natspace.cli import eval_expression_bounds, main
 from natspace.dots import DyadicInterval as D, dot_to_json
+from natspace.morphisms import LINE_CALL_MAX_EXPONENT
 
 import oracles
 
@@ -39,6 +43,14 @@ def test_eval_fuzz_against_oracle():
         lo, hi = eval_expression_bounds(text, 20)
         assert lo <= value <= hi
         assert hi - lo <= F(1, 2**19)
+
+
+@given(st.integers(0, 2**32), st.integers(1, 200))
+@settings(max_examples=30, deadline=None)
+def test_eval_brackets_contain_the_exact_value(seed, bits):
+    text, value = oracles.random_expression(random.Random(seed), depth=2)
+    lo, hi = eval_expression_bounds(text, bits)
+    assert lo <= value <= hi and hi - lo <= F(2, 2**bits)
 
 
 def test_eval_json_format(capsys):
@@ -249,3 +261,24 @@ def test_point_files_malformed_dot_exit_codes(tmp_path, capsys, dot, code):
     point.write_text(json.dumps([dot]))
     got, _, err = run(capsys, "metric", "sigma_[0,1]^+", str(point), str(point))
     assert got == code and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["subcover", "FILE"], ["metric", "sigma_R", "FILE", "FILE"], ["linecall", "FILE"]],
+    ids=["subcover", "metric", "linecall"],
+)
+def test_deeply_nested_json_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 1 and "parse error" in err and "Traceback" not in err
+
+
+def test_linecall_threshold_cap(capsys):
+    cap = str(LINE_CALL_MAX_EXPONENT)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "linecall", "--synthetic=1/3", "--threshold-exp", "100000")
+    assert code == 2 and cap in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1
+    assert run(capsys, "linecall", "--synthetic=1/3", "--threshold-exp", cap)[:2] == (0, "IN\n")

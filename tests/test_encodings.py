@@ -81,3 +81,12 @@ def test_cantor_surjection_witnesses(sigma01, cantor_space):
 
 def test_cantor_surjection_morphism_laws(sigma01):
     assert ns.check_morphism(ns.cantor_surjection(sigma01), 30).ok
+
+
+def test_block_size_is_ceil_log2():
+    from natspace.encodings import _block_size
+
+    assert _block_size(1) == 1
+    for b in range(2, 200_001):
+        k = _block_size(b)  # the least k >= 1 with 2^k >= b
+        assert 2**k >= b and (k == 1 or 2 ** (k - 1) < b)

@@ -142,3 +142,9 @@ def test_metric_cache_survives_recycled_point_ids(ext01):
     )
     assert fresh == (F(0), F(79, 648))
     assert ns.evaluate_metric(ev, near, q, 4) == fresh
+
+
+def test_metric_digit_goal_is_least_power_of_three():
+    for bits in range(5000):
+        k = ns.metric_digit_goal(bits)  # the least k >= 1 with 3^k >= 2^(bits+2)
+        assert 3**k >= 2 ** (bits + 2) and (k == 1 or 3 ** (k - 1) < 2 ** (bits + 2))

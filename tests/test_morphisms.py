@@ -86,6 +86,35 @@ def test_round_hull_maximal_containing_dot():
     assert d == D(5, 4)
 
 
+def _power_of_two(j: int) -> F:
+    return F(1, 2**j) if j >= 0 else F(2**-j)
+
+
+_widths = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 600).map(_power_of_two),  # 2^-j: the largest m that fits is j or j+1
+    st.integers(-3, 600).map(lambda j: 2 * _power_of_two(j)),  # 2^(1-j)
+    st.builds(F, st.integers(1, 2**600), st.integers(1, 2**600)),
+    st.integers(3, 2**20).map(F),  # wider than every dot: MAX
+)
+
+
+@st.composite
+def _hulls(draw):
+    den = draw(st.one_of(st.integers(0, 600).map(lambda a: 2**a), st.integers(1, 2**600)))
+    lo = F(draw(st.integers(-5 * den, 5 * den)), den)  # straddling 0 or wholly negative too
+    return lo, lo + draw(_widths), draw(st.integers(0, 400))
+
+
+@given(_hulls())
+@settings(max_examples=300, deadline=None)
+def test_round_hull_matches_probing_reference(hull):
+    lo, hi, hint = hull
+    d = ns.round_hull(lo, hi, hint)
+    got = None if d == ns.MAX else (d.n, d.m)
+    assert got == oracles.round_hull_reference(lo, hi, hint)
+
+
 def test_cantor_digit_rule_matches_oracle_depth_6():
     cf = ns.cantor_function()
     for depth in range(1, 7):
