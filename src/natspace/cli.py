@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .dots import Dot, dot_from_json, dot_to_json, endpoints
 from .induction import BarDefect, Cover, GeneticBar, bar_from_json, finite_subcover
-from .metric import MetricDefect, MetricEvaluator, evaluate_metric, metric_digit_goal
+from .metric import DIGIT_CAP, MetricDefect, MetricEvaluator, evaluate_metric, metric_digit_goal
 from .morphisms import (
     MorphismDefect,
     apply_point,
@@ -398,7 +398,7 @@ def _cmd_metric(args, out) -> int:
     rows = []
     for m in range(args.bits + 1):
         a, b = ev.pair(m)
-        goal = min(metric_digit_goal(args.bits), ev.digit_cap)
+        goal = min(metric_digit_goal(args.bits), DIGIT_CAP)
         fx = fx_of(m, goal)
         fy = fy_of(m, goal)
         rows.append(

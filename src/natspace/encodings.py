@@ -5,10 +5,12 @@ sequences, and Cantor space surjects onto every finitely branching fann.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
+from . import spaces
 from .dots import MAX, Dot, DyadicInterval, MaxDot, Seq, Trail
 from .morphisms import REFINEMENT, TRAIL, Morphism, MorphismDefect
 from .spaces import (
@@ -21,6 +23,8 @@ from .spaces import (
     seq_extensions,
     std_space,
 )
+
+LEVEL_SCAN_BUDGET = 50_000  # enumerated dots one Baire level set may scan
 
 
 class EncodingDefect(Exception):
@@ -51,14 +55,15 @@ def _trail_tree(
     space: Space,
     check: Callable[[Trail], None],
     successors: Callable[[Dot], Successors],
-    items_of: Callable[[Tuple[int, ...]], Optional[Tuple[Dot, ...]]],
+    options: Callable[[Trail, int], Iterable[Tuple[int, Trail]]],
     finitely_branching: bool,
 ) -> Space:
     """A tree of trails over space under the empty trail: grade is length,
     the one predecessor drops the last dot, refinement is extension and
     apartness is last-dot apartness, each after check vets both trails.
-    The enumeration follows baire_enum: items_of maps an index string to
-    the dots of its trail, or to None when the string names no trail."""
+    The enumeration follows baire_enum over index strings: options(t, cap)
+    gives, by increasing index below cap, the (index, trail) steps that
+    extend t by one dot, so a prefix that names no trail is never extended."""
 
     def apart(a: Dot, b: Dot) -> bool:
         check(a)
@@ -75,11 +80,22 @@ def _trail_tree(
     def predecessors(t: Dot) -> Tuple[Dot, ...]:
         return (Trail(t.items[:-1]),) if t.items else ()
 
+    def strings(t: Trail, ln: int, cap: int, top: bool) -> Iterator[Dot]:
+        # the length-ln trails under t, lexicographic in their index
+        # strings, whose strings have weight cap (see baire_enum)
+        if len(t.items) == ln:
+            if top or ln == cap:
+                yield t
+            return
+        for i, s in options(t, cap):
+            yield from strings(s, ln, cap, top or i == cap - 1)
+
     def enum() -> Iterator[Dot]:
-        for s in baire_enum():
-            items = items_of(s.syms)
-            if items is not None:
-                yield Trail(items)
+        root = Trail(())
+        yield root
+        for cap in itertools.count(1):
+            for ln in range(1, cap + 1):
+                yield from strings(root, ln, cap, False)
 
     return Space(
         name,
@@ -88,7 +104,6 @@ def _trail_tree(
         Trail(()),
         enum,
         SpraidInfo(len, successors, predecessors, finitely_branching),
-        family="trail",
     )
 
 
@@ -99,12 +114,18 @@ def trail_space(space: Space) -> Space:
     lock = threading.Lock()
 
     def _extensions(t: Trail, k: int) -> Dot:
-        """The k-th one-step extension of t (underlying enumeration order)."""
+        """The k-th one-step extension of t (underlying enumeration order),
+        searched for among the first spaces.SCAN_BUDGET enumerated dots."""
         with lock:
             found = ext_cache.setdefault(t, [])
         last = _last(space, t)
         i = 0 if not found else space.index_of(found[-1]) + 1
         while len(found) <= k:
+            if i >= spaces.SCAN_BUDGET:
+                raise SpaceDefect(
+                    f"{space.name}: strict refinement {k} of {last!r} not found in "
+                    f"first {spaces.SCAN_BUDGET} enumerated dots"
+                )
             d = space.enumerate_dot(i)
             if space.strictly_refines(d, last):
                 found.append(d)
@@ -114,19 +135,19 @@ def trail_space(space: Space) -> Space:
     def successors(t: Dot) -> Successors:
         return Successors((), True, lambda k: _extensions(t, k))
 
-    def items_of(idxs: Tuple[int, ...]) -> Optional[Tuple[Dot, ...]]:
-        # index string s names the dots enumerated at 1 + s (MAX left out)
-        dots = tuple(space.enumerate_dot(1 + i) for i in idxs)
-        if all(space.strictly_refines(b, a) for a, b in zip(dots, dots[1:])):
-            return dots
-        return None
+    def options(t: Trail, cap: int) -> Iterator[Tuple[int, Trail]]:
+        # index i names the dot enumerated at 1 + i (MAX left out)
+        for i in range(cap):
+            d = space.enumerate_dot(1 + i)
+            if not t.items or space.strictly_refines(d, t.items[-1]):
+                yield i, Trail(t.items + (d,))
 
     return _trail_tree(
         f"trails({space.name})",
         space,
         lambda t: _check_chain(space, t),
         successors,
-        items_of,
+        options,
         False,
     )
 
@@ -171,24 +192,15 @@ def unglue(space: Space) -> Space:
             return Successors(tuple(Trail(t.items + (s,)) for s in succ.dots))
         return Successors((), True, lambda k: Trail(t.items + (succ.more(k),)))
 
-    def items_of(idxs: Tuple[int, ...]) -> Optional[Tuple[Dot, ...]]:
-        # index string s walks down from MAX, taking successor s_j at step j
-        items: List[Dot] = []
-        cur = space.max_dot
-        for i in idxs:
-            opts = space.successors(cur).prefix(i + 1)
-            if len(opts) <= i:
-                return None
-            cur = opts[i]
-            items.append(cur)
-        return tuple(items)
+    def options(t: Trail, cap: int) -> Iterable[Tuple[int, Trail]]:
+        return enumerate(successors(t).prefix(cap)[:cap])  # index i: successor i
 
     return _trail_tree(
         f"unglued({space.name})",
         space,
         lambda t: None,
         successors,
-        items_of,
+        options,
         space.spraid_info.finitely_branching,
     )
 
@@ -280,7 +292,6 @@ class BaireEncoding:
     forward: Morphism
     inverse: Morphism
     pregrade: Pregrade
-    max_scan: int
     _levels: Dict[Tuple[int, Dot], List[Dot]] = field(default_factory=dict)
     _scanpos: Dict[Tuple[int, Dot], int] = field(default_factory=dict)
     _h_cache: Dict[Seq, Dot] = field(default_factory=dict)
@@ -290,16 +301,16 @@ class BaireEncoding:
 
     def level_member(self, n: int, a: Dot, k: int) -> Dot:
         """g_a(k): the k-th dot (enumeration order) of index >= n, e-grade
-        >= n, refining a."""
+        >= n, refining a; the scan stops at LEVEL_SCAN_BUDGET dots."""
         sp = self.space
         with self._lock:
             found = self._levels.setdefault((n, a), [])
             m = self._scanpos.setdefault((n, a), n)
             while len(found) <= k:
-                if m >= self.max_scan:
+                if m >= LEVEL_SCAN_BUDGET:
                     raise EncodingDefect(
                         f"{sp.name}: level {n} under {a!r} exhausted after "
-                        f"scanning {self.max_scan} dots (needed member {k})"
+                        f"scanning {LEVEL_SCAN_BUDGET} dots (needed member {k})"
                     )
                 v = sp.enumerate_dot(m)
                 if sp.refines(v, a) and self.pregrade.has_e_grade(v, n):
@@ -355,7 +366,7 @@ class BaireEncoding:
             a = hit
 
 
-def baire_encode(space: Space, max_scan: int = 50_000) -> BaireEncoding:
+def baire_encode(space: Space) -> BaireEncoding:
     """Present an enumerated space as a spread over Baire sequences: the
     pullback spread carries the apartness of the h-images; h is a surjective
     refinement morphism and the inverse is a trail morphism; the round trip
@@ -364,16 +375,13 @@ def baire_encode(space: Space, max_scan: int = 50_000) -> BaireEncoding:
     def apart(x: Dot, y: Dot) -> bool:
         return space.apart(enc.h(x), enc.h(y))  # enc is bound below
 
-    spread = prefix_tree(
-        f"spread({space.name})", apart, seq_extensions, baire_enum, False, family="seq"
-    )
+    spread = prefix_tree(f"spread({space.name})", apart, seq_extensions, baire_enum, False)
     enc = BaireEncoding(
         space=space,
         spread=spread,
         forward=None,  # filled below
         inverse=None,
         pregrade=Pregrade(space),
-        max_scan=max_scan,
     )
     enc.forward = Morphism(
         REFINEMENT, spread, space, enc.h, lambda g: 2 * g + 8, tag=f"h[{space.name}]"

@@ -23,6 +23,7 @@ from .dots import (
     Isolated,
     MaxDot,
     Seq,
+    Trail,
     TupleDot,
     dot_from_json,
     dot_to_json,
@@ -31,6 +32,9 @@ from .dots import (
 from .morphisms import Morphism
 from .points import ancestors_at
 from .spaces import Space, SpaceDefect, seq_interval
+
+
+DERIVATION_SAMPLES = 6  # members verify_derivation draws from an infinite set
 
 
 class BarDefect(Exception):
@@ -291,23 +295,19 @@ def _uniform_separation_depth(space: Space, gap: Fraction) -> int:
 def separation_bar(space: Space, a: Dot, b: Dot) -> GeneticBar:
     """A genetic bar all of whose dots choose between a and b (each is apart
     from a or apart from b): uniform at the gap-derived depth on interval
-    spaces, at the deeper grade on tree spaces, via the first apart
-    coordinate on sigma products."""
+    spaces, at the deeper grade on spaces of digit strings or trails, via
+    the first apart coordinate on sigma products."""
     if not space.apart(a, b):
         raise BarDefect(f"{space.name}: {a!r} and {b!r} are not apart")
-    if space.family == "product":
-        factors = getattr(space, "factors", None)
-        if factors is None:
-            raise BarDefect(f"{space.name}: product factors not recorded")
-        depth = None
-        for i, f in enumerate(factors):
-            if i < min(len(a.items), len(b.items)) and f.apart(a.items[i], b.items[i]):
-                depth = _separation_depth(f, a.items[i], b.items[i])
-                break
-        if depth is None:
-            raise BarDefect("no apart coordinate found")
-        return genetic_uniform(space, space.max_dot, depth)
-    depth = _separation_depth(space, a, b)
+    factors = getattr(space, "factors", None)
+    if factors is None:
+        depth = _separation_depth(space, a, b)
+    else:  # a product's dots are apart at some coordinate: the first decides
+        depth = next(
+            _separation_depth(f, x, y)
+            for f, x, y in zip(factors, a.items, b.items)
+            if f.apart(x, y)
+        )
     return genetic_uniform(space, space.max_dot, depth)
 
 
@@ -329,9 +329,11 @@ def _separation_depth(space: Space, a: Dot, b: Dot) -> int:
         if gap <= 0:
             raise BarDefect(f"{space.name}: {a!r}, {b!r} have no positive gap")
         return _uniform_separation_depth(space, gap)
-    if space.family in ("seq", "chain", "trail"):
+    if isinstance(a, (Seq, Trail)) and isinstance(b, (Seq, Trail)):
+        # refinement is extension: a dot at the deeper grade extends at most
+        # one of the two, so it is apart from the other
         return max(space.grade(a), space.grade(b))
-    raise BarDefect(f"{space.name}: no separation strategy for family {space.family}")
+    raise BarDefect(f"{space.name}: no separation strategy for {a!r}, {b!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +434,15 @@ def product_bar(G: GeneticBar, H: GeneticBar, prod: Space) -> Cover:
         return Split(d, child)
 
     witness = GeneticBar(prod, rec(G.node, H.node, prod.max_dot))
+    g_dots, h_dots = flatten(G), flatten(H)
 
     def member(d: Dot) -> bool:
         if not isinstance(d, TupleDot) or len(d.items) != 2:
             return False
         v, w = d.items
-        v_under = any(spV.refines(v, c) for c in flatten(G))
-        w_under = any(spW.refines(w, c) for c in flatten(H))
-        v_in = bar_contains(G, v) or v in flatten(G)
-        w_in = bar_contains(H, w) or w in flatten(H)
-        return v_under and w_under and (v_in or w_in)
+        v_under = any(spV.refines(v, c) for c in g_dots)
+        w_under = any(spW.refines(w, c) for c in h_dots)
+        return v_under and w_under and (bar_contains(G, v) or bar_contains(H, w))
 
     return Cover(dots=None, member=member, witness=witness)
 
@@ -512,56 +513,52 @@ class Ind5:
 Derivation = Union[Ind1, Ind2, Ind3, Ind4, Ind5]
 
 
-def _expr_members_sample(space: Space, e: SetExpr, samples: int) -> List[Dot]:
+def _expr_members_sample(space: Space, e: SetExpr) -> List[Dot]:
     if isinstance(e, FiniteSet):
         return list(e.dots)
     out: List[Dot] = []
     frontier = [e.dot]
-    while frontier and len(out) < samples:
-        d = frontier.pop(0)
-        for s in space.successors(d).prefix(3):
-            if len(out) >= samples:
-                break
-            out.append(s)
-            frontier.append(s)
-    return out
+    while frontier and len(out) < DERIVATION_SAMPLES:
+        succ = space.successors(frontier.pop(0)).prefix(3)
+        out += succ
+        frontier += succ
+    return out[:DERIVATION_SAMPLES]
 
 
-def _expr_subset(space: Space, small: SetExpr, big: SetExpr, samples: int) -> bool:
+def _expr_subset(space: Space, small: SetExpr, big: SetExpr) -> bool:
     def member(d: Dot, e: SetExpr) -> bool:
         if isinstance(e, FiniteSet):
             return d in e.dots
         return space.strictly_refines(d, e.dot)
 
-    return all(member(d, big) for d in _expr_members_sample(space, small, samples))
+    return all(member(d, big) for d in _expr_members_sample(space, small))
 
 
-def verify_derivation(space: Space, der: Derivation, samples: int = 6) -> Tuple[SetExpr, SetExpr]:
+def verify_derivation(space: Space, der: Derivation) -> Tuple[SetExpr, SetExpr]:
     """The independent rule checker: walks the derivation, re-checks every
-    side condition (sampling schematic sub-derivations over infinite sets),
-    and returns the conclusion (A, B).  Raises BarDefect on any violation."""
+    side condition (sampling DERIVATION_SAMPLES members of each infinite set
+    for schematic sub-derivations), and returns the conclusion (A, B).
+    Raises BarDefect on any violation."""
     if isinstance(der, Ind1):
         if not space.refines(der.b, der.c):
             raise BarDefect(f"ind1: {der.b!r} does not refine {der.c!r}")
         return (FiniteSet(frozenset((der.b,))), FiniteSet(frozenset((der.c,))))
     if isinstance(der, Ind2):
-        for a in _expr_members_sample(space, der.A, samples):
-            sub_a, sub_b = verify_derivation(space, der.prove(a), samples)
+        for a in _expr_members_sample(space, der.A):
+            sub_a, sub_b = verify_derivation(space, der.prove(a))
             if sub_a != FiniteSet(frozenset((a,))):
                 raise BarDefect(f"ind2: sub-derivation for {a!r} proves {sub_a!r}")
-            if not _expr_subset(space, sub_b, der.B, samples) or not _expr_subset(
-                space, der.B, sub_b, samples
-            ):
+            if not _expr_subset(space, sub_b, der.B) or not _expr_subset(space, der.B, sub_b):
                 raise BarDefect(f"ind2: sub-derivation right side {sub_b!r} != {der.B!r}")
         return (der.A, der.B)
     if isinstance(der, Ind3):
-        a, b = verify_derivation(space, der.sub, samples)
-        if not _expr_subset(space, b, der.C, samples):
+        a, b = verify_derivation(space, der.sub)
+        if not _expr_subset(space, b, der.C):
             raise BarDefect(f"ind3: {b!r} is not a subset of {der.C!r}")
         return (a, der.C)
     if isinstance(der, Ind4):
-        a, b1 = verify_derivation(space, der.sub1, samples)
-        b2, c = verify_derivation(space, der.sub2, samples)
+        a, b1 = verify_derivation(space, der.sub1)
+        b2, c = verify_derivation(space, der.sub2)
         if b1 != b2:
             raise BarDefect(f"ind4: middle sets differ: {b1!r} vs {b2!r}")
         return (a, c)

@@ -30,8 +30,10 @@ from .dots import (
     interval_contains,
 )
 from .points import Point, successor_normalize
-from .morphisms import Morphism, REFINEMENT
-from .spaces import Space, SpaceDefect, SpraidInfo, seq_interval, std_space
+from .spaces import Space, SpaceDefect, SpraidInfo, seq_interval
+
+MAX_LEVEL_GRADE = 9  # the deepest level an evaluator's separators split at
+DIGIT_CAP = 4  # ternary digits read per separator term
 
 
 class MetricDefect(Exception):
@@ -216,11 +218,10 @@ def splitting_depth(fann: Space, A, B, max_depth: int = 32) -> int:
 # The point-relative subfan of a star-finite spread.
 
 
-def subfan_Wx(space: Space, x: Point, depth: int, star_index: int = 1) -> Space:
+def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
     """The fan of dots near the point x: level n holds the grade-n dots
-    near x's grade-n dot (touching it, or touching its star_index-star),
-    plus one filler refinement under each dead-end member so every branch
-    stays infinite."""
+    touching x's grade-n dot, plus one filler refinement under each
+    dead-end member so every branch stays infinite."""
     if space.spraid_info is None:
         raise SpaceDefect(f"{space.name}: subfans need a graded space")
     xn = successor_normalize(x)
@@ -230,7 +231,7 @@ def subfan_Wx(space: Space, x: Point, depth: int, star_index: int = 1) -> Space:
         target = xn.dot(n)
         if space.grade(target) != n:
             raise MetricDefect("subfan needs a successor-normalized point")
-        near = list(star_set(space, star_index, target))
+        near = list(star_set(space, 1, target))
         members: List[Dot] = []
         seen = set()
         for a in levels[n - 1]:
@@ -275,7 +276,6 @@ def subfan_Wx(space: Space, x: Point, depth: int, star_index: int = 1) -> Space:
         enum,
         SpraidInfo(space.grade, successors, predecessors, True),
         width=space._width,
-        family="subfan",
         is_isolated=space.is_isolated,
     )
     sub.wx_levels = tuple(levels)
@@ -618,19 +618,15 @@ class _SpreadZones(_Zones):
 
 @dataclass
 class UrysohnFunction:
-    """A three-value separating function between two apart dots: a digit
-    morphism into the ternary reals (sigma_3_real); value_bounds reads its
-    [0,1] value at a point off the digits."""
+    """A three-value separating function between two apart dots: each dot
+    maps to a ternary digit string (a dot of sigma_3_real); value_bounds
+    reads its [0,1] value at a point off the digits."""
 
     space: Space
-    a: Dot
-    b: Dot
-    kind: str
-    h_map: Morphism
     builder: object
 
     def digits(self, c: Dot) -> Seq:
-        return self.h_map.map(c)
+        return self.builder.digits(c)
 
     def pending(self) -> Tuple:
         return self.builder.pending()
@@ -657,25 +653,12 @@ class UrysohnFunction:
         return seq_interval(best, 3)
 
 
-def _package(space: Space, a: Dot, b: Dot, kind: str, builder) -> UrysohnFunction:
-    target = std_space("sigma_3_real")
-    h_map = Morphism(
-        REFINEMENT,
-        space,
-        target,
-        builder.digits,
-        builder.grade_for_digits,
-        tag=f"sep[{kind}]",
-    )
-    return UrysohnFunction(space, a, b, kind, h_map, builder)
-
-
 def urysohn_fan(
     fann: Space, a: Dot, b: Dot, max_level_grade: int = 12
 ) -> UrysohnFunction:
     """The separating function between two apart same-grade dots of a
     finitely branching space, built from level-set splittings."""
-    return _package(fann, a, b, "fan", _FanZones(fann, a, b, max_level_grade))
+    return UrysohnFunction(fann, _FanZones(fann, a, b, max_level_grade))
 
 
 def urysohn_spread(
@@ -684,7 +667,7 @@ def urysohn_spread(
     """The separating function on a star-finite spread; classification is
     dot-local, and dots whose digit string was cut off by the depth budget
     are surfaced through pending()."""
-    return _package(space, a, b, "spread", _SpreadZones(space, a, b, depth_budget))
+    return UrysohnFunction(space, _SpreadZones(space, a, b, depth_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -711,19 +694,13 @@ def _pair_stream(space: Space) -> Iterator[Tuple[Dot, Dot]]:
 
 class MetricEvaluator:
     """The metric d(x,y) = sum_m 2^-m |f_m(x) - f_m(y)| over the frozen
-    enumeration of separator pairs of a star-finite fann."""
+    enumeration of separator pairs of a star-finite fann; every separator
+    splits levels down to MAX_LEVEL_GRADE."""
 
-    def __init__(
-        self,
-        space: Space,
-        max_level_grade: int = 9,
-        digit_cap: int = 4,
-    ):
+    def __init__(self, space: Space):
         if space.spraid_info is None or not space.spraid_info.finitely_branching:
             raise MetricDefect("the metric needs a finitely branching space")
         self.space = space
-        self.max_level_grade = max_level_grade
-        self.digit_cap = digit_cap
         self._pairs: List[Tuple[Dot, Dot]] = []
         self._pair_iter = _pair_stream(space)
         self._seps: Dict[int, UrysohnFunction] = {}
@@ -741,9 +718,7 @@ class MetricEvaluator:
         with self._lock:
             if m not in self._seps:
                 a, b = self.pair(m)
-                self._seps[m] = urysohn_fan(
-                    self.space, a, b, max_level_grade=self.max_level_grade
-                )
+                self._seps[m] = urysohn_fan(self.space, a, b, MAX_LEVEL_GRADE)
             return self._seps[m]
 
     def values_of(self, x: Point) -> Callable[[int, int], Tuple[Fraction, Fraction]]:
@@ -779,10 +754,10 @@ def evaluate_metric(
 
     Uses precision_bits + 1 series terms plus an exact tail bound.  The
     output width is at most 2^-(precision_bits-2) whenever the per-term digit
-    goal fits under the evaluator's digit_cap (ceil(0.631*(precision_bits+2))
-    <= digit_cap); beyond that the bounds stay sound but may be wider."""
+    goal fits under DIGIT_CAP (ceil(0.631*(precision_bits+2)) <= DIGIT_CAP);
+    beyond that the bounds stay sound but may be wider."""
     terms = precision_bits + 1
-    goal = min(metric_digit_goal(precision_bits), ev.digit_cap)
+    goal = min(metric_digit_goal(precision_bits), DIGIT_CAP)
     lo = Fraction(0)
     hi = Fraction(0)
     fx_of, fy_of = ev.values_of(x), ev.values_of(y)

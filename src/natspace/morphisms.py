@@ -11,6 +11,7 @@ single dots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -338,7 +339,8 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
     if op == "mul":
 
         def dyn(p: Point) -> Callable[[int], int]:
-            def live(g: int) -> int:
+            @functools.cache
+            def offset() -> int:  # read off p.dot(2) once, at the first query
                 d = p.dot(2)
                 bound = Fraction(1)
                 if isinstance(d, TupleDot):
@@ -346,10 +348,9 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
                         if not isinstance(c, MaxDot):
                             lo, hi = endpoints(c)
                             bound = max(bound, abs(lo), abs(hi))
-                off = (1 + math.ceil(bound)).bit_length() + 2
-                return g + off
+                return (1 + math.ceil(bound)).bit_length() + 2
 
-            return live
+            return lambda g: g + offset()
 
     return Morphism(
         REFINEMENT, sigma_rr() if binary else sr, sr, fmap, lambda g: g + extra,
@@ -377,12 +378,11 @@ def pair_point(p: Point, r: Point) -> Point:
 # ---------------------------------------------------------------------------
 
 
-def cantor_function(real_apartness: bool = False) -> Morphism:
+def cantor_function() -> Morphism:
     """The Cantor function on digit strings: on {0,2}* digits map by
     min(d,1); past the first 1 everything flattens to 0s.  Length-preserving
-    morphism sigma_3 -> sigma_2 (or the interval-apartness variants)."""
-    src = std_space("sigma_3_real" if real_apartness else "sigma_3")
-    tgt = std_space("sigma_2_real" if real_apartness else "sigma_2")
+    morphism sigma_3 -> sigma_2."""
+    src, tgt = std_space("sigma_3"), std_space("sigma_2")
 
     def fmap(d: Dot) -> Dot:
         out: List[int] = []

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
+from . import spaces
 from .dots import Dot, DyadicInterval, endpoints
 from .spaces import Space, SpaceDefect, std_space
 
@@ -141,15 +142,16 @@ def point_in_dot(p: Point, a: Dot, budget: int) -> Union[Yes, Unknown]:
     return Unknown(budget)
 
 
-def canonical_point(space: Space, a: Dot, search_limit: int = 500_000) -> Point:
+def canonical_point(space: Space, a: Dot) -> Point:
     """The deterministic point x^a: every next dot is the least-enumeration-
-    index strict refinement of the current dot."""
+    index strict refinement of the current dot, searched for among the first
+    spaces.SCAN_BUDGET enumerated dots."""
 
     def gen() -> Iterator[Dot]:
         cur = a
         yield cur
         while True:
-            for i in range(search_limit):
+            for i in range(spaces.SCAN_BUDGET):
                 d = space.enumerate_dot(i)
                 if space.strictly_refines(d, cur):
                     cur = d
@@ -157,7 +159,7 @@ def canonical_point(space: Space, a: Dot, search_limit: int = 500_000) -> Point:
             else:
                 raise SpaceDefect(
                     f"{space.name}: no strict refinement of {cur!r} within "
-                    f"{search_limit} enumerated dots (space defect)"
+                    f"{spaces.SCAN_BUDGET} enumerated dots (space defect)"
                 )
             yield cur
 

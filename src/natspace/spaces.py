@@ -38,6 +38,9 @@ class SpaceDefect(Exception):
     search, inconsistent oracle...)."""
 
 
+SCAN_BUDGET = 500_000  # enumerated dots one search for a dot may scan
+
+
 def zigzag(j: int) -> int:
     """0, 1, -1, 2, -2, ... - the frozen signed-integer enumeration."""
     return (j + 1) // 2 if j % 2 == 1 else -(j // 2)
@@ -83,7 +86,6 @@ class Space:
         enum_factory: Callable[[], Iterator[Dot]],
         spraid_info: Optional[SpraidInfo] = None,
         width: Optional[Callable[[Dot], Fraction]] = None,
-        family: str = "generic",
         is_isolated: Optional[Callable[[Dot], bool]] = None,
     ):
         self.name = name
@@ -93,7 +95,6 @@ class Space:
         self._enum_factory = enum_factory
         self.spraid_info = spraid_info
         self._width = width
-        self.family = family
         self.is_isolated = is_isolated or (lambda d: False)
         self._lock = threading.RLock()
         self._enum_cache: List[Dot] = []
@@ -128,16 +129,17 @@ class Space:
                 self._enum_cache.append(next(self._enum_iter))
             return self._enum_cache[i]
 
-    def index_of(self, d: Dot, limit: int = 500_000) -> int:
-        """Enumeration index of a dot (mu-search; each enumerated dot is
-        indexed once, scanning on from where the last search stopped)."""
+    def index_of(self, d: Dot) -> int:
+        """Enumeration index of a dot (mu-search within SCAN_BUDGET; each
+        enumerated dot is indexed once, scanning on from where the last
+        search stopped)."""
         with self._lock:
             index = self._index_cache
             while d not in index:
                 i = self._indexed
-                if i >= limit:
+                if i >= SCAN_BUDGET:
                     raise SpaceDefect(
-                        f"{self.name}: dot {d!r} not found in first {limit} enumerated dots"
+                        f"{self.name}: dot {d!r} not found in first {SCAN_BUDGET} enumerated dots"
                     )
                 index.setdefault(self.enumerate_dot(i), i)
                 self._indexed = i + 1
@@ -368,7 +370,6 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
         enum,
         SpraidInfo(grade, successors, predecessors, not line),
         width=lambda d: d.width,
-        family=("dyadic" if k > base else "nary") + ("" if line else "01"),
     )
 
 
@@ -412,7 +413,7 @@ def prefix_tree(
 
 
 def _baire() -> Space:
-    return prefix_tree("baire", _seq_apart, seq_extensions, baire_enum, False, family="seq")
+    return prefix_tree("baire", _seq_apart, seq_extensions, baire_enum, False)
 
 
 def baire_enum() -> Iterator[Dot]:
@@ -505,7 +506,7 @@ def baire_unrank(r: int) -> Seq:
     return Seq(tuple(syms))
 
 
-def _sigma_k(k: int, name: str, apart=_seq_apart, family: str = "seq", width=None) -> Space:
+def _sigma_k(k: int, name: str, apart=_seq_apart, width=None) -> Space:
     def successors(d: Dot) -> Successors:
         return Successors(tuple(Seq(d.syms + (i,)) for i in range(k)))
 
@@ -514,7 +515,7 @@ def _sigma_k(k: int, name: str, apart=_seq_apart, family: str = "seq", width=Non
             for syms in itertools.product(range(k), repeat=ln):
                 yield Seq(syms)
 
-    return prefix_tree(name, apart, successors, enum, True, family=family, width=width)
+    return prefix_tree(name, apart, successors, enum, True, width=width)
 
 
 def seq_interval(d: Seq, base: int) -> Tuple[Fraction, Fraction]:
@@ -532,9 +533,7 @@ def _sigma_k_real(k: int, name: str) -> Space:
         blo, bhi = seq_interval(b, k)
         return ahi < blo or bhi < alo
 
-    return _sigma_k(
-        k, name, apart, "seq_real", width=lambda d: Fraction(1, k ** len(d.syms))
-    )
+    return _sigma_k(k, name, apart, width=lambda d: Fraction(1, k ** len(d.syms)))
 
 
 def _chain(k: int, name: str) -> Space:
@@ -554,9 +553,7 @@ def _chain(k: int, name: str) -> Space:
     def is_isolated(d: Dot) -> bool:
         return bool(d.syms)
 
-    return prefix_tree(
-        name, _seq_apart, successors, enum, True, family="chain", is_isolated=is_isolated
-    )
+    return prefix_tree(name, _seq_apart, successors, enum, True, is_isolated=is_isolated)
 
 
 def rational_enum() -> Iterator[Fraction]:
@@ -597,7 +594,6 @@ def _r_rat() -> Space:
         enum,
         None,
         width=lambda d: d.hi - d.lo,
-        family="rat",
     )
 
 
@@ -719,7 +715,6 @@ def product(factors) -> Space:
         enum,
         info,
         width=width,
-        family="product",
     )
     sp.factors = tuple(factors)
     return sp
@@ -760,10 +755,8 @@ class DistanceOracle:
     d(a_i,a_j) > q - slack (either answer is acceptable in the overlap).
     """
 
-    def __init__(self, compare: Callable[[int, int, Fraction, Fraction], str],
-                 dense_point_count: Optional[int] = None):
+    def __init__(self, compare: Callable[[int, int, Fraction, Fraction], str]):
         self._compare = compare
-        self.dense_point_count = dense_point_count
 
     def compare(self, i: int, j: int, q: Fraction, slack: Fraction) -> str:
         ans = self._compare(i, j, q, slack)
@@ -772,15 +765,14 @@ class DistanceOracle:
         return ans
 
 
-def rational_points_oracle(points: Callable[[int], Fraction],
-                           count: Optional[int] = None) -> DistanceOracle:
+def rational_points_oracle(points: Callable[[int], Fraction]) -> DistanceOracle:
     """Exact oracle for a rational dense point enumeration: BELOW iff d < q."""
 
     def compare(i: int, j: int, q: Fraction, slack: Fraction) -> str:
         d = abs(points(i) - points(j))
         return BELOW if d < q else ABOVE
 
-    return DistanceOracle(compare, count)
+    return DistanceOracle(compare)
 
 
 def unit_interval_dense_points(i: int) -> Fraction:
@@ -871,18 +863,13 @@ def metric_to_spread(oracle: DistanceOracle) -> Space:
             return False
         return ask(a.i, b.i, a.s, b.s, False) == ABOVE
 
-    cnt = oracle.dense_point_count
-
     def enum() -> Iterator[Dot]:
         yield MAX
         for t in itertools.count(0):
             for s in range(t + 1):
-                n = t - s
-                if cnt is not None and n >= cnt:
-                    continue
-                yield Ball(n, s)
+                yield Ball(t - s, s)
 
-    return Space("metric_spread", apart, refines, MAX, enum, None, family="metric")
+    return Space("metric_spread", apart, refines, MAX, enum, None)
 
 
 # ---------------------------------------------------------------------------
@@ -954,6 +941,5 @@ def extend_with_isolated_point(space: Space) -> Space:
         enum,
         SpraidInfo(grade, succs, preds, inner.finitely_branching),
         width=space._width,
-        family="extended",
         is_isolated=is_isolated,
     )

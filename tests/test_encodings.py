@@ -1,13 +1,60 @@
 """Trail spaces, ungluing, Baire presentations, Cantor universality."""
 
+import hashlib
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import natspace as ns
-from natspace.dots import DyadicInterval as D, Seq, endpoints
+from natspace import spaces
+from natspace.dots import DyadicInterval as D, Seq, Trail, endpoints
 
 from conftest import spread_point
+
+
+def _prefix_digest(space, count):
+    h = hashlib.sha256()
+    for i in range(count):
+        h.update((repr(space.enumerate_dot(i)) + "\n").encode())
+    return h.hexdigest()
+
+
+# the frozen trail-tree orders: baire_enum over index strings
+@pytest.mark.parametrize(
+    "build, name, count, digest",
+    [
+        ("unglue", "sigma_[0,1]", 200,
+         "e3ba61c0b550fd952a8a74edacfc6f45abf23d13a955ca7cb79c7f15007303db"),
+        ("unglue", "sigma_R", 200,
+         "538a9ed94092529da40a020ca8ef1ea37b2d34b9913a27cb0c791110cc811a24"),
+        ("unglue", "T3", 20,
+         "ccd1d098b924aa5f641a05099fb9f53a91a969fa215ef93a3890d0a08c794ea6"),
+        ("unglue", "T2", 12,
+         "ba641d12916605601eb0b895b8578eea4b89056322596a61da056a7d05140ed9"),
+        ("trail_space", "sigma_[0,1]", 13,
+         "513e235c709f1a8acbfc10971291e81abc727fdfa33077792d63e53f3ab6013a"),
+        ("trail_space", "cantor", 13,
+         "d25203a0354e2844246f1ca3e7f33da4a2893bef19c193c8b2950459ef21b9d8"),
+    ],
+)
+def test_trail_tree_prefix_digests(build, name, count, digest):
+    space = getattr(ns, build)(ns.std_space(name))
+    assert _prefix_digest(space, count) == digest
+
+
+def test_unglue_chain_enumerates_in_polynomial_time(t2):
+    # almost every index string names no trail here; pruning skips them
+    start = time.perf_counter()
+    ns.unglue(t2).enumerate_dot(39)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_trail_successor_scan_has_a_budget(sigma01, monkeypatch):
+    monkeypatch.setattr(spaces, "SCAN_BUDGET", 5)
+    tsp = ns.trail_space(sigma01)
+    with pytest.raises(ns.SpaceDefect, match="first 5 enumerated dots"):
+        tsp.successors(Trail((D(0, 3),))).more(0)
 
 
 def test_trail_space_axioms(sigma01):

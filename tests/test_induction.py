@@ -162,6 +162,10 @@ def test_separation_bar_trees(cantor_space, baire):
         ("sigma_2_real^+", Seq((0, 1, 1, 0)), Seq((1,))),
         ("sigma_2_real^+", Seq((0,)), ns.Isolated(2)),
         ("sigma_[0,1]^+", D(0, 3), ns.Isolated(2)),
+        ("cantor^+", Seq((0, 1)), Seq((1,))),
+        ("cantor^+", Seq((0, 0, 1)), ns.Isolated(1)),
+        ("T3^+", Seq((0, 0)), Seq((2,))),
+        ("T3^+", ns.Isolated(3), Seq((1,))),
     ],
 )
 def test_separation_bar_digit_intervals(name, a, b):

@@ -56,6 +56,16 @@ def test_subfan_levels(sigmaR):
     p = ns.rational_to_point(F(1, 3))
     sub = ns.subfan_Wx(sigmaR, p, 6)
     assert [len(lv) for lv in sub.wx_levels] == [1, 5, 6, 7, 8, 9, 10]
+    # each level's order feeds the next, so the tuples are frozen, not only sizes
+    assert tuple(tuple((d.n, d.m) for d in lv) for lv in sub.wx_levels[1:]) == (
+        ((-1, 0), (-2, 0), (-3, 0), (0, 0), (1, 0)),
+        ((-2, 1), (-1, 1), (0, 1), (-4, 1), (2, 1), (1, 1)),
+        ((-2, 2), (-1, 2), (0, 2), (2, 2), (1, 2), (-6, 2), (4, 2)),
+        ((-2, 3), (0, 3), (2, 3), (1, 3), (4, 3), (3, 3), (-10, 3), (8, 3)),
+        ((-2, 4), (2, 4), (4, 4), (6, 4), (5, 4), (3, 4), (8, 4), (-18, 4), (16, 4)),
+        ((-2, 5), (4, 5), (8, 5), (10, 5), (9, 5), (12, 5), (11, 5), (16, 5), (-34, 5),
+         (32, 5)),
+    )
     assert ns.validate_space(sub, 7).ok
 
 

@@ -123,6 +123,22 @@ def test_cantor_digit_rule_matches_oracle_depth_6():
             assert img.syms == oracles.cantor_digit_rule(syms)
 
 
+@pytest.mark.parametrize(
+    "x, y, steps",
+    [
+        (F(1), F(1), [6, 7, 11, 26, 206]),
+        (F(3, 2), F(-3, 2), [6, 7, 11, 26, 206]),
+        (F(1000), F(1, 3), [14, 15, 19, 34, 214]),
+    ],
+)
+def test_mul_step_budget_tracks_operand_magnitude(x, y, steps):
+    prod = ns.apply_point(
+        ns.arith("mul"), ns.pair_point(ns.rational_to_point(x), ns.rational_to_point(y))
+    )
+    for _ in range(2):  # the magnitude offset is read once, then reused
+        assert [prod.steps_for_grade(g) for g in (0, 1, 5, 20, 200)] == steps
+
+
 def test_line_call_verdicts():
     assert ns.line_call(ns.rational_to_point(F(1, 100)), 8) == "IN"
     assert ns.line_call(ns.rational_to_point(F(-3, 100)), 8) == "OUT"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspace as ns
+from natspace import spaces
 from natspace.dots import DyadicInterval as D, Seq
 from natspace.points import PointDefect
 
@@ -77,6 +78,15 @@ def test_canonical_point_refines_its_dot(sigma01):
     p = ns.canonical_point(sigma01, D(3, 3))
     for g in range(2, 8):
         assert sigma01.refines(ns.approximate(p, g), D(3, 3))
+
+
+def test_searches_for_a_dot_stop_at_the_scan_budget(monkeypatch):
+    monkeypatch.setattr(spaces, "SCAN_BUDGET", 5)
+    fresh = spaces._STD_BUILDERS["sigma_[0,1]"]()  # nothing indexed yet
+    with pytest.raises(ns.SpaceDefect, match="first 5 enumerated dots"):
+        fresh.index_of(D(3, 4))
+    with pytest.raises(ns.SpaceDefect, match="within 5 enumerated dots"):
+        ns.canonical_point(fresh, D(0, 3)).dot(1)
 
 
 def test_successor_normalize_aligns_grades(sigma01):
