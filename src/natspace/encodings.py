@@ -18,7 +18,8 @@ from .spaces import (
     SpaceDefect,
     SpraidInfo,
     Successors,
-    baire_enum,
+    baire_rank,
+    baire_unrank,
     prefix_tree,
     seq_extensions,
     std_space,
@@ -61,9 +62,10 @@ def _trail_tree(
     """A tree of trails over space under the empty trail: grade is length,
     the one predecessor drops the last dot, refinement is extension and
     apartness is last-dot apartness, each after check vets both trails.
-    The enumeration follows baire_enum over index strings: options(t, cap)
-    gives, by increasing index below cap, the (index, trail) steps that
-    extend t by one dot, so a prefix that names no trail is never extended."""
+    The enumeration follows the baire order (spaces.baire_rank) over index
+    strings: options(t, cap) gives, by increasing index below cap, the
+    (index, trail) steps that extend t by one dot, so a prefix that names no
+    trail is never extended."""
 
     def apart(a: Dot, b: Dot) -> bool:
         check(a)
@@ -82,7 +84,7 @@ def _trail_tree(
 
     def strings(t: Trail, ln: int, cap: int, top: bool) -> Iterator[Dot]:
         # the length-ln trails under t, lexicographic in their index
-        # strings, whose strings have weight cap (see baire_enum)
+        # strings, whose strings have weight cap (see baire_rank)
         if len(t.items) == ln:
             if top or ln == cap:
                 yield t
@@ -375,7 +377,9 @@ def baire_encode(space: Space) -> BaireEncoding:
     def apart(x: Dot, y: Dot) -> bool:
         return space.apart(enc.h(x), enc.h(y))  # enc is bound below
 
-    spread = prefix_tree(f"spread({space.name})", apart, seq_extensions, baire_enum, False)
+    spread = prefix_tree(
+        f"spread({space.name})", apart, seq_extensions, baire_rank, baire_unrank, False
+    )
     enc = BaireEncoding(
         space=space,
         spread=spread,

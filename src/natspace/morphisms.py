@@ -495,21 +495,19 @@ def line_call(stream: Point, threshold_exponent: int) -> str:
 
 
 def seq_rank(space: Space, d: Seq) -> int:
-    """The frozen pairing bijection: the baire enumeration rank (satisfies
-    rank(a) <= rank(a*b)).  Closed form on the baire space itself."""
-    if space.name == "baire":
-        from .spaces import baire_rank
-
-        return baire_rank(d)
-    return space.index_of(d)
+    """The frozen pairing bijection: the enumeration rank (on the baire space
+    rank(a) <= rank(a*b)).  A space with a rank hook answers it with no
+    budget; otherwise index_of searches."""
+    if space.rank is None:
+        return space.index_of(d)
+    r = space.rank(d)
+    if r is None:
+        raise MorphismDefect(f"{space.name}: {d!r} is not a dot of the space")
+    return r
 
 
 def seq_unrank(space: Space, r: int) -> Seq:
-    """Inverse of seq_rank (closed form on the baire space)."""
-    if space.name == "baire":
-        from .spaces import baire_unrank
-
-        return baire_unrank(r)
+    """Inverse of seq_rank."""
     d = space.enumerate_dot(r)
     if not isinstance(d, Seq):
         raise MorphismDefect(f"decoded non-sequence dot {d!r}")

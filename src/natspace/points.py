@@ -144,23 +144,37 @@ def point_in_dot(p: Point, a: Dot, budget: int) -> Union[Yes, Unknown]:
 
 def canonical_point(space: Space, a: Dot) -> Point:
     """The deterministic point x^a: every next dot is the least-enumeration-
-    index strict refinement of the current dot, searched for among the first
-    spaces.SCAN_BUDGET enumerated dots."""
+    index strict refinement of the current dot, found below
+    spaces.SCAN_BUDGET.  On a space with rank hooks, where the current dot
+    has finitely many successors, that is the successor of least rank: the
+    hooked orders rank every strict refinement after one of its successor
+    ancestors.  Otherwise the enumeration is scanned from index 0."""
+
+    def step(cur: Dot) -> Dot:
+        if space.rank is not None and space.spraid_info is not None:
+            succs = space.successors(cur)
+            if not succs.unbounded:
+                i = min(map(space.rank, succs.dots))
+                if i < spaces.SCAN_BUDGET:
+                    return space.enumerate_dot(i)
+                raise stalled(cur)
+        for i in range(spaces.SCAN_BUDGET):
+            d = space.enumerate_dot(i)
+            if space.strictly_refines(d, cur):
+                return d
+        raise stalled(cur)
+
+    def stalled(cur: Dot) -> SpaceDefect:
+        return SpaceDefect(
+            f"{space.name}: no strict refinement of {cur!r} within "
+            f"{spaces.SCAN_BUDGET} enumerated dots (space defect)"
+        )
 
     def gen() -> Iterator[Dot]:
         cur = a
         yield cur
         while True:
-            for i in range(spaces.SCAN_BUDGET):
-                d = space.enumerate_dot(i)
-                if space.strictly_refines(d, cur):
-                    cur = d
-                    break
-            else:
-                raise SpaceDefect(
-                    f"{space.name}: no strict refinement of {cur!r} within "
-                    f"{spaces.SCAN_BUDGET} enumerated dots (space defect)"
-                )
+            cur = step(cur)
             yield cur
 
     return Point(space, gen, strictness_bound=STRICTNESS_BOUND, name=f"canon({a!r})")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,6 +74,14 @@ class SpraidInfo:
 class Space:
     """A pre-natural space descriptor.
 
+    The frozen enumeration of the dot universe comes either from
+    enum_factory, a generator whose dots are cached and scanned by index_of,
+    or from the closed-form hooks rank and unrank, supplied together in its
+    place and kept with no cache: unrank(i) is the i-th dot, and rank(d) the
+    index of a dot of the space or None for a dot that cannot be one (another
+    kind, a field out of range).  index_of answers below SCAN_BUDGET only,
+    and checks a rank against unrank.
+
     Immutable after construction except for internal enumeration/memo caches,
     which are lock-protected so descriptors are safely shareable.
     """
@@ -83,24 +92,31 @@ class Space:
         apart: Callable[[Dot, Dot], bool],
         refines: Callable[[Dot, Dot], bool],
         max_dot: Dot,
-        enum_factory: Callable[[], Iterator[Dot]],
+        enum_factory: Optional[Callable[[], Iterator[Dot]]] = None,
         spraid_info: Optional[SpraidInfo] = None,
         width: Optional[Callable[[Dot], Fraction]] = None,
         is_isolated: Optional[Callable[[Dot], bool]] = None,
+        rank: Optional[Callable[[Dot], Optional[int]]] = None,
+        unrank: Optional[Callable[[int], Dot]] = None,
     ):
+        if (rank is None) != (unrank is None) or (rank is None) == (enum_factory is None):
+            raise ValueError("a space needs either enum_factory or both rank and unrank")
         self.name = name
         self._apart = apart
         self._refines = refines
         self.max_dot = max_dot
         self._enum_factory = enum_factory
+        self.rank = rank
+        self.unrank = unrank
         self.spraid_info = spraid_info
         self._width = width
         self.is_isolated = is_isolated or (lambda d: False)
         self._lock = threading.RLock()
-        self._enum_cache: List[Dot] = []
-        self._enum_iter: Optional[Iterator[Dot]] = None
-        self._index_cache: dict = {}
-        self._indexed = 0  # enumeration indices below this are in _index_cache
+        if enum_factory is not None:
+            self._enum_cache: List[Dot] = []
+            self._enum_iter: Optional[Iterator[Dot]] = None
+            self._index_cache: dict = {}
+            self._indexed = 0  # enumeration indices below this are in _index_cache
         self._pair_cache: List[Tuple[Dot, Dot]] = []
         self._level_cache: dict = {}
 
@@ -122,6 +138,10 @@ class Space:
     # -- enumeration -------------------------------------------------------
 
     def enumerate_dot(self, i: int) -> Dot:
+        """The i-th dot of the frozen enumeration: unrank(i) on a space with
+        hooks, else drawn from the generator and cached."""
+        if self.unrank is not None:
+            return self.unrank(i)
         with self._lock:
             if self._enum_iter is None:
                 self._enum_iter = self._enum_factory()
@@ -130,20 +150,30 @@ class Space:
             return self._enum_cache[i]
 
     def index_of(self, d: Dot) -> int:
-        """Enumeration index of a dot (mu-search within SCAN_BUDGET; each
-        enumerated dot is indexed once, scanning on from where the last
-        search stopped)."""
+        """Enumeration index of a dot, below SCAN_BUDGET.  With hooks it is
+        rank(d), checked against enumerate_dot; without, a mu-search in which
+        each enumerated dot is indexed once, scanning on from where the last
+        search stopped.  A dot not found below the budget (also a dot not of
+        the space) raises SpaceDefect."""
+        if self.rank is not None:
+            r = self.rank(d)
+            if r is not None and r < SCAN_BUDGET and self.enumerate_dot(r) == d:
+                return r
+            raise self._not_found(d)
         with self._lock:
             index = self._index_cache
             while d not in index:
                 i = self._indexed
                 if i >= SCAN_BUDGET:
-                    raise SpaceDefect(
-                        f"{self.name}: dot {d!r} not found in first {SCAN_BUDGET} enumerated dots"
-                    )
+                    raise self._not_found(d)
                 index.setdefault(self.enumerate_dot(i), i)
                 self._indexed = i + 1
             return index[d]
+
+    def _not_found(self, d: Dot) -> SpaceDefect:
+        return SpaceDefect(
+            f"{self.name}: dot {d!r} not found in first {SCAN_BUDGET} enumerated dots"
+        )
 
     def apart_pair(self, idx: int) -> Tuple[Dot, Dot]:
         """The idx-th apart dot pair (diagonal over the dot enumeration)."""
@@ -326,8 +356,13 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
     half-overlapping dyadic intervals, with k = base the n-ary ones.  On the
     whole line MAX sits above exponent 0; on the unit interval the maximal
     dot is (0, m0) with m0 = k - base, and exponent m >= m0 holds
-    base^m - (k - base) dots."""
-    dot = DyadicInterval if k > base else functools.partial(NaryInterval, base)
+    base^m - (k - base) dots.
+
+    The frozen order, as rank/unrank: on the unit interval by exponent from
+    m0, then by n; on the line MAX first, then the diagonals t = m + j with
+    n = zigzag(j), each by m, so (n, m) has index 1 + t(t+1)/2 + m."""
+    kind = DyadicInterval if k > base else NaryInterval
+    dot = kind if k > base else functools.partial(NaryInterval, base)
     spill = k - base
     m0 = -1 if line else spill  # the exponent the maximal dot stands for
 
@@ -351,25 +386,47 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
             lo, hi = max(lo, 0), min(hi, base**m - spill - 1)
         return (dot(lo, m),) if lo == hi else (dot(lo, m), dot(hi, m))
 
-    def enum() -> Iterator[Dot]:
-        if line:
-            yield MAX
-            for t in itertools.count(0):
-                for m in range(t + 1):
-                    yield dot(zigzag(t - m), m)
-        else:
-            for m in itertools.count(m0):
-                for n in range(base**m - spill):
-                    yield dot(n, m)
+    # (an n-ary dot of another base gets an index; index_of's check rejects it)
+    if line:
+
+        def rank(d: Dot) -> Optional[int]:
+            if type(d) is MaxDot:
+                return 0
+            if type(d) is not kind:
+                return None
+            t = d.m + (2 * d.n - 1 if d.n > 0 else -2 * d.n)
+            return 1 + t * (t + 1) // 2 + d.m
+
+        def unrank(i: int) -> Dot:
+            if i == 0:
+                return MAX
+            t = (math.isqrt(8 * i - 7) - 1) // 2  # the diagonal of index i - 1
+            m = i - 1 - t * (t + 1) // 2
+            return dot(zigzag(t - m), m)
+
+    else:
+
+        def rank(d: Dot) -> Optional[int]:
+            if type(d) is not kind or d.m < m0 or not 0 <= d.n < base**d.m - spill:
+                return None
+            return (base**d.m - base**m0) // (base - 1) - spill * (d.m - m0) + d.n
+
+        def unrank(i: int) -> Dot:
+            m = m0
+            while i >= base**m - spill:
+                i -= base**m - spill
+                m += 1
+            return dot(i, m)
 
     return Space(
         name,
         _interval_apart,
         _interval_refines,
         MAX if line else dot(0, m0),
-        enum,
-        SpraidInfo(grade, successors, predecessors, not line),
+        spraid_info=SpraidInfo(grade, successors, predecessors, not line),
         width=lambda d: d.width,
+        rank=rank,
+        unrank=unrank,
     )
 
 
@@ -394,41 +451,29 @@ def prefix_tree(
     name: str,
     apart: Callable[[Dot, Dot], bool],
     successors: Callable[[Dot], Successors],
-    enum_factory: Callable[[], Iterator[Dot]],
+    rank: Callable[[Dot], Optional[int]],
+    unrank: Callable[[int], Dot],
     finitely_branching: bool,
     **space_args,
 ) -> Space:
     """A space of digit strings under the empty string: grade is length, the
-    one predecessor drops the last symbol, refinement is extension.  Further
-    keyword arguments go to Space."""
+    one predecessor drops the last symbol, refinement is extension, and
+    rank/unrank state the frozen order.  Further keyword arguments go to
+    Space."""
     return Space(
         name,
         apart,
         _seq_refines,
         Seq(()),
-        enum_factory,
-        SpraidInfo(len, successors, _seq_parent, finitely_branching),
+        spraid_info=SpraidInfo(len, successors, _seq_parent, finitely_branching),
+        rank=rank,
+        unrank=unrank,
         **space_args,
     )
 
 
 def _baire() -> Space:
-    return prefix_tree("baire", _seq_apart, seq_extensions, baire_enum, False)
-
-
-def baire_enum() -> Iterator[Dot]:
-    """Frozen bijection N <-> N*: growing cap, length-then-lex within a cap.
-
-    A sequence has weight max(len, max(sym)+1); it is emitted at cap = weight.
-    The rank satisfies rank(a) <= rank(a * b).
-    """
-    yield Seq(())
-    for cap in itertools.count(1):
-        for ln in range(1, cap + 1):
-            for syms in itertools.product(range(cap), repeat=ln):
-                weight = max(ln, max(syms) + 1)
-                if weight == cap:
-                    yield Seq(syms)
+    return prefix_tree("baire", _seq_apart, seq_extensions, baire_rank, baire_unrank, False)
 
 
 def _baire_weight_count(ln: int, w: int) -> int:
@@ -442,9 +487,16 @@ def _baire_cap_total(w: int) -> int:
     return sum(_baire_weight_count(ln, w) for ln in range(1, w + 1))
 
 
-def baire_rank(d: Seq) -> int:
-    """Closed-form rank of a finite sequence in the frozen baire enumeration
-    (monotone along extension: rank(a) <= rank(a*b))."""
+def baire_rank(d: Dot) -> Optional[int]:
+    """Closed-form rank of a finite sequence in the frozen baire order
+    (monotone along extension: rank(a) <= rank(a*b)); None for a dot that is
+    not a sequence.
+
+    The order grows a cap: a sequence has weight max(len, max(sym)+1) and
+    comes with the others of its weight, by length and then lexicographically.
+    """
+    if type(d) is not Seq:
+        return None
     s = d.syms
     if not s:
         return 0
@@ -507,15 +559,31 @@ def baire_unrank(r: int) -> Seq:
 
 
 def _sigma_k(k: int, name: str, apart=_seq_apart, width=None) -> Space:
+    """Strings over range(k), ordered by length, then lexicographically."""
+
     def successors(d: Dot) -> Successors:
         return Successors(tuple(Seq(d.syms + (i,)) for i in range(k)))
 
-    def enum() -> Iterator[Dot]:
-        for ln in itertools.count(0):
-            for syms in itertools.product(range(k), repeat=ln):
-                yield Seq(syms)
+    def rank(d: Dot) -> Optional[int]:
+        if type(d) is not Seq or any(x >= k for x in d.syms):
+            return None
+        pos = 0
+        for x in d.syms:
+            pos = pos * k + x
+        return (k ** len(d.syms) - 1) // (k - 1) + pos
 
-    return prefix_tree(name, apart, successors, enum, True, width=width)
+    def unrank(i: int) -> Dot:
+        ln = 0
+        while i >= k**ln:
+            i -= k**ln
+            ln += 1
+        syms = []
+        for _ in range(ln):
+            i, x = divmod(i, k)
+            syms.append(x)
+        return Seq(tuple(reversed(syms)))
+
+    return prefix_tree(name, apart, successors, rank, unrank, True, width=width)
 
 
 def seq_interval(d: Seq, base: int) -> Tuple[Fraction, Fraction]:
@@ -537,23 +605,34 @@ def _sigma_k_real(k: int, name: str) -> Space:
 
 
 def _chain(k: int, name: str) -> Space:
-    """The k-point space: k disjoint constant-digit chains under the root."""
+    """The k-point space: k disjoint constant-digit chains under the root,
+    ordered by length, then by digit."""
 
     def successors(d: Dot) -> Successors:
         if not d.syms:
             return Successors(tuple(Seq((i,)) for i in range(k)))
         return Successors((Seq(d.syms + (d.syms[0],)),))
 
-    def enum() -> Iterator[Dot]:
-        yield Seq(())
-        for ln in itertools.count(1):
-            for i in range(k):
-                yield Seq((i,) * ln)
+    def rank(d: Dot) -> Optional[int]:
+        if type(d) is not Seq:
+            return None
+        if not d.syms:
+            return 0
+        x = d.syms[0]
+        if x >= k or d.syms != (x,) * len(d.syms):
+            return None
+        return 1 + (len(d.syms) - 1) * k + x
+
+    def unrank(i: int) -> Dot:
+        if i == 0:
+            return Seq(())
+        ln, x = divmod(i - 1, k)
+        return Seq((x,) * (ln + 1))
 
     def is_isolated(d: Dot) -> bool:
         return bool(d.syms)
 
-    return prefix_tree(name, _seq_apart, successors, enum, True, is_isolated=is_isolated)
+    return prefix_tree(name, _seq_apart, successors, rank, unrank, True, is_isolated=is_isolated)
 
 
 def rational_enum() -> Iterator[Fraction]:
@@ -925,10 +1004,27 @@ def extend_with_isolated_point(space: Space) -> Space:
             return (max_dot,) if d.k == 1 else (Isolated(d.k - 1),)
         return inner.predecessors(d)
 
-    def enum() -> Iterator[Dot]:
-        for i in itertools.count(1):
-            yield space.enumerate_dot(i - 1)
-            yield Isolated(i)
+    # the order interleaves: inner dot r at 2r, iso(k) at 2k - 1
+    if space.rank is not None:
+
+        def rank(d: Dot) -> Optional[int]:
+            if isinstance(d, Isolated):
+                return 2 * d.k - 1
+            r = space.rank(d)
+            return None if r is None else 2 * r
+
+        def unrank(i: int) -> Dot:
+            return Isolated((i + 1) // 2) if i % 2 else space.unrank(i // 2)
+
+        order = dict(rank=rank, unrank=unrank)
+    else:
+
+        def enum() -> Iterator[Dot]:
+            for i in itertools.count(1):
+                yield space.enumerate_dot(i - 1)
+                yield Isolated(i)
+
+        order = dict(enum_factory=enum)
 
     def is_isolated(d: Dot) -> bool:
         return isinstance(d, Isolated) or space.is_isolated(d)
@@ -938,8 +1034,8 @@ def extend_with_isolated_point(space: Space) -> Space:
         apart,
         refines,
         max_dot,
-        enum,
-        SpraidInfo(grade, succs, preds, inner.finitely_branching),
+        spraid_info=SpraidInfo(grade, succs, preds, inner.finitely_branching),
         width=space._width,
         is_isolated=is_isolated,
+        **order,
     )

@@ -7,10 +7,11 @@ checks the library against independently derived answers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Random expression generator + exact rational evaluator (the eval oracle).
@@ -221,3 +222,71 @@ def round_hull_reference(lo: Fraction, hi: Fraction, m_hint: int = 0) -> Optiona
     while fits(m + 1) is not None:
         m += 1
     return (fits(m), m)
+
+
+# ---------------------------------------------------------------------------
+# Frozen enumeration orders, as the generators that first stated them.
+# Dots are plain data: (n, m) for a grid dot, None for the line's maximal
+# dot, a symbol tuple for a digit string.
+# ---------------------------------------------------------------------------
+
+
+def zigzag(j: int) -> int:
+    return (j + 1) // 2 if j % 2 == 1 else -(j // 2)
+
+
+def grid_order(base: int, k: int, line: bool) -> Iterator[Optional[Tuple[int, int]]]:
+    """The grid spaces (k successors per dot, base^m cells per exponent): on
+    the line the maximal dot, then the (m, zigzag n)-diagonals; on the unit
+    interval exponent by exponent from k - base, each by n."""
+    spill = k - base
+    if line:
+        yield None
+        for t in itertools.count(0):
+            for m in range(t + 1):
+                yield (zigzag(t - m), m)
+    else:
+        for m in itertools.count(spill):
+            for n in range(base**m - spill):
+                yield (n, m)
+
+
+def strings_order(k: int) -> Iterator[Tuple[int, ...]]:
+    """Strings over range(k), by length, then lexicographically."""
+    for ln in itertools.count(0):
+        yield from itertools.product(range(k), repeat=ln)
+
+
+def chains_order(k: int) -> Iterator[Tuple[int, ...]]:
+    """The root, then the k constant-digit chains, by length, then digit."""
+    yield ()
+    for ln in itertools.count(1):
+        for i in range(k):
+            yield (i,) * ln
+
+
+def baire_order() -> Iterator[Tuple[int, ...]]:
+    """All finite strings over the naturals by growing cap: a string of
+    weight max(len, max(sym)+1) comes at cap = weight, by length and then
+    lexicographically."""
+    yield ()
+    for cap in itertools.count(1):
+        for ln in range(1, cap + 1):
+            for syms in itertools.product(range(cap), repeat=ln):
+                if max(ln, max(syms) + 1) == cap:
+                    yield syms
+
+
+def scan_canonical_steps(
+    dots: Sequence, strictly_refines: Callable, start, steps: int
+) -> List:
+    """The canonical point of start by definition: each next dot is the first
+    of `dots` (an enumeration prefix) that strictly refines the current one.
+    Raises LookupError when the prefix holds none."""
+    out, cur = [], start
+    for _ in range(steps):
+        cur = next((d for d in dots if strictly_refines(d, cur)), None)
+        if cur is None:
+            raise LookupError("the prefix holds no strict refinement")
+        out.append(cur)
+    return out
