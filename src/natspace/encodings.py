@@ -26,6 +26,7 @@ from .spaces import (
 )
 
 LEVEL_SCAN_BUDGET = 50_000  # enumerated dots one Baire level set may scan
+COVER_TRAIL_BUDGET = 100_000  # unglued copies compress_sigmaR may map per dot
 
 
 class EncodingDefect(Exception):
@@ -157,7 +158,8 @@ def trail_space(space: Space) -> Space:
 def id_str(space: Space) -> Morphism:
     """The trail identity: a trail maps to its last dot."""
     return Morphism(
-        TRAIL, space, space, lambda t: _last(space, t), lambda g: g, tag="id_str"
+        TRAIL, space, space, lambda t: _last(space, t), lambda g: g, tag="id_str",
+        last_dot=True,
     )
 
 
@@ -166,19 +168,65 @@ def id_str(space: Space) -> Morphism:
 # ---------------------------------------------------------------------------
 
 
-def cover_trails(space: Space, a: Dot) -> List[Trail]:
-    """All immediate-successor trails from a grade-1 dot down to a (the
-    distinct unglued copies of a)."""
-    if a == space.max_dot:
-        return []
-    preds = [p for p in space.predecessors(a) if p != space.max_dot]
-    if not preds:
-        return [Trail((a,))]
-    out: List[Trail] = []
-    for p in preds:
-        for t in cover_trails(space, p):
-            out.append(Trail(t.items + (a,)))
-    return out
+class CoverTrails:
+    """The immediate-successor trails from a grade-1 dot down to a (the
+    distinct unglued copies of a), read off the predecessor DAG above a
+    without listing them: iteration walks the DAG depth first and yields
+    the trails in order of their predecessor choices, last step first (the
+    first trail takes the first predecessor at every step); len counts the
+    trails level by level without building any."""
+
+    def __init__(self, space: Space, a: Dot):
+        self.space = space
+        self.a = a
+        self._up: Dict[Dot, Tuple[Dot, ...]] = {}
+
+    def _parents(self, d: Dot) -> Tuple[Dot, ...]:
+        if d not in self._up:
+            top = self.space.max_dot
+            self._up[d] = tuple(p for p in self.space.predecessors(d) if p != top)
+        return self._up[d]
+
+    def __iter__(self) -> Iterator[Trail]:
+        if self.a == self.space.max_dot:
+            return
+        path: List[Dot] = [self.a]
+        stack: List[Iterator[Dot]] = []  # the parents left to try, per path dot
+        while path:
+            if len(stack) < len(path):  # path[-1] is new
+                parents = self._parents(path[-1])
+                if not parents:
+                    yield Trail(tuple(reversed(path)))
+                    path.pop()
+                    continue
+                stack.append(iter(parents))
+            p = next(stack[-1], None)
+            if p is None:
+                stack.pop()
+                path.pop()
+            else:
+                path.append(p)
+
+    def __len__(self) -> int:
+        if self.a == self.space.max_dot:
+            return 0
+        total = 0
+        paths = {self.a: 1}  # dot -> the number of paths from a up to it
+        while paths:
+            up: Dict[Dot, int] = {}
+            for d, count in paths.items():
+                parents = self._parents(d)
+                if not parents:
+                    total += count
+                for p in parents:
+                    up[p] = up.get(p, 0) + count
+            paths = up
+        return total
+
+
+def cover_trails(space: Space, a: Dot) -> CoverTrails:
+    """The unglued copies of a, lazy and sized (see CoverTrails)."""
+    return CoverTrails(space, a)
 
 
 def unglue(space: Space) -> Space:
@@ -236,7 +284,10 @@ def hat(d: Dot) -> Dot:
 def compress_sigmaR(f: Morphism) -> Morphism:
     """Turn a trail morphism on sigma_R into a refinement morphism: g(a) is
     the common refinement of f(b)-hat over all unglued copies b of a.  g
-    never becomes apart from f on points."""
+    never becomes apart from f on points.  When f.last_dot every copy has
+    the same image, so g maps the first copy only; otherwise it maps every
+    copy, and raises MorphismDefect when a has more than
+    COVER_TRAIL_BUDGET of them."""
     if f.kind != TRAIL:
         raise MorphismDefect("compress_sigmaR expects a trail morphism")
     sr = std_space("sigma_R")
@@ -244,7 +295,17 @@ def compress_sigmaR(f: Morphism) -> Morphism:
     def gmap(a: Dot) -> Dot:
         if isinstance(a, MaxDot):
             return MAX
-        hats = [hat(f.map(t)) for t in cover_trails(sr, a)]
+        trails = cover_trails(sr, a)
+        if f.last_dot:
+            copies: Iterable[Trail] = itertools.islice(trails, 1)
+        elif len(trails) > COVER_TRAIL_BUDGET:
+            raise MorphismDefect(
+                f"compress_sigmaR: {a!r} has {len(trails)} unglued copies, over "
+                f"the budget of {COVER_TRAIL_BUDGET}"
+            )
+        else:
+            copies = trails
+        hats = [hat(f.map(t)) for t in copies]
         hats = [h for h in hats if not isinstance(h, MaxDot)]
         if not hats:
             return MAX
@@ -461,11 +522,11 @@ def cantor_witness(fann: Space, a: Dot) -> Seq:
     cantor_bits: List[int] = []
     if a == fann.max_dot:
         return Seq(())
-    trails = cover_trails(fann, a)
-    if not trails:
+    trail = next(iter(cover_trails(fann, a)), None)
+    if trail is None:
         raise MorphismDefect(f"{fann.name}: {a!r} unreachable from the maximal dot")
     cur = fann.max_dot
-    for step in trails[0].items:
+    for step in trail.items:
         succ = fann.successors(cur).dots
         L = _block_size(len(succ))
         v = succ.index(step)

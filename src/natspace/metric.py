@@ -109,13 +109,11 @@ class StarReport:
     checked: int
     max_star: int
     max_per_side: int
-    ok: bool
 
     def __str__(self) -> str:
         return (
             f"star-finite[{self.space}]: checked={self.checked} "
-            f"max_star={self.max_star} max_per_side={self.max_per_side} "
-            f"ok={self.ok}"
+            f"max_star={self.max_star} max_per_side={self.max_per_side}"
         )
 
 
@@ -139,7 +137,7 @@ def is_star_finite(space: Space, depth: int) -> StarReport:
             max_side = max(max_side, left, right)
         else:
             max_side = max(max_side, len(st))
-    return StarReport(space.name, checked, max_star, max_side, True)
+    return StarReport(space.name, checked, max_star, max_side)
 
 
 # ---------------------------------------------------------------------------

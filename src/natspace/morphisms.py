@@ -43,6 +43,14 @@ class MorphismDefect(Exception):
 
 @dataclass
 class Morphism:
+    """A morphism of the given kind from source to target.
+
+    last_dot states that a trail morphism's value depends only on the
+    trail's last dot, so every trail ending at the same dot has the same
+    image (id_str, and a refinement morphism composed after it).
+    compress_sigmaR reads it to map one unglued copy of a dot instead of
+    all of them."""
+
     kind: str
     source: Space
     target: Space
@@ -52,6 +60,7 @@ class Morphism:
     parts: Tuple = ()
     # optional: per-point liveness refinement (used by magnitude-dependent ops)
     dynamic_liveness: Optional[Callable[[Point], Callable[[int], int]]] = None
+    last_dot: bool = False
 
     def __call__(self, d: Dot) -> Dot:
         return self.map(d)
@@ -122,10 +131,11 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if f.kind == TRAIL and g.kind == REFINEMENT:
         return Morphism(
             TRAIL, f.source, g.target, lambda t: g.map(f.map(t)), live,
-            tag=tag, parts=(g, f),
+            tag=tag, parts=(g, f), last_dot=f.last_dot,
         )
 
-    # g is a trail morphism: lift f to trails of its target
+    # g is a trail morphism: lift f to trails of its target (not last_dot,
+    # since strict_trail_of may drop the last image)
     def lifted(t: Dot) -> Dot:
         items = t.items
         if f.kind == REFINEMENT:

@@ -290,3 +290,20 @@ def scan_canonical_steps(
             raise LookupError("the prefix holds no strict refinement")
         out.append(cur)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Unglued copies, listed by recursion.
+# ---------------------------------------------------------------------------
+
+
+def cover_trails_listed(predecessors: Callable, top, a) -> List[Tuple]:
+    """Every immediate-successor trail from a grade-1 dot down to a, as dot
+    tuples, listed by recursion over the predecessors: the trails through
+    the first predecessor of a come first."""
+    if a == top:
+        return []
+    preds = [p for p in predecessors(a) if p != top]
+    if not preds:
+        return [(a,)]
+    return [t + (a,) for p in preds for t in cover_trails_listed(predecessors, top, p)]

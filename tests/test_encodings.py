@@ -1,5 +1,6 @@
 """Trail spaces, ungluing, Baire presentations, Cantor universality."""
 
+import dataclasses
 import hashlib
 import time
 from fractions import Fraction as F
@@ -7,9 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 import natspace as ns
-from natspace import spaces
+from natspace import encodings, spaces
 from natspace.dots import DyadicInterval as D, Seq, Trail, endpoints
 
+import oracles
 from conftest import spread_point
 
 
@@ -84,6 +86,62 @@ def test_cover_trails_end_at_target(sigma01):
             assert tr.items[-1] == a
 
 
+def _listed(space, a):
+    return oracles.cover_trails_listed(space.predecessors, space.max_dot, a)
+
+
+def test_cover_trails_match_the_recursive_listing(sigmaR, sigma01):
+    dots = [D(n, m) for m in range(13) for n in range(-9, 10)] + [sigmaR.max_dot]
+    for a in dots:
+        trails = ns.cover_trails(sigmaR, a)
+        assert [t.items for t in trails] == _listed(sigmaR, a), a
+        assert len(trails) == len(_listed(sigmaR, a)), a
+    for g in range(9):
+        for a in sigma01.level(g):
+            trails = ns.cover_trails(sigma01, a)
+            assert [t.items for t in trails] == _listed(sigma01, a), a
+            assert len(trails) == len(_listed(sigma01, a)), a
+
+
+def _unmarked(f):
+    return dataclasses.replace(f, last_dot=False)
+
+
+def _left_half_dots(grades):
+    # every sigma_R dot of grade 1 .. grades whose left end lies in [0, 1/2]
+    return [D(n, m) for m in range(grades) for n in range(2 ** m // 2 + 1)]
+
+
+def test_id_str_compresses_through_one_copy(sigmaR):
+    f = ns.id_str(sigmaR)
+    assert f.last_dot
+    marked, unmarked = ns.compress_sigmaR(f), ns.compress_sigmaR(_unmarked(f))
+    for a in _left_half_dots(12):
+        assert marked.map(a) == unmarked.map(a), a
+
+
+def test_refinement_after_id_str_stays_last_dot(sigmaR):
+    f = ns.compose(ns.arith("neg"), ns.id_str(sigmaR))
+    assert f.last_dot
+    marked, unmarked = ns.compress_sigmaR(f), ns.compress_sigmaR(_unmarked(f))
+    for a in _left_half_dots(10):
+        assert marked.map(a) == unmarked.map(a), a
+    # a trail morphism after id_str lifts through strict_trail_of: unmarked
+    assert not ns.compose(ns.id_str(sigmaR), ns.id_str(sigmaR)).last_dot
+
+
+def test_unmarked_compression_has_a_budget(sigmaR):
+    a = D(2**25 // 3, 25)  # grade 26, near 1/3
+    assert len(ns.cover_trails(sigmaR, a)) > encodings.COVER_TRAIL_BUDGET
+    g = ns.compress_sigmaR(_unmarked(ns.id_str(sigmaR)))
+    start = time.perf_counter()
+    with pytest.raises(ns.MorphismDefect) as err:
+        g.map(a)
+    assert time.perf_counter() - start < 1.0
+    for part in ("compress_sigmaR", repr(a), str(encodings.COVER_TRAIL_BUDGET)):
+        assert part in str(err.value)
+
+
 def test_compress_sigmaR_brackets_rationals(sigmaR):
     g = ns.compress_sigmaR(ns.id_str(sigmaR))
     for q in (F(0), F(1, 3), F(-7, 5), F(13, 8)):
@@ -124,6 +182,16 @@ def test_cantor_surjection_witnesses(sigma01, cantor_space):
         for a in sigma01.level(g):
             w = ns.cantor_witness(sigma01, a)
             assert sigma01.refines(surj.map(w), a)
+
+
+def test_cantor_witnesses_frozen():
+    h = hashlib.sha256()
+    for name, grades in (("sigma_[0,1]", 7), ("T3", 5), ("T2", 7)):
+        space = ns.std_space(name)
+        for g in range(1, grades):
+            for a in space.level(g):
+                h.update(f"{a!r} {ns.cantor_witness(space, a)!r}\n".encode())
+    assert h.hexdigest() == "44342f420fba225f27f5313ddacd33ba247d6a0ab171f48c6160a03ebd326688"
 
 
 def test_cantor_surjection_morphism_laws(sigma01):
