@@ -484,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("space")
     sp.add_argument("x")
     sp.add_argument("y")
-    sp.add_argument("--bits", type=int, default=4)
+    sp.add_argument("--bits", type=int, default=4, help=(
+        f"output precision; past {(3**DIGIT_CAP).bit_length() - 3} bits the bounds stay sound"
+        f" but narrow little (each term is read to DIGIT_CAP = {DIGIT_CAP} ternary digits)"))
     common(sp)
 
     sp = sub.add_parser("validate", help="axiom report for a named space")

@@ -113,27 +113,29 @@ def _trail_tree(
 def trail_space(space: Space) -> Space:
     """The space of strict-descent trails: refinement is trail extension,
     apartness is last-dot apartness, the empty trail is maximal."""
-    ext_cache: Dict[Trail, List[Dot]] = {}
+    refinements: Dict[Dot, spaces.Lazy] = {}  # last dot -> its strict refinements
     lock = threading.Lock()
+
+    def scan(last: Dot) -> Iterator[Dot]:
+        for i in range(spaces.SCAN_BUDGET):
+            d = space.enumerate_dot(i)
+            if space.strictly_refines(d, last):
+                yield d
 
     def _extensions(t: Trail, k: int) -> Dot:
         """The k-th one-step extension of t (underlying enumeration order),
         searched for among the first spaces.SCAN_BUDGET enumerated dots."""
-        with lock:
-            found = ext_cache.setdefault(t, [])
         last = _last(space, t)
-        i = 0 if not found else space.index_of(found[-1]) + 1
-        while len(found) <= k:
-            if i >= spaces.SCAN_BUDGET:
-                raise SpaceDefect(
-                    f"{space.name}: strict refinement {k} of {last!r} not found in "
-                    f"first {spaces.SCAN_BUDGET} enumerated dots"
-                )
-            d = space.enumerate_dot(i)
-            if space.strictly_refines(d, last):
-                found.append(d)
-            i += 1
-        return Trail(t.items + (found[k],))
+        with lock:
+            if last not in refinements:
+                refinements[last] = spaces.Lazy(lambda: scan(last))
+        try:
+            return Trail(t.items + (refinements[last][k],))
+        except IndexError:
+            raise SpaceDefect(
+                f"{space.name}: strict refinement {k} of {last!r} not found in "
+                f"first {spaces.SCAN_BUDGET} enumerated dots"
+            ) from None
 
     def successors(t: Dot) -> Successors:
         return Successors((), True, lambda k: _extensions(t, k))
@@ -355,8 +357,7 @@ class BaireEncoding:
     forward: Morphism
     inverse: Morphism
     pregrade: Pregrade
-    _levels: Dict[Tuple[int, Dot], List[Dot]] = field(default_factory=dict)
-    _scanpos: Dict[Tuple[int, Dot], int] = field(default_factory=dict)
+    _levels: Dict[Tuple[int, Dot], spaces.Lazy] = field(default_factory=dict)
     _h_cache: Dict[Seq, Dot] = field(default_factory=dict)
     _lock: threading.RLock = field(default_factory=threading.RLock)
 
@@ -365,30 +366,26 @@ class BaireEncoding:
     def level_member(self, n: int, a: Dot, k: int) -> Dot:
         """g_a(k): the k-th dot (enumeration order) of index >= n, e-grade
         >= n, refining a; the scan stops at LEVEL_SCAN_BUDGET dots."""
-        sp = self.space
         with self._lock:
-            found = self._levels.setdefault((n, a), [])
-            m = self._scanpos.setdefault((n, a), n)
-            while len(found) <= k:
-                if m >= LEVEL_SCAN_BUDGET:
-                    raise EncodingDefect(
-                        f"{sp.name}: level {n} under {a!r} exhausted after "
-                        f"scanning {LEVEL_SCAN_BUDGET} dots (needed member {k})"
-                    )
-                v = sp.enumerate_dot(m)
-                if sp.refines(v, a) and self.pregrade.has_e_grade(v, n):
-                    found.append(v)
-                m += 1
-                self._scanpos[(n, a)] = m
-        return found[k]
+            if (n, a) not in self._levels:
+                self._levels[(n, a)] = spaces.Lazy(lambda: self._level(n, a))
+        try:
+            return self._levels[(n, a)][k]
+        except IndexError:
+            raise EncodingDefect(
+                f"{self.space.name}: level {n} under {a!r} exhausted after "
+                f"scanning {LEVEL_SCAN_BUDGET} dots (needed member {k})"
+            ) from None
+
+    def _level(self, n: int, a: Dot) -> Iterator[Dot]:
+        for m in range(n, LEVEL_SCAN_BUDGET):
+            v = self.space.enumerate_dot(m)
+            if self.space.refines(v, a) and self.pregrade.has_e_grade(v, n):
+                yield v
 
     def level_index(self, n: int, a: Dot, v: Dot) -> int:
         """The g_a-index of a qualifying dot v (inverse of level_member)."""
-        k = 0
-        while True:
-            if self.level_member(n, a, k) == v:
-                return k
-            k += 1
+        return next(k for k in itertools.count() if self.level_member(n, a, k) == v)
 
     def h(self, b: Seq) -> Dot:
         """The forward dot map: digits pick cone members level by level."""

@@ -30,7 +30,7 @@ from .dots import (
     interval_contains,
 )
 from .points import Point, successor_normalize
-from .spaces import Space, SpaceDefect, SpraidInfo, seq_interval
+from .spaces import Lazy, Space, SpaceDefect, SpraidInfo, seq_interval
 
 MAX_LEVEL_GRADE = 9  # the deepest level an evaluator's separators split at
 DIGIT_CAP = 4  # ternary digits read per separator term
@@ -699,18 +699,14 @@ class MetricEvaluator:
         if space.spraid_info is None or not space.spraid_info.finitely_branching:
             raise MetricDefect("the metric needs a finitely branching space")
         self.space = space
-        self._pairs: List[Tuple[Dot, Dot]] = []
-        self._pair_iter = _pair_stream(space)
+        self._pairs = Lazy(lambda: _pair_stream(space))
         self._seps: Dict[int, UrysohnFunction] = {}
         # per point: (m, digits) -> value bounds; an entry dies with its point
         self._values: "weakref.WeakKeyDictionary[Point, Dict]" = weakref.WeakKeyDictionary()
         self._lock = threading.RLock()
 
     def pair(self, m: int) -> Tuple[Dot, Dot]:
-        with self._lock:
-            while len(self._pairs) <= m:
-                self._pairs.append(next(self._pair_iter))
-            return self._pairs[m]
+        return self._pairs[m]
 
     def separator(self, m: int) -> UrysohnFunction:
         with self._lock:

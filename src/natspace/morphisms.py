@@ -550,16 +550,10 @@ def constant_code_morphism(g: Morphism) -> Morphism:
     """The morphism baire->baire sending every point to the code of g (the
     canonical 'constant code' test inputs for diagonalization)."""
     sp = g.source
-    alpha_cache: List[int] = []
-
-    def alpha(n: int) -> int:
-        while len(alpha_cache) <= n:
-            i = len(alpha_cache)
-            alpha_cache.append(seq_rank(sp, g.map(sp.enumerate_dot(i))))
-        return alpha_cache[n]
+    code = code_point_of(g)
 
     def fmap(b: Dot) -> Dot:
-        return Seq(tuple(alpha(i) for i in range(len(b.syms))))
+        return code.dot(len(b.syms))
 
     return Morphism(REFINEMENT, sp, sp, fmap, lambda g_: g_, tag=f"constcode({g.tag})")
 

@@ -4,16 +4,12 @@ A point is a stream p0 >= p1 >= ... of dots that eventually strictly refines
 and chooses between every apart dot pair.  Operations that ask a point
 something (approximation, apartness, membership) read the stream under an
 explicit step budget.
-
-Streams are materialized into a shared prefix cache as they are consumed, so
-a single Point can be read by several consumers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
@@ -30,62 +26,55 @@ class PointDefect(Exception):
 
 
 class Point:
+    """A point of a space given by a factory of its dot stream.  The stream
+    is drawn once into a spaces.Lazy, under its lock, and checked as it is
+    drawn: each dot refines the one before, and with a strictness_bound b
+    no b + 1 dots in a row are equal."""
+
     def __init__(
         self,
         space: Space,
-        dots: Union[Iterable[Dot], Callable[[], Iterator[Dot]]],
+        dots: Callable[[], Iterable[Dot]],
         steps_for_grade: Optional[Callable[[int], int]] = None,
         strictness_bound: Optional[int] = None,
         name: str = "",
     ):
         self.space = space
-        self._factory = dots if callable(dots) else (lambda it=dots: iter(it))
-        self._iter: Optional[Iterator[Dot]] = None
-        self._prefix: List[Dot] = []
-        self.steps_for_grade = steps_for_grade or (
-            lambda g: STRICTNESS_BOUND * (g + 1) + 16
-        )
-        self.strictness_bound = strictness_bound
+        label = f"point {name or '<anon>'}"
+        # the closure must not hold self: points are freed by reference count
+        self._stream = spaces.Lazy(lambda: _checked(space, dots(), strictness_bound, label))
+        self.steps_for_grade = steps_for_grade or (lambda g: STRICTNESS_BOUND * (g + 1) + 16)
         self.name = name
-        self._lock = threading.RLock()
-
-    # -- stream access -------------------------------------------------------
 
     def dot(self, k: int) -> Dot:
-        with self._lock:
-            if self._iter is None:
-                self._iter = self._factory()
-            while len(self._prefix) <= k:
-                try:
-                    d = next(self._iter)
-                except StopIteration:
-                    raise PointDefect(
-                        f"point {self.name or '<anon>'}: stream exhausted at "
-                        f"index {len(self._prefix)} (requested {k})"
-                    )
-                if self._prefix and not self.space.refines(d, self._prefix[-1]):
-                    raise PointDefect(
-                        f"point {self.name or '<anon>'}: dot {d!r} does not "
-                        f"refine previous {self._prefix[-1]!r}"
-                    )
-                self._prefix.append(d)
-                if self.strictness_bound is not None:
-                    b = self.strictness_bound
-                    if len(self._prefix) > b and all(
-                        self._prefix[-i] == self._prefix[-i - 1] for i in range(1, b + 1)
-                    ):
-                        raise PointDefect(
-                            f"point {self.name or '<anon>'}: no strict refinement "
-                            f"within {b} steps at prefix length {len(self._prefix)}"
-                        )
-            return self._prefix[k]
+        try:
+            return self._stream[k]
+        except IndexError:
+            raise PointDefect(
+                f"point {self.name or '<anon>'}: stream exhausted at "
+                f"index {len(self._stream.items)} (requested {k})"
+            ) from None
 
     def prefix(self, k: int) -> Tuple[Dot, ...]:
         self.dot(k - 1)
-        return tuple(self._prefix[:k])
+        return tuple(self._stream.items[:k])
 
     def __repr__(self) -> str:
         return f"Point({self.space.name}, {self.name or '...'})"
+
+
+def _checked(space: Space, dots: Iterator[Dot], bound: Optional[int], label: str):
+    prev, repeats = None, 0
+    for n, d in enumerate(dots, 1):
+        if n > 1 and not space.refines(d, prev):
+            raise PointDefect(f"{label}: dot {d!r} does not refine previous {prev!r}")
+        repeats = repeats + 1 if n > 1 and d == prev else 0
+        if bound is not None and repeats >= bound:
+            raise PointDefect(
+                f"{label}: no strict refinement within {bound} steps at prefix length {n}"
+            )
+        prev = d
+        yield d
 
 
 @dataclass(frozen=True)
@@ -144,28 +133,23 @@ def point_in_dot(p: Point, a: Dot, budget: int) -> Union[Yes, Unknown]:
 
 def canonical_point(space: Space, a: Dot) -> Point:
     """The deterministic point x^a: every next dot is the least-enumeration-
-    index strict refinement of the current dot, found below
-    spaces.SCAN_BUDGET.  On a space with rank hooks, where the current dot
-    has finitely many successors, that is the successor of least rank: the
-    hooked orders rank every strict refinement after one of its successor
-    ancestors.  Otherwise the enumeration is scanned from index 0."""
+    index strict refinement of the current dot.  On a space with rank hooks,
+    where the current dot has finitely many successors, that is the
+    successor of least rank, read off the hook with no budget: the hooked
+    orders rank every strict refinement after one of its successor
+    ancestors.  Otherwise the enumeration is scanned from index 0, below
+    spaces.SCAN_BUDGET."""
 
     def step(cur: Dot) -> Dot:
         if space.rank is not None and space.spraid_info is not None:
             succs = space.successors(cur)
             if not succs.unbounded:
-                i = min(map(space.rank, succs.dots))
-                if i < spaces.SCAN_BUDGET:
-                    return space.enumerate_dot(i)
-                raise stalled(cur)
+                return space.enumerate_dot(min(map(space.rank, succs.dots)))
         for i in range(spaces.SCAN_BUDGET):
             d = space.enumerate_dot(i)
             if space.strictly_refines(d, cur):
                 return d
-        raise stalled(cur)
-
-    def stalled(cur: Dot) -> SpaceDefect:
-        return SpaceDefect(
+        raise SpaceDefect(
             f"{space.name}: no strict refinement of {cur!r} within "
             f"{spaces.SCAN_BUDGET} enumerated dots (space defect)"
         )
@@ -273,4 +257,5 @@ def point_to_rational_bounds(p: Point, grade: int) -> Tuple[Fraction, Fraction]:
 def point_from_prefix(space: Space, dots: Iterable[Dot], name: str = "") -> Point:
     """A point backed by a finite prefix; consuming past it is a defect (used
     by the CLI to read point-prefix files)."""
-    return Point(space, tuple(dots), name=name or "prefix")
+    dots = tuple(dots)
+    return Point(space, lambda: dots, name=name or "prefix")

@@ -16,7 +16,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .dots import (
     MAX,
@@ -40,6 +40,39 @@ class SpaceDefect(Exception):
 
 
 SCAN_BUDGET = 500_000  # enumerated dots one search for a dot may scan
+
+
+class Lazy:
+    """A memoised sequence: the iterator is made by factory() on first use,
+    item i is drawn once under the lock, and every drawn item stays in
+    items.  Indexing past the end of a finite iterator raises IndexError,
+    and past an iterator that raised raises that error again."""
+
+    def __init__(self, factory: Callable[[], Iterable]):
+        self._factory = factory
+        self._iter: Optional[Iterator] = None
+        self._error: Optional[Exception] = None
+        self.items: list = []
+        self._lock = threading.RLock()
+
+    def __getitem__(self, i: int):
+        items = self.items
+        if i < len(items):  # items only grow, so this read needs no lock
+            return items[i]
+        with self._lock:
+            if self._iter is None:
+                self._iter = iter(self._factory())
+            while len(items) <= i:
+                if self._error is not None:
+                    raise self._error
+                try:
+                    items.append(next(self._iter))
+                except StopIteration:
+                    raise IndexError(i) from None
+                except Exception as exc:  # the iterator is spent: keep its error
+                    self._error = exc
+                    raise
+            return items[i]
 
 
 def zigzag(j: int) -> int:
@@ -82,8 +115,9 @@ class Space:
     kind, a field out of range).  index_of answers below SCAN_BUDGET only,
     and checks a rank against unrank.
 
-    Immutable after construction except for internal enumeration/memo caches,
-    which are lock-protected so descriptors are safely shareable.
+    Immutable after construction except for its caches, so shareable: the
+    enumeration, apart-pair and level-set streams draw under their Lazy's
+    lock, and the index scan runs under the space's own lock.
     """
 
     def __init__(
@@ -105,20 +139,18 @@ class Space:
         self._apart = apart
         self._refines = refines
         self.max_dot = max_dot
-        self._enum_factory = enum_factory
         self.rank = rank
         self.unrank = unrank
         self.spraid_info = spraid_info
         self._width = width
         self.is_isolated = is_isolated or (lambda d: False)
-        self._lock = threading.RLock()
         if enum_factory is not None:
-            self._enum_cache: List[Dot] = []
-            self._enum_iter: Optional[Iterator[Dot]] = None
+            self._enum = Lazy(enum_factory)
             self._index_cache: dict = {}
             self._indexed = 0  # enumeration indices below this are in _index_cache
-        self._pair_cache: List[Tuple[Dot, Dot]] = []
-        self._level_cache: dict = {}
+            self._lock = threading.RLock()
+        self._pairs = Lazy(self._apart_pairs)
+        self._levels = Lazy(self._level_sets)
 
     # -- relations ---------------------------------------------------------
 
@@ -142,19 +174,17 @@ class Space:
         hooks, else drawn from the generator and cached."""
         if self.unrank is not None:
             return self.unrank(i)
-        with self._lock:
-            if self._enum_iter is None:
-                self._enum_iter = self._enum_factory()
-            while len(self._enum_cache) <= i:
-                self._enum_cache.append(next(self._enum_iter))
-            return self._enum_cache[i]
+        try:
+            return self._enum[i]
+        except IndexError:
+            raise SpaceDefect(f"{self.name}: the enumeration ends before dot {i}") from None
 
     def index_of(self, d: Dot) -> int:
         """Enumeration index of a dot, below SCAN_BUDGET.  With hooks it is
         rank(d), checked against enumerate_dot; without, a mu-search in which
         each enumerated dot is indexed once, scanning on from where the last
         search stopped.  A dot not found below the budget (also a dot not of
-        the space) raises SpaceDefect."""
+        the space, or past the end of a finite enumeration) raises SpaceDefect."""
         if self.rank is not None:
             r = self.rank(d)
             if r is not None and r < SCAN_BUDGET and self.enumerate_dot(r) == d:
@@ -166,7 +196,10 @@ class Space:
                 i = self._indexed
                 if i >= SCAN_BUDGET:
                     raise self._not_found(d)
-                index.setdefault(self.enumerate_dot(i), i)
+                try:
+                    index.setdefault(self._enum[i], i)
+                except IndexError:
+                    raise self._not_found(d) from None
                 self._indexed = i + 1
             return index[d]
 
@@ -177,14 +210,9 @@ class Space:
 
     def apart_pair(self, idx: int) -> Tuple[Dot, Dot]:
         """The idx-th apart dot pair (diagonal over the dot enumeration)."""
-        with self._lock:
-            if not hasattr(self, "_pair_iter"):
-                self._pair_iter = self._apart_pair_gen()
-            while len(self._pair_cache) <= idx:
-                self._pair_cache.append(next(self._pair_iter))
-            return self._pair_cache[idx]
+        return self._pairs[idx]
 
-    def _apart_pair_gen(self) -> Iterator[Tuple[Dot, Dot]]:
+    def _apart_pairs(self) -> Iterator[Tuple[Dot, Dot]]:
         for j in itertools.count(1):
             ej = self.enumerate_dot(j)
             for i in range(j):
@@ -213,24 +241,13 @@ class Space:
         """All grade-g dots of a finitely branching graded space."""
         if self.spraid_info is None or not self.spraid_info.finitely_branching:
             raise SpaceDefect(f"{self.name}: level sets need a finitely branching space")
-        with self._lock:
-            if g in self._level_cache:
-                return self._level_cache[g]
-        if g == 0:
-            out: Tuple[Dot, ...] = (self.max_dot,)
-        else:
-            prev = self.level(g - 1)
-            seen = []
-            seen_set = set()
-            for d in prev:
-                for s in self.successors(d).dots:
-                    if s not in seen_set:
-                        seen_set.add(s)
-                        seen.append(s)
-            out = tuple(seen)
-        with self._lock:
-            self._level_cache[g] = out
-        return out
+        return self._levels[g]
+
+    def _level_sets(self) -> Iterator[Tuple[Dot, ...]]:
+        out: Tuple[Dot, ...] = (self.max_dot,)
+        while True:
+            yield out
+            out = tuple(dict.fromkeys(s for d in out for s in self.successors(d).dots))
 
     def width(self, d: Dot) -> Fraction:
         if self._width is None:
@@ -651,17 +668,10 @@ def rational_enum() -> Iterator[Fraction]:
 def _r_rat() -> Space:
     def enum() -> Iterator[Dot]:
         yield MAX
-        rats: List[Fraction] = []
-        gen = rational_enum()
-
-        def rat(i: int) -> Fraction:
-            while len(rats) <= i:
-                rats.append(next(gen))
-            return rats[i]
-
+        rats = Lazy(rational_enum)
         for t in itertools.count(1):
             for i in range(t + 1):
-                lo, hi = rat(i), rat(t - i)
+                lo, hi = rats[i], rats[t - i]
                 if lo < hi:
                     yield RatInterval(lo, hi)
 

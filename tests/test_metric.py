@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import natspace as ns
 from natspace.dots import DyadicInterval as D, Isolated, Seq
@@ -67,6 +68,16 @@ def test_subfan_levels(sigmaR):
          (32, 5)),
     )
     assert ns.validate_space(sub, 7).ok
+
+
+def test_subfan_enumeration_ends_with_a_space_defect(sigmaR):
+    sub = ns.subfan_Wx(sigmaR, ns.rational_to_point(F(1, 3)), 6)
+    with pytest.raises(ns.SpaceDefect, match="not found in first"):
+        sub.index_of(D(1000, 3))
+    with pytest.raises(ns.SpaceDefect, match="enumeration ends"):
+        sub.enumerate_dot(10**4)
+    with pytest.raises(ns.SpaceDefect):  # a grade-6 dot has no strict refinement here
+        ns.canonical_point(sub, sub.wx_levels[6][0]).dot(1)
 
 
 def test_urysohn_fan_frozen_values(sigma01):
@@ -158,3 +169,26 @@ def test_metric_digit_goal_is_least_power_of_three():
     for bits in range(5000):
         k = ns.metric_digit_goal(bits)  # the least k >= 1 with 3^k >= 2^(bits+2)
         assert 3**k >= 2 ** (bits + 2) and (k == 1 or 3 ** (k - 1) < 2 ** (bits + 2))
+
+
+@st.composite
+def ext01_starts(draw):
+    """A dot of sigma_[0,1]^+ of grade at most 20: iso(g), or a grid dot
+    (n, g + 1), whose exponent g + 1 holds 2^(g+1) - 1 dots."""
+    g = draw(st.integers(0, 20))
+    if g and draw(st.booleans()):
+        return Isolated(g)
+    return D(draw(st.integers(0, 2 ** (g + 1) - 2)), g + 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ext01_starts(), ext01_starts(), ext01_starts())
+def test_metric_brackets_are_a_pseudometric(metric_ev, a, b, c):
+    x, y, z = (ns.canonical_point(metric_ev.space, d) for d in (a, b, c))
+
+    def d(p, q):
+        return ns.evaluate_metric(metric_ev, p, q, 4)
+
+    assert d(x, y) == d(y, x)
+    assert d(x, x)[0] == 0
+    assert d(x, z)[0] <= d(x, y)[1] + d(y, z)[1]

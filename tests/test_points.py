@@ -1,5 +1,7 @@
 """Lazy points: rational streams, approximation, apartness verdicts."""
 
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -85,8 +87,10 @@ def test_searches_for_a_dot_stop_at_the_scan_budget(monkeypatch):
     fresh = spaces._STD_BUILDERS["sigma_[0,1]"]()  # nothing indexed yet
     with pytest.raises(ns.SpaceDefect, match="first 5 enumerated dots"):
         fresh.index_of(D(3, 4))
+    # a hooked space reads its canonical step off the rank hook; R_rat scans
+    rat = spaces._STD_BUILDERS["R_rat"]()
     with pytest.raises(ns.SpaceDefect, match="within 5 enumerated dots"):
-        ns.canonical_point(fresh, D(0, 3)).dot(1)
+        ns.canonical_point(rat, ns.RatInterval(F(0), F(1, 2))).dot(1)
 
 
 def test_successor_normalize_aligns_grades(sigma01):
@@ -99,3 +103,38 @@ def test_successor_normalize_aligns_grades(sigma01):
 def test_point_in_dot(sigma01):
     p = ns.canonical_point(sigma01, D(0, 3))
     assert isinstance(ns.point_in_dot(p, D(0, 2), 8), ns.Yes)
+
+
+def _read_together(read, threads=4):
+    """What each thread gets from read(), the threads started together and
+    switched often so that their draws from a shared stream interleave."""
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def run(t):
+        barrier.wait(timeout=60)
+        results[t] = read()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    return results
+
+
+def test_concurrent_readers_get_the_single_threaded_stream(ext01):
+    alone = list(ns.canonical_point(ext01, D(0, 3)).prefix(201))
+    shared = ns.canonical_point(ext01, D(0, 3))
+    assert _read_together(lambda: [shared.dot(k) for k in range(201)]) == [alone] * 4
+
+    fresh = spaces._STD_BUILDERS["R_rat"]()
+    alone = [fresh.enumerate_dot(i) for i in range(2001)]
+    rat = spaces._STD_BUILDERS["R_rat"]()
+    assert _read_together(lambda: [rat.enumerate_dot(i) for i in range(2001)]) == [alone] * 4

@@ -81,10 +81,10 @@ def test_hooks_far_out(name):
         assert space.rank(space.unrank(i)) == i
 
 
-# Start dots whose first four canonical steps stay inside the scan budget:
-# on the n-ary lines of base 3 and 10, a step from (n, m) goes to about
-# (base*n, m+1), whose diagonal index grows like base^2 per step unless n is
-# 0 or -1.
+# Start dots whose first four canonical steps stay at enumeration indices the
+# reference scan reaches quickly: on the n-ary lines of base 3 and 10, a step
+# from (n, m) goes to about (base*n, m+1), whose diagonal index grows like
+# base^2 per step unless n is 0 or -1.
 CANONICAL_STARTS = {
     name: (lambda space: [space.enumerate_dot(i) for i in range(1, 201)])
     for name in ("sigma_R", "R_bin", "sigma_[0,1]", "[0,1]_bin", "[0,1]_ter", "cantor",
@@ -107,6 +107,19 @@ def test_canonical_point_matches_the_scan(name):
     prefix = list(itertools.islice(reference(), deepest + 1))
     for a, steps in zip(starts, expected):
         assert oracles.scan_canonical_steps(prefix, space.strictly_refines, a, 4) == list(steps)
+
+
+@pytest.mark.parametrize("name", sorted(set(_STD_BUILDERS) - {"R_rat", "baire"}))
+def test_canonical_points_reach_grade_200(name):
+    # the hooked step reads the least-rank successor, however large its rank
+    space = _STD_BUILDERS[name]()
+    for i in range(10):
+        p = ns.canonical_point(space, space.enumerate_dot(i))
+        k = 0
+        while space.grade(p.dot(k)) < 200:
+            k += 1
+            assert p.dot(k - 1) in space.predecessors(p.dot(k))
+            assert space.grade(p.dot(k)) == space.grade(p.dot(k - 1)) + 1
 
 
 @pytest.mark.parametrize(
