@@ -66,7 +66,10 @@ def _trail_tree(
     The enumeration follows the baire order (spaces.baire_rank) over index
     strings: options(t, cap) gives, by increasing index below cap, the
     (index, trail) steps that extend t by one dot, so a prefix that names no
-    trail is never extended."""
+    trail is never extended.  Each weight class (cap) is one walk down the
+    lengths: a length's trails, lexicographic in their strings, are built
+    from the previous length's and yielded as they are built when their
+    string uses the top index cap - 1 or has length cap."""
 
     def apart(a: Dot, b: Dot) -> bool:
         check(a)
@@ -83,22 +86,21 @@ def _trail_tree(
     def predecessors(t: Dot) -> Tuple[Dot, ...]:
         return (Trail(t.items[:-1]),) if t.items else ()
 
-    def strings(t: Trail, ln: int, cap: int, top: bool) -> Iterator[Dot]:
-        # the length-ln trails under t, lexicographic in their index
-        # strings, whose strings have weight cap (see baire_rank)
-        if len(t.items) == ln:
-            if top or ln == cap:
-                yield t
-            return
-        for i, s in options(t, cap):
-            yield from strings(s, ln, cap, top or i == cap - 1)
-
     def enum() -> Iterator[Dot]:
         root = Trail(())
         yield root
         for cap in itertools.count(1):
+            level = [(root, False)]  # (trail, its string uses cap - 1)
             for ln in range(1, cap + 1):
-                yield from strings(root, ln, cap, False)
+                longer = []
+                for t, top in level:
+                    for i, s in options(t, cap):
+                        s_top = top or i == cap - 1
+                        if s_top or ln == cap:
+                            yield s
+                        if ln < cap:
+                            longer.append((s, s_top))
+                level = longer
 
     return Space(
         name,
@@ -116,19 +118,13 @@ def trail_space(space: Space) -> Space:
     refinements: Dict[Dot, spaces.Lazy] = {}  # last dot -> its strict refinements
     lock = threading.Lock()
 
-    def scan(last: Dot) -> Iterator[Dot]:
-        for i in range(spaces.SCAN_BUDGET):
-            d = space.enumerate_dot(i)
-            if space.strictly_refines(d, last):
-                yield d
-
     def _extensions(t: Trail, k: int) -> Dot:
         """The k-th one-step extension of t (underlying enumeration order),
-        searched for among the first spaces.SCAN_BUDGET enumerated dots."""
+        drawn from space.strict_refinements (see there for its budget)."""
         last = _last(space, t)
         with lock:
             if last not in refinements:
-                refinements[last] = spaces.Lazy(lambda: scan(last))
+                refinements[last] = spaces.Lazy(lambda: space.strict_refinements(last))
         try:
             return Trail(t.items + (refinements[last][k],))
         except IndexError:
@@ -138,7 +134,7 @@ def trail_space(space: Space) -> Space:
             ) from None
 
     def successors(t: Dot) -> Successors:
-        return Successors((), True, lambda k: _extensions(t, k))
+        return Successors(more=lambda k: _extensions(t, k))
 
     def options(t: Trail, cap: int) -> Iterator[Tuple[int, Trail]]:
         # index i names the dot enumerated at 1 + i (MAX left out)
@@ -242,7 +238,7 @@ def unglue(space: Space) -> Space:
         succ = space.successors(_last(space, t))
         if not succ.unbounded:
             return Successors(tuple(Trail(t.items + (s,)) for s in succ.dots))
-        return Successors((), True, lambda k: Trail(t.items + (succ.more(k),)))
+        return Successors(more=lambda k: Trail(t.items + (succ.more(k),)))
 
     def options(t: Trail, cap: int) -> Iterable[Tuple[int, Trail]]:
         return enumerate(successors(t).prefix(cap)[:cap])  # index i: successor i

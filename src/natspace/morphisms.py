@@ -504,26 +504,6 @@ def line_call(stream: Point, threshold_exponent: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def seq_rank(space: Space, d: Seq) -> int:
-    """The frozen pairing bijection: the enumeration rank (on the baire space
-    rank(a) <= rank(a*b)).  A space with a rank hook answers it with no
-    budget; otherwise index_of searches."""
-    if space.rank is None:
-        return space.index_of(d)
-    r = space.rank(d)
-    if r is None:
-        raise MorphismDefect(f"{space.name}: {d!r} is not a dot of the space")
-    return r
-
-
-def seq_unrank(space: Space, r: int) -> Seq:
-    """Inverse of seq_rank."""
-    d = space.enumerate_dot(r)
-    if not isinstance(d, Seq):
-        raise MorphismDefect(f"decoded non-sequence dot {d!r}")
-    return d
-
-
 @dataclass
 class CodedBaireMorphism:
     """A Baire morphism together with the baire point coding it."""
@@ -533,14 +513,15 @@ class CodedBaireMorphism:
 
 
 def code_point_of(f: Morphism) -> Point:
-    """The baire point coding a baire morphism: alpha(n) = rank(f(dot_n))."""
+    """The baire point coding a baire morphism: alpha(n) is the enumeration
+    index of f(dot_n)."""
     sp = f.source
 
     def gen():
         syms: List[int] = []
         yield Seq(())
         for n in itertools.count(0):
-            syms.append(seq_rank(sp, f.map(sp.enumerate_dot(n))))
+            syms.append(sp.index_of(f.map(sp.enumerate_dot(n))))
             yield Seq(tuple(syms))
 
     return Point(sp, gen, steps_for_grade=lambda g: g + 1, name=f"code({f.tag})")
@@ -575,10 +556,12 @@ def diagonalize(F: Morphism) -> CodedBaireMorphism:
         the prefix is still too short to tell."""
         if b in resolved:
             return resolved[b]
-        idx = seq_rank(sp, b)
+        idx = sp.index_of(b)
         if idx >= len(code.syms):
             return None
-        out = seq_unrank(sp, code.syms[idx])
+        out = sp.enumerate_dot(code.syms[idx])
+        if not isinstance(out, Seq):
+            raise MorphismDefect(f"decoded non-sequence dot {out!r}")
         if b.syms:
             zp = resolve(Seq(b.syms[:-1]), code)  # smaller rank: resolved too
             if zp is not None and zp != empty and not out.extends(zp):

@@ -133,32 +133,20 @@ def point_in_dot(p: Point, a: Dot, budget: int) -> Union[Yes, Unknown]:
 
 def canonical_point(space: Space, a: Dot) -> Point:
     """The deterministic point x^a: every next dot is the least-enumeration-
-    index strict refinement of the current dot.  On a space with rank hooks,
-    where the current dot has finitely many successors, that is the
-    successor of least rank, read off the hook with no budget: the hooked
-    orders rank every strict refinement after one of its successor
-    ancestors.  Otherwise the enumeration is scanned from index 0, below
-    spaces.SCAN_BUDGET."""
-
-    def step(cur: Dot) -> Dot:
-        if space.rank is not None and space.spraid_info is not None:
-            succs = space.successors(cur)
-            if not succs.unbounded:
-                return space.enumerate_dot(min(map(space.rank, succs.dots)))
-        for i in range(spaces.SCAN_BUDGET):
-            d = space.enumerate_dot(i)
-            if space.strictly_refines(d, cur):
-                return d
-        raise SpaceDefect(
-            f"{space.name}: no strict refinement of {cur!r} within "
-            f"{spaces.SCAN_BUDGET} enumerated dots (space defect)"
-        )
+    index strict refinement of the current dot, the first of
+    space.strict_refinements (see there for its budget)."""
 
     def gen() -> Iterator[Dot]:
         cur = a
         yield cur
         while True:
-            cur = step(cur)
+            nxt = next(space.strict_refinements(cur), None)
+            if nxt is None:
+                raise SpaceDefect(
+                    f"{space.name}: no strict refinement of {cur!r} within "
+                    f"{spaces.SCAN_BUDGET} enumerated dots (space defect)"
+                )
+            cur = nxt
             yield cur
 
     return Point(space, gen, strictness_bound=STRICTNESS_BOUND, name=f"canon({a!r})")

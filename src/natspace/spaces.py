@@ -82,17 +82,19 @@ def zigzag(j: int) -> int:
 
 @dataclass(frozen=True)
 class Successors:
-    """Successor listing: a bounded prefix, plus a generator when the full
-    set is infinite (infinitely branching node)."""
+    """Successor listing: the dots of a finitely branching node, or more,
+    the k-th successor, when the full set is infinite."""
 
-    dots: Tuple[Dot, ...]
-    unbounded: bool = False
+    dots: Tuple[Dot, ...] = ()
     more: Optional[Callable[[int], Dot]] = None  # k-th successor, k >= 0
 
+    @property
+    def unbounded(self) -> bool:
+        return self.more is not None
+
     def prefix(self, count: int) -> Tuple[Dot, ...]:
-        if not self.unbounded:
+        if self.more is None:
             return self.dots
-        assert self.more is not None
         return tuple(self.more(k) for k in range(count))
 
 
@@ -112,8 +114,9 @@ class Space:
     or from the closed-form hooks rank and unrank, supplied together in its
     place and kept with no cache: unrank(i) is the i-th dot, and rank(d) the
     index of a dot of the space or None for a dot that cannot be one (another
-    kind, a field out of range).  index_of answers below SCAN_BUDGET only,
-    and checks a rank against unrank.
+    kind, a field out of range).  Only this class reads the hooks: index_of
+    and strict_refinements answer from them where they can, and scan the
+    enumeration below SCAN_BUDGET where they cannot.
 
     Immutable after construction except for its caches, so shareable: the
     enumeration, apart-pair and level-set streams draw under their Lazy's
@@ -180,14 +183,15 @@ class Space:
             raise SpaceDefect(f"{self.name}: the enumeration ends before dot {i}") from None
 
     def index_of(self, d: Dot) -> int:
-        """Enumeration index of a dot, below SCAN_BUDGET.  With hooks it is
-        rank(d), checked against enumerate_dot; without, a mu-search in which
-        each enumerated dot is indexed once, scanning on from where the last
-        search stopped.  A dot not found below the budget (also a dot not of
-        the space, or past the end of a finite enumeration) raises SpaceDefect."""
+        """Enumeration index of a dot.  With hooks it is rank(d), checked
+        against enumerate_dot and bounded by nothing, since nothing is
+        scanned; without, a mu-search below SCAN_BUDGET in which each
+        enumerated dot is indexed once, scanning on from where the last
+        search stopped.  A dot not of the space (also one past the budget or
+        past the end of a finite enumeration) raises SpaceDefect."""
         if self.rank is not None:
             r = self.rank(d)
-            if r is not None and r < SCAN_BUDGET and self.enumerate_dot(r) == d:
+            if r is not None and self.enumerate_dot(r) == d:
                 return r
             raise self._not_found(d)
         with self._lock:
@@ -202,6 +206,25 @@ class Space:
                     raise self._not_found(d) from None
                 self._indexed = i + 1
             return index[d]
+
+    def strict_refinements(self, d: Dot) -> Iterator[Dot]:
+        """The strict refinements of d in enumeration order.  On a hooked
+        graded space where d has finitely many successors the first is the
+        successor of least rank, read with no budget: the hooked orders rank
+        every strict refinement after one of its successor ancestors.  The
+        scan for the others starts just past that rank (at index 0 on other
+        spaces) and stops at SCAN_BUDGET."""
+        start = 0
+        if self.rank is not None and self.spraid_info is not None:
+            succs = self.successors(d)
+            if not succs.unbounded:
+                start = min(map(self.rank, succs.dots))
+                yield self.enumerate_dot(start)
+                start += 1
+        for i in range(start, SCAN_BUDGET):
+            e = self.enumerate_dot(i)
+            if self.strictly_refines(e, d):
+                yield e
 
     def _not_found(self, d: Dot) -> SpaceDefect:
         return SpaceDefect(
@@ -388,7 +411,7 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
 
     def successors(d: Dot) -> Successors:
         if type(d) is MaxDot:
-            return Successors((), True, lambda j: dot(zigzag(j), 0))
+            return Successors(more=lambda j: dot(zigzag(j), 0))
         return Successors(tuple(dot(base * d.n + i, d.m + 1) for i in range(k)))
 
     def predecessors(d: Dot) -> Tuple[Dot, ...]:
@@ -461,7 +484,7 @@ def _seq_parent(d: Dot) -> Tuple[Dot, ...]:
 
 def seq_extensions(d: Dot) -> Successors:
     """Every one-symbol extension of a digit string (infinite branching)."""
-    return Successors((), True, lambda k: Seq(d.syms + (k,)))
+    return Successors(more=lambda k: Seq(d.syms + (k,)))
 
 
 def prefix_tree(
@@ -767,7 +790,7 @@ def product(factors) -> Space:
                     )
                 )
 
-            return Successors((), True, more)
+            return Successors(more=more)
         return Successors(
             tuple(TupleDot(c) for c in itertools.product(*(s.dots for s in per)))
         )
@@ -1003,9 +1026,7 @@ def extend_with_isolated_point(space: Space) -> Space:
         s = inner.successors(d)
         if d == max_dot:
             if s.unbounded:
-                return Successors(
-                    (), True, lambda k: Isolated(1) if k == 0 else s.more(k - 1)
-                )
+                return Successors(more=lambda k: Isolated(1) if k == 0 else s.more(k - 1))
             return Successors(s.dots + (Isolated(1),))
         return s
 

@@ -292,6 +292,28 @@ def scan_canonical_steps(
     return out
 
 
+def trail_tree_order(extend: Callable) -> Iterator[Tuple]:
+    """The frozen trail-tree order, by its first statement: the empty trail,
+    then for each weight class cap and each length ln up to cap, the
+    length-ln trails lexicographic in their index strings, each walked down
+    from the root again, whose strings use index cap - 1 or have length cap.
+    extend(prefix, cap) gives, by increasing index below cap, the
+    (index, dot) steps that extend a prefix (a dot tuple) by one dot."""
+
+    def strings(t: Tuple, ln: int, cap: int, top: bool) -> Iterator[Tuple]:
+        if len(t) == ln:
+            if top or ln == cap:
+                yield t
+            return
+        for i, d in extend(t, cap):
+            yield from strings(t + (d,), ln, cap, top or i == cap - 1)
+
+    yield ()
+    for cap in itertools.count(1):
+        for ln in range(1, cap + 1):
+            yield from strings((), ln, cap, False)
+
+
 # ---------------------------------------------------------------------------
 # Unglued copies, listed by recursion.
 # ---------------------------------------------------------------------------

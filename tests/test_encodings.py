@@ -1,7 +1,9 @@
 """Trail spaces, ungluing, Baire presentations, Cantor universality."""
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import time
 from fractions import Fraction as F
 
@@ -45,18 +47,61 @@ def test_trail_tree_prefix_digests(build, name, count, digest):
     assert _prefix_digest(space, count) == digest
 
 
+def _unglue_steps(space):
+    """extend for the reference order of unglue(space): the successors of
+    the last dot, successor i at index i (kept per last dot and cap, since
+    the reference walks each prefix again for every length)."""
+
+    @functools.cache
+    def steps(last, cap):
+        return tuple(enumerate(space.successors(last).prefix(cap)[:cap]))
+
+    return lambda t, cap: steps(t[-1] if t else space.max_dot, cap)
+
+
+def _trail_steps(space):
+    """extend for the reference order of trail_space(space): index i names
+    the dot enumerated at 1 + i, a step when it strictly refines the last."""
+
+    def extend(t, cap):
+        for i in range(cap):
+            d = space.enumerate_dot(1 + i)
+            if not t or space.strictly_refines(d, t[-1]):
+                yield i, d
+
+    return extend
+
+
+@pytest.mark.parametrize(
+    "build, steps, name, count",
+    [
+        ("unglue", _unglue_steps, "T2", 300),
+        ("unglue", _unglue_steps, "T3", 300),
+        ("unglue", _unglue_steps, "sigma_R", 300),
+        ("unglue", _unglue_steps, "baire", 300),
+        ("trail_space", _trail_steps, "sigma_[0,1]", 100),
+    ],
+)
+def test_trail_tree_matches_the_per_length_reference(build, steps, name, count):
+    base = ns.std_space(name)
+    space = getattr(ns, build)(base)
+    reference = itertools.islice(oracles.trail_tree_order(steps(base)), count)
+    assert [space.enumerate_dot(i) for i in range(count)] == [Trail(t) for t in reference]
+
+
 def test_unglue_chain_enumerates_in_polynomial_time(t2):
-    # almost every index string names no trail here; pruning skips them
+    # one walk down the lengths per weight class, pruned to the named trails
     start = time.perf_counter()
-    ns.unglue(t2).enumerate_dot(39)
+    ns.unglue(t2).enumerate_dot(199)
     assert time.perf_counter() - start < 1.0
 
 
 def test_trail_successor_scan_has_a_budget(sigma01, monkeypatch):
     monkeypatch.setattr(spaces, "SCAN_BUDGET", 5)
-    tsp = ns.trail_space(sigma01)
+    more = ns.trail_space(sigma01).successors(Trail((D(0, 3),))).more
+    assert more(0) == Trail((D(0, 3), D(0, 4)))  # the least-rank successor
     with pytest.raises(ns.SpaceDefect, match="first 5 enumerated dots"):
-        tsp.successors(Trail((D(0, 3),))).more(0)
+        more(1)
 
 
 def test_trail_space_axioms(sigma01):

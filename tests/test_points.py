@@ -83,12 +83,12 @@ def test_canonical_point_refines_its_dot(sigma01):
 
 
 def test_searches_for_a_dot_stop_at_the_scan_budget(monkeypatch):
+    # a hooked space reads index_of and its canonical step off the rank
+    # hook; R_rat scans
     monkeypatch.setattr(spaces, "SCAN_BUDGET", 5)
-    fresh = spaces._STD_BUILDERS["sigma_[0,1]"]()  # nothing indexed yet
+    rat = spaces._STD_BUILDERS["R_rat"]()  # nothing indexed yet
     with pytest.raises(ns.SpaceDefect, match="first 5 enumerated dots"):
-        fresh.index_of(D(3, 4))
-    # a hooked space reads its canonical step off the rank hook; R_rat scans
-    rat = spaces._STD_BUILDERS["R_rat"]()
+        rat.index_of(ns.RatInterval(F(0), F(2)))  # index 10
     with pytest.raises(ns.SpaceDefect, match="within 5 enumerated dots"):
         ns.canonical_point(rat, ns.RatInterval(F(0), F(1, 2))).dot(1)
 
