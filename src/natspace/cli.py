@@ -433,7 +433,7 @@ def _cmd_validate(args, out) -> int:
     _emit(
         args.format,
         {
-            "space": report.space,
+            "space": report.subject,
             "depth": report.depth,
             "ok": report.ok,
             "entries": list(report.entries),

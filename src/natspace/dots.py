@@ -202,40 +202,31 @@ def endpoints(d: Dot) -> Tup[Fraction, Fraction]:
     raise TypeError(f"dot {d!r} has no interval endpoints")
 
 
-def _int_endpoints(d: Dot):
-    """(lo_num, hi_num, den) with integer den > 0, or None for general dots.
-
-    Avoids Fraction construction (and its gcd) on the dyadic/n-ary hot path.
-    """
+def _int_endpoints(d: Dot) -> Tup[int, int, int]:
+    """(lo_num, hi_num, den): the endpoints of an interval dot over one
+    integer den > 0, with no Fraction built (and no gcd taken) on the
+    dyadic and n-ary hot path.  A non-interval dot raises TypeError."""
     if type(d) is DyadicInterval:
         return d.n, d.n + 2, 1 << d.m
     if type(d) is NaryInterval:
         return d.n, d.n + 1, d.base**d.m
-    return None
+    lo, hi = endpoints(d)
+    den = lo.denominator * hi.denominator
+    return lo.numerator * hi.denominator, hi.numerator * lo.denominator, den
 
 
 def intervals_apart(a: Dot, b: Dot) -> bool:
     """Strict disjointness; shared endpoints mean touching, not apart."""
-    fa, fb = _int_endpoints(a), _int_endpoints(b)
-    if fa is not None and fb is not None:
-        alo, ahi, ad = fa
-        blo, bhi, bd = fb
-        return ahi * bd < blo * ad or bhi * ad < alo * bd
-    alo, ahi = endpoints(a)
-    blo, bhi = endpoints(b)
-    return ahi < blo or bhi < alo
+    alo, ahi, ad = _int_endpoints(a)
+    blo, bhi, bd = _int_endpoints(b)
+    return ahi * bd < blo * ad or bhi * ad < alo * bd
 
 
 def interval_contains(outer: Dot, inner: Dot) -> bool:
     """Endpoint containment: inner refines outer."""
-    fo, fi = _int_endpoints(outer), _int_endpoints(inner)
-    if fo is not None and fi is not None:
-        olo, ohi, od = fo
-        ilo, ihi, idn = fi
-        return olo * idn <= ilo * od and ihi * od <= ohi * idn
-    olo, ohi = endpoints(outer)
-    ilo, ihi = endpoints(inner)
-    return olo <= ilo and ihi <= ohi
+    olo, ohi, od = _int_endpoints(outer)
+    ilo, ihi, idn = _int_endpoints(inner)
+    return olo * idn <= ilo * od and ihi * od <= ohi * idn
 
 
 def interval_gap(a: Dot, b: Dot) -> Fraction:

@@ -316,22 +316,39 @@ def compress_sigmaR(f: Morphism) -> Morphism:
                 )
         return finest
 
+    def dyn(p):
+        f_live = f.dynamic_liveness(p)
+        return lambda g: f_live(g + 2)
+
     return Morphism(
-        REFINEMENT, sr, sr, gmap, lambda g: f.liveness(g + 2), tag=f"compress({f.tag})"
+        REFINEMENT, sr, sr, gmap, lambda g: f.liveness(g + 2), tag=f"compress({f.tag})",
+        dynamic_liveness=dyn if f.dynamic_liveness is not None else None,
     )
 
 
 # ---------------------------------------------------------------------------
-# Pregrades and the Baire encoding
+# The Baire encoding
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Pregrade:
-    """The apart pairs of a space indexed from 1 (index 0 is the implicit
-    sentinel pair, which every dot chooses), and the induced e-grades: d
-    has e-grade >= n iff d chooses every pair of index below n."""
+class BaireEncoding:
+    """The spread presentation of an enumerated space: a pullback spread over
+    Baire sequences, the surjective forward morphism h, and the trail inverse.
+
+    Its levels are cut by e-grades: with the apart pairs of the space indexed
+    from 1 (index 0 is the implicit sentinel pair, which every dot chooses),
+    a dot d has e-grade >= n iff d chooses, i.e. is apart from one side of,
+    every pair of index below n."""
 
     space: Space
+    spread: Space
+    forward: Morphism
+    inverse: Morphism
+    _levels: Dict[Tuple[int, Dot], spaces.Lazy] = field(default_factory=dict)
+    _h_cache: Dict[Seq, Dot] = field(default_factory=dict)
+    _lock: threading.RLock = field(default_factory=threading.RLock)
+
+    # e-grades ------------------------------------------------------------------
 
     def chooses(self, d: Dot, i: int) -> bool:
         if i == 0:
@@ -341,21 +358,6 @@ class Pregrade:
 
     def has_e_grade(self, d: Dot, n: int) -> bool:
         return all(self.chooses(d, i) for i in range(1, n))
-
-
-@dataclass
-class BaireEncoding:
-    """The spread presentation of an enumerated space: a pullback spread over
-    Baire sequences, the surjective forward morphism h, and the trail inverse."""
-
-    space: Space
-    spread: Space
-    forward: Morphism
-    inverse: Morphism
-    pregrade: Pregrade
-    _levels: Dict[Tuple[int, Dot], spaces.Lazy] = field(default_factory=dict)
-    _h_cache: Dict[Seq, Dot] = field(default_factory=dict)
-    _lock: threading.RLock = field(default_factory=threading.RLock)
 
     # the level sets and per-cone bijections -------------------------------
 
@@ -376,7 +378,7 @@ class BaireEncoding:
     def _level(self, n: int, a: Dot) -> Iterator[Dot]:
         for m in range(n, LEVEL_SCAN_BUDGET):
             v = self.space.enumerate_dot(m)
-            if self.space.refines(v, a) and self.pregrade.has_e_grade(v, n):
+            if self.space.refines(v, a) and self.has_e_grade(v, n):
                 yield v
 
     def level_index(self, n: int, a: Dot, v: Dot) -> int:
@@ -412,7 +414,7 @@ class BaireEncoding:
                     continue
                 if self.space.index_of(x) < n:
                     continue
-                if not self.pregrade.has_e_grade(x, n):
+                if not self.has_e_grade(x, n):
                     continue
                 hit = x
                 break
@@ -439,7 +441,6 @@ def baire_encode(space: Space) -> BaireEncoding:
         spread=spread,
         forward=None,  # filled below
         inverse=None,
-        pregrade=Pregrade(space),
     )
     enc.forward = Morphism(
         REFINEMENT, spread, space, enc.h, lambda g: 2 * g + 8, tag=f"h[{space.name}]"

@@ -179,15 +179,6 @@ class _TouchSet:
 # Splitting depth.
 
 
-def check_splitting(fann: Space, A, B, N: int) -> bool:
-    """Brute-force certificate check: every grade-N toucher of A is apart
-    from every grade-N toucher of B."""
-    level = fann.level(N)
-    ta = [c for c in level if any(fann.touch(c, a) for a in A)]
-    tb = [c for c in level if any(fann.touch(c, b) for b in B)]
-    return all(fann.apart(c, d) for c in ta for d in tb)
-
-
 def splitting_depth(fann: Space, A, B, max_depth: int = 32) -> int:
     """The least grade N at which the touchers of A and the touchers of B
     are apart from each other, searched from the deepest input grade up."""
@@ -313,7 +304,7 @@ class _GenSet:
 
 
 # ---------------------------------------------------------------------------
-# Ternary index bookkeeping.
+# Ternary zone systems: the separating function.
 
 _CONE_A = -1
 _CONE_B = 3
@@ -334,13 +325,16 @@ def _shift(i: Tuple[int, ...], step: int):
     return tuple(v // 3**k % 3 for k in reversed(range(len(i))))
 
 
-class _Zones:
-    """Ternary zone system between two apart same-grade dots a and b.
-
-    Level n indexes zones by {0,1,2}^n; the cone under a sits before the
-    first index of every level and the cone under b after the last one.
-    Subclasses decide membership in the child zone head + (s,) through
-    _in_child; member() answers the cones and the root and memoizes."""
+class UrysohnFunction:
+    """A three-value separating function between two apart same-grade dots
+    a and b, which is its ternary zone system.  Level n indexes zones by
+    {0,1,2}^n; the cone under a sits before the first index of every level
+    and the cone under b after the last one.  digits(c), the zone index of
+    the dot c, is a dot of sigma_3_real, and value_bounds reads the [0,1]
+    value at a point off those digits.  Subclasses decide membership in the
+    child zone head + (s,) through _in_child and give through
+    grade_for_digits the grade k digits need; member() answers the cones
+    and the root and memoizes."""
 
     def __init__(self, space: Space, a: Dot, b: Dot):
         if space.spraid_info is None:
@@ -379,12 +373,30 @@ class _Zones:
         depth budget cut off."""
         return tuple(self.pending_set)
 
+    def value_bounds(self, x: Point, digit_goal: int) -> Tuple[Fraction, Fraction]:
+        """Sound rational bounds on the realized value at the point x,
+        walking the stream until digit_goal ternary digits are available or
+        x's dots reach the grade that many digits need (fewer digits widen
+        the bounds)."""
+        needed = self.grade_for_digits(digit_goal)
+        best = Seq(())
+        for k in range(x.steps_for_grade(needed) + 2):
+            d = x.dot(k)
+            got = self.digits(d)
+            if len(got.syms) > len(best.syms):
+                best = got
+            if len(best.syms) >= digit_goal:
+                break
+            if self.space.grade(d) >= needed:
+                break
+        return seq_interval(best, 3)
+
 
 # ---------------------------------------------------------------------------
 # Separating functions on fanns (zone construction via splitting depths).
 
 
-class _FanZones(_Zones):
+class _FanZones(UrysohnFunction):
     """The zone system on a fann.  Each refinement step takes the grade-t
     members of the two neighbouring zones, finds a splitting depth N, and
     classifies the grade-N dots into near-left / middle / near-right."""
@@ -497,7 +509,7 @@ class _FanZones(_Zones):
 # sets needed, classification is dot-local and may stay pending).
 
 
-class _SpreadZones(_Zones):
+class _SpreadZones(UrysohnFunction):
     """The zone system on a star-finite spread.  Zone membership is decided
     from a dot's finite star and its ancestors; a security predicate (the
     whole 2-star already classified one level up) gates refinement."""
@@ -610,53 +622,12 @@ class _SpreadZones(_Zones):
         return self.M + 3 * k + 2
 
 
-# ---------------------------------------------------------------------------
-# The packaged separating function.
-
-
-@dataclass
-class UrysohnFunction:
-    """A three-value separating function between two apart dots: each dot
-    maps to a ternary digit string (a dot of sigma_3_real); value_bounds
-    reads its [0,1] value at a point off the digits."""
-
-    space: Space
-    builder: object
-
-    def digits(self, c: Dot) -> Seq:
-        return self.builder.digits(c)
-
-    def pending(self) -> Tuple:
-        return self.builder.pending()
-
-    def value_bounds(
-        self, x: Point, digit_goal: int, step_cap: Optional[int] = None
-    ) -> Tuple[Fraction, Fraction]:
-        """Sound rational bounds on the realized value at the point x,
-        walking the stream until digit_goal ternary digits are available or
-        the step budget runs out (fewer digits widen the bounds)."""
-        needed = self.builder.grade_for_digits(digit_goal)
-        if step_cap is None:
-            step_cap = x.steps_for_grade(needed) + 1
-        best = Seq(())
-        for k in range(step_cap + 1):
-            d = x.dot(k)
-            got = self.digits(d)
-            if len(got.syms) > len(best.syms):
-                best = got
-            if len(best.syms) >= digit_goal:
-                break
-            if self.space.grade(d) >= needed:
-                break
-        return seq_interval(best, 3)
-
-
 def urysohn_fan(
     fann: Space, a: Dot, b: Dot, max_level_grade: int = 12
 ) -> UrysohnFunction:
     """The separating function between two apart same-grade dots of a
     finitely branching space, built from level-set splittings."""
-    return UrysohnFunction(fann, _FanZones(fann, a, b, max_level_grade))
+    return _FanZones(fann, a, b, max_level_grade)
 
 
 def urysohn_spread(
@@ -665,7 +636,7 @@ def urysohn_spread(
     """The separating function on a star-finite spread; classification is
     dot-local, and dots whose digit string was cut off by the depth budget
     are surfaced through pending()."""
-    return UrysohnFunction(space, _SpreadZones(space, a, b, depth_budget))
+    return _SpreadZones(space, a, b, depth_budget)
 
 
 # ---------------------------------------------------------------------------

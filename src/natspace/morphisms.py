@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
@@ -31,7 +31,7 @@ from .dots import (
     endpoints,
 )
 from .points import Point, PointDefect
-from .spaces import Space, product, std_space
+from .spaces import Report, Space, product, std_space
 
 REFINEMENT = "refinement"
 TRAIL = "trail"
@@ -88,12 +88,15 @@ def strict_trail_of(space: Space, dots: Tuple[Dot, ...]) -> Tuple[Dot, ...]:
     return tuple(out)
 
 
+def _liveness_at(f: Morphism, p: Point) -> Callable[[int], int]:
+    """f's liveness on the source point p: its dynamic one, if it has one."""
+    return f.liveness if f.dynamic_liveness is None else f.dynamic_liveness(p)
+
+
 def apply_point(f: Morphism, p: Point) -> Point:
     """The image point: maps the stream dot by dot (refinement kind) or maps
     growing strict trails of the stream (trail kind)."""
-    liveness = f.liveness
-    if f.dynamic_liveness is not None:
-        liveness = f.dynamic_liveness(p)
+    liveness = _liveness_at(f, p)
 
     if f.kind == REFINEMENT:
 
@@ -122,16 +125,17 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         )
     tag = f"({g.tag or 'g'} . {f.tag or 'f'})"
     live = lambda gr: f.liveness(g.liveness(gr))  # noqa: E731
+    dyn = None
+    if f.dynamic_liveness is not None or g.dynamic_liveness is not None:
 
-    if f.kind == REFINEMENT and g.kind == REFINEMENT:
+        def dyn(p: Point) -> Callable[[int], int]:  # a dynamic g reads f's image of p
+            f_live, g_live = _liveness_at(f, p), _liveness_at(g, apply_point(f, p))
+            return lambda gr: f_live(g_live(gr))
+
+    if g.kind == REFINEMENT:  # of f's kind, on dots or on trails
         return Morphism(
-            REFINEMENT, f.source, g.target, lambda d: g.map(f.map(d)), live,
-            tag=tag, parts=(g, f),
-        )
-    if f.kind == TRAIL and g.kind == REFINEMENT:
-        return Morphism(
-            TRAIL, f.source, g.target, lambda t: g.map(f.map(t)), live,
-            tag=tag, parts=(g, f), last_dot=f.last_dot,
+            f.kind, f.source, g.target, lambda d: g.map(f.map(d)), live,
+            tag=tag, parts=(g, f), dynamic_liveness=dyn, last_dot=f.last_dot,
         )
 
     # g is a trail morphism: lift f to trails of its target (not last_dot,
@@ -144,28 +148,14 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
             imgs = tuple(f.map(Trail(items[: i + 1])) for i in range(len(items)))
         return g.map(Trail(strict_trail_of(f.target, imgs)))
 
-    return Morphism(TRAIL, f.source, g.target, lifted, live, tag=tag, parts=(g, f))
+    return Morphism(
+        TRAIL, f.source, g.target, lifted, live, tag=tag, parts=(g, f), dynamic_liveness=dyn
+    )
 
 
 # ---------------------------------------------------------------------------
 # Law checking
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MorphismReport:
-    morphism: str
-    depth: int
-    entries: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.entries
-
-    def __str__(self) -> str:
-        head = f"check {self.morphism} depth={self.depth}: "
-        return head + ("ok" if self.ok else f"{len(self.entries)} violation(s)\n"
-                       + "\n".join("  " + e for e in self.entries))
 
 
 def _trail_samples(space: Space, depth: int) -> List[Trail]:
@@ -189,12 +179,12 @@ def _trail_samples(space: Space, depth: int) -> List[Trail]:
     return out
 
 
-def check_morphism(f: Morphism, depth: int) -> MorphismReport:
+def check_morphism(f: Morphism, depth: int) -> Report:
     """Laws (i) and (ii) on enumerated dot pairs; law (iii) on sampled
     canonical points (stream stays refining, grades grow)."""
     if depth < 1:
         raise ValueError("depth >= 1 required")
-    rep = MorphismReport(f.tag or repr(f), depth)
+    rep = Report("check", f.tag or repr(f), depth)
     if f.kind == REFINEMENT:
         dots: List[Dot] = [f.source.enumerate_dot(i) for i in range(depth)]
         src_apart = f.source.apart
@@ -251,16 +241,11 @@ def check_morphism(f: Morphism, depth: int) -> MorphismReport:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def sigma_rr() -> Space:
     """The shared sigma product sigma_R x sigma_R (arith binary source)."""
-    global _SIGMA_RR
-    if _SIGMA_RR is None:
-        s = std_space("sigma_R")
-        _SIGMA_RR = product([s, s])
-    return _SIGMA_RR
-
-
-_SIGMA_RR: Optional[Space] = None
+    s = std_space("sigma_R")
+    return product([s, s])
 
 
 def round_hull(lo: Fraction, hi: Fraction, m_hint: int = 0) -> Dot:

@@ -193,18 +193,19 @@ class Space:
             r = self.rank(d)
             if r is not None and self.enumerate_dot(r) == d:
                 return r
-            raise self._not_found(d)
+            raise SpaceDefect(f"{self.name}: dot {d!r} is not a dot of the space")
         with self._lock:
             index = self._index_cache
-            while d not in index:
-                i = self._indexed
-                if i >= SCAN_BUDGET:
-                    raise self._not_found(d)
+            while d not in index and self._indexed < SCAN_BUDGET:
                 try:
-                    index.setdefault(self._enum[i], i)
+                    index.setdefault(self._enum[self._indexed], self._indexed)
                 except IndexError:
-                    raise self._not_found(d) from None
-                self._indexed = i + 1
+                    break
+                self._indexed += 1
+            if d not in index:
+                raise SpaceDefect(
+                    f"{self.name}: dot {d!r} not found in first {SCAN_BUDGET} enumerated dots"
+                )
             return index[d]
 
     def strict_refinements(self, d: Dot) -> Iterator[Dot]:
@@ -225,11 +226,6 @@ class Space:
             e = self.enumerate_dot(i)
             if self.strictly_refines(e, d):
                 yield e
-
-    def _not_found(self, d: Dot) -> SpaceDefect:
-        return SpaceDefect(
-            f"{self.name}: dot {d!r} not found in first {SCAN_BUDGET} enumerated dots"
-        )
 
     def apart_pair(self, idx: int) -> Tuple[Dot, Dot]:
         """The idx-th apart dot pair (diagonal over the dot enumeration)."""
@@ -291,8 +287,13 @@ class Space:
 
 
 @dataclass
-class ValidationReport:
-    space: str
+class Report:
+    """The outcome of a law check: check names it ("validate" for a space's
+    axioms, "check" for a morphism's laws), subject is the space or morphism
+    checked on its first depth dots, and each entry is one violation."""
+
+    check: str
+    subject: str
     depth: int
     entries: List[str] = field(default_factory=list)
 
@@ -301,7 +302,7 @@ class ValidationReport:
         return not self.entries
 
     def __str__(self) -> str:
-        head = f"validate {self.space} depth={self.depth}: "
+        head = f"{self.check} {self.subject} depth={self.depth}: "
         if self.ok:
             return head + "ok"
         return head + f"{len(self.entries)} violation(s)\n" + "\n".join(
@@ -309,7 +310,7 @@ class ValidationReport:
         )
 
 
-def validate_space(space: Space, depth: int) -> ValidationReport:
+def validate_space(space: Space, depth: int) -> Report:
     """Check the pre-natural axioms on the first `depth` enumerated dots.
 
     Violations are report entries, not failures.  Uses bitset rows so the
@@ -317,7 +318,7 @@ def validate_space(space: Space, depth: int) -> ValidationReport:
     """
     if depth < 1:
         raise ValueError("depth >= 1 required")
-    rep = ValidationReport(space.name, depth)
+    rep = Report("validate", space.name, depth)
     dots = [space.enumerate_dot(i) for i in range(depth)]
     n = len(dots)
     apart_row = [0] * n  # bit j of apart_row[i]: dots[j] # dots[i]
@@ -860,31 +861,16 @@ BELOW = "below"
 ABOVE = "above"
 
 
-class DistanceOracle:
-    """Two-sided distance comparisons over an enumerated dense point set.
-
-    compare(i, j, q, slack) answers BELOW when d(a_i,a_j) < q, or ABOVE when
-    d(a_i,a_j) > q - slack (either answer is acceptable in the overlap).
-    """
-
-    def __init__(self, compare: Callable[[int, int, Fraction, Fraction], str]):
-        self._compare = compare
-
-    def compare(self, i: int, j: int, q: Fraction, slack: Fraction) -> str:
-        ans = self._compare(i, j, q, slack)
-        if ans not in (BELOW, ABOVE):
-            raise SpaceDefect(f"oracle answer {ans!r} not below/above")
-        return ans
-
-
-def rational_points_oracle(points: Callable[[int], Fraction]) -> DistanceOracle:
+def rational_points_oracle(
+    points: Callable[[int], Fraction]
+) -> Callable[[int, int, Fraction, Fraction], str]:
     """Exact oracle for a rational dense point enumeration: BELOW iff d < q."""
 
     def compare(i: int, j: int, q: Fraction, slack: Fraction) -> str:
         d = abs(points(i) - points(j))
         return BELOW if d < q else ABOVE
 
-    return DistanceOracle(compare)
+    return compare
 
 
 def unit_interval_dense_points(i: int) -> Fraction:
@@ -901,8 +887,11 @@ def unit_interval_dense_points(i: int) -> Fraction:
     return Fraction(2 * i + 1, 2**j)
 
 
-def metric_to_spread(oracle: DistanceOracle) -> Space:
-    """The spread of dyadic-radius balls over an oracle-given metric.
+def metric_to_spread(oracle: Callable[[int, int, Fraction, Fraction], str]) -> Space:
+    """The spread of dyadic-radius balls over an oracle-given metric on an
+    enumerated dense point set a_0, a_1, ...: oracle(i, j, q, slack) answers
+    BELOW when d(a_i,a_j) < q, or ABOVE when d(a_i,a_j) > q - slack (either
+    answer is acceptable in the overlap); any other answer is a SpaceDefect.
 
     refines(Ball(n,s), Ball(m,t)) is decided by one oracle call with
     q = 2^-t - 2^-s (slack 2^-2s); apart with q = 2^-s + 2^-t + 2^-s-t
@@ -932,7 +921,9 @@ def metric_to_spread(oracle: DistanceOracle) -> Space:
                     + Fraction(1, 2 ** (s + t))
                 )
                 slack = Fraction(1, 2 ** (s + t + 1))
-            ans = oracle.compare(i, j, q, slack)
+            ans = oracle(i, j, q, slack)
+            if ans not in (BELOW, ABOVE):
+                raise SpaceDefect(f"oracle answer {ans!r} not below/above")
             # BELOW(q) certifies d < q; ABOVE(q) certifies d > q - slack.
             # Keep the tightest certified bounds per pair; any crossing is
             # an inconsistent oracle.

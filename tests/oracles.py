@@ -184,6 +184,34 @@ def splitting_depth_oracle(
     return None
 
 
+def check_splitting(fann, A, B, N: int) -> bool:
+    """Brute-force certificate check on a finitely branching space, read
+    through its own relations: every grade-N toucher of A is apart from
+    every grade-N toucher of B."""
+    level = fann.level(N)
+    ta = [c for c in level if any(fann.touch(c, a) for a in A)]
+    tb = [c for c in level if any(fann.touch(c, b) for b in B)]
+    return all(fann.apart(c, d) for c in ta for d in tb)
+
+
+# ---------------------------------------------------------------------------
+# Interval relations over exact endpoints (the Fraction reference for the
+# integer cross-multiplication in natspace.dots).
+# ---------------------------------------------------------------------------
+
+
+def intervals_apart_reference(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> bool:
+    """Strict disjointness of [alo, ahi] and [blo, bhi]: shared endpoints touch."""
+    return not _touches(a, b)
+
+
+def interval_contains_reference(
+    outer: Tuple[Fraction, Fraction], inner: Tuple[Fraction, Fraction]
+) -> bool:
+    """[ilo, ihi] lies inside [olo, ohi]."""
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
+
+
 # ---------------------------------------------------------------------------
 # Sign oracle for line calls.
 # ---------------------------------------------------------------------------

@@ -194,17 +194,17 @@ def test_criterion_07_splitting(sigma01, cantor_space):
     assert oracles.splitting_depth_oracle(
         [(F(0), F(1, 4))], [(F(3, 4), F(1))]
     ) == 3
-    assert not ns.check_splitting(sigma01, A, B, 2)
+    assert not oracles.check_splitting(sigma01, A, B, 2)
 
     rng = random.Random(61803)
     for k in range(20):
         level = rng.choice([2, 3, 4])
         A, B = _random_apart_sets(sigma01, rng, level)
         N = ns.splitting_depth(sigma01, A, B)
-        assert ns.check_splitting(sigma01, A, B, N)
+        assert oracles.check_splitting(sigma01, A, B, N)
         start = max(sigma01.grade(d) for d in A + B)
         if N > start:
-            assert not ns.check_splitting(sigma01, A, B, N - 1)
+            assert not oracles.check_splitting(sigma01, A, B, N - 1)
         # interval oracle agreement on the searched range
         segsA = [endpoints(d) for d in A]
         segsB = [endpoints(d) for d in B]
@@ -216,10 +216,10 @@ def test_criterion_07_splitting(sigma01, cantor_space):
         level = rng.choice([2, 3, 4])
         A, B = _random_apart_sets(cantor_space, rng, level)
         N = ns.splitting_depth(cantor_space, A, B)
-        assert ns.check_splitting(cantor_space, A, B, N)
+        assert oracles.check_splitting(cantor_space, A, B, N)
         start = max(cantor_space.grade(d) for d in A + B)
         if N > start:
-            assert not ns.check_splitting(cantor_space, A, B, N - 1)
+            assert not oracles.check_splitting(cantor_space, A, B, N - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_criterion_08_urysohn_metrization(ext01, metric_ev):
             for c in lev:  # same-grade middle dots map into [1/3, 2/3]
                 if ext01.apart(c, a) and ext01.apart(c, b):
                     p = ns.canonical_point(ext01, c)
-                    lo, hi = f.value_bounds(p, 1, 40)
+                    lo, hi = f.value_bounds(p, 1)
                     assert F(1, 3) <= lo and hi <= F(2, 3), (a, b, c)
 
     # part B: metric laws on sampled point pairs at precision 10

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import natspace as ns
+import oracles
 from natspace.dots import (
     Ball,
     DyadicInterval as D,
     Isolated,
     MAX,
     NaryInterval,
+    RatInterval,
     Seq,
     TupleDot,
     dot_from_json,
@@ -24,6 +26,23 @@ from natspace.dots import (
 
 dyadics = st.builds(
     D, st.integers(min_value=-64, max_value=64), st.integers(min_value=0, max_value=8)
+)
+
+# Small denominators, so that the three kinds often share an endpoint.
+_small_fractions = st.builds(
+    F, st.integers(min_value=-24, max_value=24), st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12])
+)
+interval_dots = st.one_of(
+    dyadics,
+    st.builds(
+        NaryInterval,
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=0, max_value=3),
+    ),
+    st.tuples(_small_fractions, _small_fractions)
+    .filter(lambda lh: lh[0] != lh[1])
+    .map(lambda lh: RatInterval(min(lh), max(lh))),
 )
 
 
@@ -39,21 +58,27 @@ def test_shared_endpoint_touches():
     assert intervals_apart(D(0, 3), D(3, 3))
 
 
-@given(dyadics, dyadics)
+@given(interval_dots, interval_dots)
 def test_apartness_matches_endpoint_comparison(a, b):
-    alo, ahi = endpoints(a)
-    blo, bhi = endpoints(b)
-    assert intervals_apart(a, b) == (ahi < blo or bhi < alo)
+    assert intervals_apart(a, b) == oracles.intervals_apart_reference(endpoints(a), endpoints(b))
     assert intervals_apart(a, b) == intervals_apart(b, a)
 
 
-@given(dyadics, dyadics)
+@given(interval_dots, interval_dots)
 def test_gap_and_containment_consistent(a, b):
     gap = interval_gap(a, b)
     assert (gap > 0) == intervals_apart(a, b)
-    assert interval_contains(a, b) == (
-        endpoints(a)[0] <= endpoints(b)[0] and endpoints(b)[1] <= endpoints(a)[1]
+    assert interval_contains(a, b) == oracles.interval_contains_reference(
+        endpoints(a), endpoints(b)
     )
+
+
+def test_interval_relations_reject_non_interval_dots():
+    for args in ((Seq((0,)), D(0, 1)), (D(0, 1), MAX)):
+        with pytest.raises(TypeError, match="has no interval endpoints"):
+            intervals_apart(*args)
+        with pytest.raises(TypeError, match="has no interval endpoints"):
+            interval_contains(*args)
 
 
 def test_nary_endpoints():

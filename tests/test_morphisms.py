@@ -159,6 +159,40 @@ def test_compose_chain_agrees_pointwise():
     assert lo <= F(7, 5) <= hi
 
 
+@pytest.mark.parametrize("exponent", [6, 30])
+def test_compose_carries_dynamic_liveness(exponent):
+    # mul's liveness depends on the magnitude of its input; a composite that
+    # dropped it fell back to mul's static bound and stalled at 10^6
+    big = ns.rational_to_point(10**exponent)
+    p = ns.pair_point(big, big)
+    product_dot = ns.approximate(ns.apply_point(ns.arith("mul"), p), 30)
+    negated = ns.approximate(ns.apply_point(ns.compose(ns.arith("neg"), ns.arith("mul")), p), 30)
+    assert negated == D(-product_dot.n - 2, product_dot.m)
+
+
+def test_failing_check_lists_every_violation():
+    parity = ns.Morphism(
+        "refinement", ns.std_space("sigma_2"), ns.std_space("sigma_2"),
+        lambda d: Seq((len(d.syms) % 2,)), lambda g: g, tag="parity",
+    )
+    report = ns.check_morphism(parity, 4)
+    assert not report.ok
+    assert str(report) == (
+        "check parity depth=4: 11 violation(s)\n"
+        "  law (i): f(<>)=<0> # f(<0>)=<1> but sources touch\n"
+        "  law (i): f(<>)=<0> # f(<1>)=<1> but sources touch\n"
+        "  law (i): f(<0>)=<1> # f(<>)=<0> but sources touch\n"
+        "  law (ii): <0> <= <> but f-images <1> !<= <0>\n"
+        "  law (i): f(<0>)=<1> # f(<0,0>)=<0> but sources touch\n"
+        "  law (i): f(<1>)=<1> # f(<>)=<0> but sources touch\n"
+        "  law (ii): <1> <= <> but f-images <1> !<= <0>\n"
+        "  law (i): f(<0,0>)=<0> # f(<0>)=<1> but sources touch\n"
+        "  law (ii): <0,0> <= <0> but f-images <0> !<= <1>\n"
+        "  law (iii): point parity(canon(<>)): dot <1> does not refine previous <0>\n"
+        "  law (iii): point parity(canon(<0>)): dot <0> does not refine previous <1>"
+    )
+
+
 def test_code_point_round_trip(baire):
     g = ns.identity(baire)
     Fc = ns.constant_code_morphism(g)

@@ -134,7 +134,7 @@ def test_canonical_points_reach_grade_200(name):
 )
 def test_index_of_rejects_dots_of_other_spaces(name, dot):
     space = _STD_BUILDERS[name]()
-    with pytest.raises(ns.SpaceDefect, match="not found in first"):
+    with pytest.raises(ns.SpaceDefect, match="is not a dot of the space"):
         space.index_of(dot)
 
 

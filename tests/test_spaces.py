@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import natspace as ns
-from natspace.dots import DyadicInterval as D, Isolated, MAX, Seq
+from natspace.dots import Ball, DyadicInterval as D, Isolated, MAX, Seq
 from natspace.spaces import _STD_BUILDERS, baire_rank, baire_unrank
 
 STD_NAMES = sorted(_STD_BUILDERS)
@@ -17,6 +17,36 @@ STD_NAMES = sorted(_STD_BUILDERS)
 def test_std_space_axioms_depth_60(name):
     report = ns.validate_space(ns.std_space(name), 60)
     assert report.ok, str(report)
+
+
+def test_failing_validation_lists_every_violation():
+    a, b, c, e = Seq((0,)), Seq((1,)), Seq((0, 0)), Seq((2,))
+
+    def apart(x, y):  # a # b one way only, and e # e
+        return (x, y) == (a, b) or x == y == e
+
+    def refines(x, y):  # c skips MAX, e fails itself, b and e refine each other
+        if x == e:
+            return y == b
+        return x == y or (x, y) in {(a, MAX), (b, MAX), (e, MAX), (c, a), (b, e)}
+
+    space = ns.Space("defective", apart, refines, MAX, lambda: iter([MAX, a, b, c, e]))
+    report = ns.validate_space(space, 5)
+    assert not report.ok
+    assert str(report) == (
+        "validate defective depth=5: 11 violation(s)\n"
+        "  max dot: <0,0> does not refine max\n"
+        "  antireflexivity: <2> # <2>\n"
+        "  reflexivity: not <2> <= <2>\n"
+        "  max dot: <2> does not refine max\n"
+        "  symmetry: <0> vs <1>\n"
+        "  antisymmetry: <1> <=> <2>\n"
+        "  transitivity: <0,0> <= <0> <= MAX but not <0,0> <= MAX\n"
+        "  transitivity: <2> <= <1> <= MAX but not <2> <= MAX\n"
+        "  monotonicity: <2> <= <1>, <0> # <1> but not # <2>\n"
+        "  monotonicity: <1> <= <2>, <2> # <2> but not # <1>\n"
+        "  transitivity: <2> <= <1> <= <2> but not <2> <= <2>"
+    )
 
 
 def test_product_space_axioms(sigmaR):
@@ -146,6 +176,12 @@ def test_metric_spread_axioms():
         ns.rational_points_oracle(ns.unit_interval_dense_points)
     )
     assert ns.validate_space(spread, 80).ok
+
+
+def test_metric_spread_rejects_an_oracle_answer_other_than_below_or_above():
+    spread = ns.metric_to_spread(lambda i, j, q, slack: "maybe")
+    with pytest.raises(ns.SpaceDefect, match="oracle answer 'maybe' not below/above"):
+        spread.apart(Ball(0, 1), Ball(1, 1))
 
 
 def test_baire_rank_inverts_enumeration(baire):
