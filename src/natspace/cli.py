@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .dots import Dot, dot_from_json, dot_to_json, endpoints
+from .dots import Dot, dot_from_json, dot_to_json, endpoints, merged_segments
 from .induction import BarDefect, Cover, GeneticBar, bar_from_json, finite_subcover
 from .metric import DIGIT_CAP, MetricDefect, MetricEvaluator, evaluate_metric, metric_digit_goal
 from .morphisms import (
@@ -340,17 +340,10 @@ def _cmd_linecall(args, out) -> int:
 def _union_covers_root(space, dots) -> Optional[bool]:
     try:
         root_lo, root_hi = endpoints(space.max_dot)
-        segs = sorted(endpoints(d) for d in dots)
+        segs = merged_segments(dots)
     except TypeError:  # the root or a cover dot is no interval
         return None
-    cursor = root_lo
-    for lo, hi in segs:
-        if lo > cursor:
-            return False
-        cursor = max(cursor, hi)
-        if cursor >= root_hi:
-            return True
-    return cursor >= root_hi
+    return any(lo <= root_lo and root_hi <= hi for lo, hi in segs)
 
 
 def _cmd_subcover(args, out) -> int:

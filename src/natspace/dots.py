@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple as Tup
+from typing import List, Optional, Tuple as Tup
 
 
 class Dot:
@@ -60,20 +60,9 @@ class DyadicInterval(Dot):
         if self.m < 0:
             raise ValueError("DyadicInterval needs m >= 0")
 
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.n, 2**self.m)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.n + 2, 2**self.m)
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(2, 2**self.m)
-
     def __repr__(self) -> str:
-        return f"[{self.lo},{self.hi}]d"
+        lo, hi, den = _int_endpoints(self)
+        return f"[{Fraction(lo, den)},{Fraction(hi, den)}]d"
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,20 +79,9 @@ class NaryInterval(Dot):
         if self.m < 0:
             raise ValueError("NaryInterval needs m >= 0")
 
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.n, self.base**self.m)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.n + 1, self.base**self.m)
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(1, self.base**self.m)
-
     def __repr__(self) -> str:
-        return f"[{self.lo},{self.hi}]@{self.base}"
+        lo, hi, den = _int_endpoints(self)
+        return f"[{Fraction(lo, den)},{Fraction(hi, den)}]@{self.base}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,15 +169,13 @@ class Isolated(Dot):
 
 
 # ---------------------------------------------------------------------------
-# Interval views: every interval-like dot exposes exact rational endpoints.
+# Interval layouts: the other modules read them through these functions only.
 # ---------------------------------------------------------------------------
 
 
-def endpoints(d: Dot) -> Tup[Fraction, Fraction]:
-    """Exact rational endpoints of an interval-like dot."""
-    if isinstance(d, (RatInterval, DyadicInterval, NaryInterval)):
-        return (d.lo, d.hi)
-    raise TypeError(f"dot {d!r} has no interval endpoints")
+def is_interval(d: Dot) -> bool:
+    """True for a rational, dyadic or n-ary interval dot."""
+    return isinstance(d, (RatInterval, DyadicInterval, NaryInterval))
 
 
 def _int_endpoints(d: Dot) -> Tup[int, int, int]:
@@ -210,9 +186,22 @@ def _int_endpoints(d: Dot) -> Tup[int, int, int]:
         return d.n, d.n + 2, 1 << d.m
     if type(d) is NaryInterval:
         return d.n, d.n + 1, d.base**d.m
-    lo, hi = endpoints(d)
-    den = lo.denominator * hi.denominator
-    return lo.numerator * hi.denominator, hi.numerator * lo.denominator, den
+    if type(d) is RatInterval:
+        (lo, lo_den), (hi, hi_den) = d.lo.as_integer_ratio(), d.hi.as_integer_ratio()
+        return lo * hi_den, hi * lo_den, lo_den * hi_den
+    raise TypeError(f"dot {d!r} has no interval endpoints")
+
+
+def endpoints(d: Dot) -> Tup[Fraction, Fraction]:
+    """Exact rational endpoints of an interval dot."""
+    lo, hi, den = _int_endpoints(d)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def width(d: Dot) -> Fraction:
+    """hi - lo of an interval dot."""
+    lo, hi, den = _int_endpoints(d)
+    return Fraction(hi - lo, den)
 
 
 def intervals_apart(a: Dot, b: Dot) -> bool:
@@ -231,13 +220,47 @@ def interval_contains(outer: Dot, inner: Dot) -> bool:
 
 def interval_gap(a: Dot, b: Dot) -> Fraction:
     """Distance between two interval dots (0 when they touch)."""
-    alo, ahi = endpoints(a)
-    blo, bhi = endpoints(b)
-    if ahi < blo:
-        return blo - ahi
-    if bhi < alo:
-        return alo - bhi
-    return Fraction(0)
+    alo, ahi, ad = _int_endpoints(a)
+    blo, bhi, bd = _int_endpoints(b)
+    return Fraction(max(blo * ad - ahi * bd, alo * bd - bhi * ad, 0), ad * bd)
+
+
+def merged_segments(dots) -> List[Tup[Fraction, Fraction]]:
+    """The union of interval dots as disjoint closed segments from left to
+    right; dots that touch merge into one segment."""
+    segs: List[Tup[Fraction, Fraction]] = []
+    for lo, hi in sorted(map(endpoints, dots)):
+        if segs and lo <= segs[-1][1]:
+            segs[-1] = (segs[-1][0], max(segs[-1][1], hi))
+        else:
+            segs.append((lo, hi))
+    return segs
+
+
+def grid_ancestors(d: Dot, m: int) -> Optional[Tup[Dot, ...]]:
+    """The exponent-m dots of d's grid that contain d, by increasing n: the
+    one n-ary dot (base, n // base^(d.m - m), m), or the one or two dyadic
+    dots (a dyadic dot is two grid steps wide), or none when m exceeds d's
+    exponent.  None for a dot of no grid."""
+    if type(d) is DyadicInterval:
+        s = d.m - m
+        if s < 0:
+            return ()
+        lo, hi = -(-(d.n + 2) >> s) - 2, d.n >> s  # ceil((n+2)/2^s) - 2, floor(n/2^s)
+        first = DyadicInterval(lo, m)
+        return (first,) if lo == hi else (first, DyadicInterval(hi, m))
+    if type(d) is not NaryInterval:
+        return None
+    return (NaryInterval(d.base, d.n // d.base ** (d.m - m), m),) if m <= d.m else ()
+
+
+def seq_dot(d: Seq, base: int) -> NaryInterval:
+    """The n-ary dot a base-b digit string stands for: [val, val+1]/b^len,
+    with val the string's value."""
+    val = 0
+    for s in d.syms:
+        val = val * base + s
+    return NaryInterval(base, val, len(d.syms))
 
 
 def dyadic_span(lo: Fraction, hi: Fraction, m: int) -> range:

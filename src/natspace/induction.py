@@ -17,9 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .dots import (
-    MAX,
     Dot,
-    DyadicInterval,
     Isolated,
     MaxDot,
     Seq,
@@ -27,11 +25,12 @@ from .dots import (
     TupleDot,
     dot_from_json,
     dot_to_json,
-    endpoints,
+    interval_gap,
+    seq_dot,
 )
 from .morphisms import Morphism
 from .points import ancestors_at
-from .spaces import Space, SpaceDefect, seq_interval
+from .spaces import Space, SpaceDefect
 
 
 DERIVATION_SAMPLES = 6  # members verify_derivation draws from an infinite set
@@ -311,11 +310,11 @@ def separation_bar(space: Space, a: Dot, b: Dot) -> GeneticBar:
     return genetic_uniform(space, space.max_dot, depth)
 
 
-def _dot_interval(space: Space, d: Dot) -> Tuple[Fraction, Fraction]:
+def _as_interval(space: Space, d: Dot) -> Dot:
     if isinstance(d, Seq):
         # a digit string reads in the base its one-digit dots' width states
-        return seq_interval(d, int(1 / space.width(Seq((0,)))))
-    return endpoints(d)
+        return seq_dot(d, int(1 / space.width(Seq((0,)))))
+    return d
 
 
 def _separation_depth(space: Space, a: Dot, b: Dot) -> int:
@@ -324,9 +323,8 @@ def _separation_depth(space: Space, a: Dot, b: Dot) -> int:
         # original dot (apart from the isolated one) or iso(1) (apart from it)
         return 1
     if space.interval_like:
-        (alo, ahi), (blo, bhi) = _dot_interval(space, a), _dot_interval(space, b)
-        gap = max(blo - ahi, alo - bhi)
-        if gap <= 0:
+        gap = interval_gap(_as_interval(space, a), _as_interval(space, b))
+        if not gap:
             raise BarDefect(f"{space.name}: {a!r}, {b!r} have no positive gap")
         return _uniform_separation_depth(space, gap)
     if isinstance(a, (Seq, Trail)) and isinstance(b, (Seq, Trail)):
@@ -381,12 +379,6 @@ def _conditional_bar(f: Morphism, G: GeneticBar) -> GeneticBar:
     return GeneticBar(sp, rec(sp.max_dot))
 
 
-def _mirror_dyadic(d: Dot) -> Dot:
-    if isinstance(d, MaxDot):
-        return MAX
-    return DyadicInterval(-d.n - 2, d.m)
-
-
 def inductive_preimage(f: Morphism, G: GeneticBar) -> GeneticBar:
     """A genetic bar on the source whose dots all map under the given bar.
 
@@ -396,7 +388,7 @@ def inductive_preimage(f: Morphism, G: GeneticBar) -> GeneticBar:
     if tag == "id":
         return G
     if tag == "neg":
-        return _transport_bar(G, f.source, _mirror_dyadic)
+        return _transport_bar(G, f.source, f.map)  # neg is its own inverse
     if tag in ("f_can", "nary_encode", "ter_decode", "doubling"):
         return _grade_bar(f.source, G)
     if tag in ("add", "mul", "min", "max", "abs") or tag.startswith("scalar("):

@@ -15,7 +15,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .dots import (
     Dot,
@@ -23,11 +23,12 @@ from .dots import (
     Isolated,
     MaxDot,
     NaryInterval,
-    RatInterval,
     Seq,
-    dyadic_span,
     endpoints,
+    grid_ancestors,
     interval_contains,
+    is_interval,
+    merged_segments,
 )
 from .points import Point, successor_normalize
 from .spaces import Lazy, Space, SpaceDefect, SpraidInfo, seq_interval
@@ -38,10 +39,6 @@ DIGIT_CAP = 4  # ternary digits read per separator term
 
 class MetricDefect(Exception):
     """A precondition of the metric machinery failed."""
-
-
-def _is_interval(d: Dot) -> bool:
-    return isinstance(d, (RatInterval, DyadicInterval, NaryInterval))
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +127,10 @@ def is_star_finite(space: Space, depth: int) -> StarReport:
         st = star_dots(space, d)
         checked += 1
         max_star = max(max_star, len(st))
-        if _is_interval(d):
+        if is_interval(d):
             dlo, dhi = endpoints(d)
-            left = sum(1 for e in st if _is_interval(e) and endpoints(e)[0] <= dlo)
-            right = sum(1 for e in st if _is_interval(e) and endpoints(e)[1] >= dhi)
+            left = sum(1 for e in st if is_interval(e) and endpoints(e)[0] <= dlo)
+            right = sum(1 for e in st if is_interval(e) and endpoints(e)[1] >= dhi)
             max_side = max(max_side, left, right)
         else:
             max_side = max(max_side, len(st))
@@ -152,22 +149,15 @@ class _TouchSet:
         self.space = space
         self.dots = tuple(dots)
         self.has_iso = any(isinstance(d, Isolated) for d in self.dots)
-        ivs = sorted(endpoints(d) for d in self.dots if _is_interval(d))
-        segs: List[List[Fraction]] = []
-        for lo, hi in ivs:
-            if segs and lo <= segs[-1][1]:
-                segs[-1][1] = max(segs[-1][1], hi)
-            else:
-                segs.append([lo, hi])
-        self.segs = [(lo, hi) for lo, hi in segs]
+        self.segs = merged_segments(filter(is_interval, self.dots))
         self.other = tuple(
-            d for d in self.dots if not _is_interval(d) and not isinstance(d, Isolated)
+            d for d in self.dots if not is_interval(d) and not isinstance(d, Isolated)
         )
 
     def touches(self, c: Dot) -> bool:
         if isinstance(c, Isolated):
             return self.has_iso
-        if _is_interval(c):
+        if is_interval(c):
             clo, chi = endpoints(c)
             if any(lo <= chi and clo <= hi for lo, hi in self.segs):
                 return True
@@ -272,34 +262,24 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
 
 
 class _GenSet:
-    """A same-grade generator set with a fast 'does c refine a member' test
-    (dyadic/nary dots find their few coarse-grade ancestors arithmetically)."""
+    """A same-grade generator set with a fast 'does c refine a member' test:
+    a grid dot finds its few ancestors at the set's exponent through
+    grid_ancestors."""
 
     def __init__(self, space: Space, dots):
         self.space = space
         self.dots = frozenset(dots)
         self.iso = tuple(d for d in self.dots if isinstance(d, Isolated))
-        self.m: Optional[int] = None
-        self.kind = None
-        for d in self.dots:
-            if isinstance(d, DyadicInterval):
-                self.kind, self.m = "dyadic", d.m
-                break
-            if isinstance(d, NaryInterval):
-                self.kind, self.m, self.base = "nary", d.m, d.base
-                break
+        # same-grade grid dots share their exponent; no other dot has an m
+        self.m = next((d.m for d in self.dots if hasattr(d, "m")), None)
 
     def contains_refiner(self, c: Dot) -> bool:
         if c in self.dots:
             return True
         if isinstance(c, Isolated):
             return any(self.space.refines(c, x) for x in self.iso)
-        if self.kind == "dyadic" and isinstance(c, DyadicInterval) and c.m >= self.m:
-            lo, hi = endpoints(c)
-            return any(DyadicInterval(n, self.m) in self.dots for n in dyadic_span(lo, hi, self.m))
-        if self.kind == "nary" and isinstance(c, NaryInterval) and c.m >= self.m:
-            anc = NaryInterval(self.base, c.n // self.base ** (c.m - self.m), self.m)
-            return anc in self.dots
+        if self.m is not None and (ancestors := grid_ancestors(c, self.m)) is not None:
+            return any(a in self.dots for a in ancestors)
         return any(self.space.refines(c, x) for x in self.dots)
 
 

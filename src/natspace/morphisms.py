@@ -23,14 +23,14 @@ from .dots import (
     Dot,
     DyadicInterval,
     MaxDot,
-    NaryInterval,
     Seq,
     Trail,
     TupleDot,
     dyadic_span,
     endpoints,
+    seq_dot,
 )
-from .points import Point, PointDefect
+from .points import Point, PointDefect, normalized_dots
 from .spaces import Report, Space, product, std_space
 
 REFINEMENT = "refinement"
@@ -100,9 +100,8 @@ def apply_point(f: Morphism, p: Point) -> Point:
 
     if f.kind == REFINEMENT:
 
-        def gen():
-            for k in itertools.count(0):
-                yield f.map(p.dot(k))
+        def gen():  # map, not a generator: each level of nesting costs stack
+            return map(f.map, map(p.dot, itertools.count(0)))
 
     else:
 
@@ -354,18 +353,15 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
 
 
 def pair_point(p: Point, r: Point) -> Point:
-    """The sigma-product point of two sigma_R points (both successor
-    normalized so coordinate grades align)."""
-    from .points import successor_normalize
-
-    src = sigma_rr()
-    pn, rn = successor_normalize(p), successor_normalize(r)
-
-    def gen():
-        for k in itertools.count(0):
-            yield TupleDot((pn.dot(k), rn.dot(k)))
-
-    return Point(src, gen, steps_for_grade=lambda g: g + 1, name=f"({p.name},{r.name})")
+    """The sigma-product point of two sigma_R points, whose coordinates are
+    their successor-normalized streams.  No Point wraps those, as each Point
+    deepens the stack of a dot pull by a few frames."""
+    return Point(
+        sigma_rr(),
+        lambda: map(TupleDot, zip(normalized_dots(p), normalized_dots(r))),
+        steps_for_grade=lambda g: g + 1,
+        name=f"({p.name},{r.name})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +411,10 @@ def nary_codec(base: int) -> Tuple[Morphism, Optional[Morphism]]:
         tgt = _interval_space(f"[0,1]_base{base}", base, base, line=False)
 
     def enc(d: Dot) -> Dot:
-        val = 0
         for s in d.syms:
             if s >= base:
                 raise MorphismDefect(f"digit {s} out of range for base {base}")
-            val = val * base + s
-        return NaryInterval(base, val, len(d.syms))
+        return seq_dot(d, base)
 
     encode = Morphism(REFINEMENT, seq_sp, tgt, enc, lambda g: g, tag="nary_encode")
 

@@ -182,31 +182,33 @@ def ancestor_at(space: Space, d: Dot, g: int, under: Optional[Dot] = None) -> Do
     raise SpaceDefect(f"no grade-{g} ancestor of {d!r} under {under!r}")
 
 
+def normalized_dots(p: Point) -> Iterator[Dot]:
+    """The dot stream of successor_normalize(p): for g = 0, 1, ... the first
+    grade-g ancestor, under the one before, of p's first dot of grade g or
+    more."""
+    space = p.space
+    prev: Optional[Dot] = None
+    k = 0  # stream position in p
+    for g in itertools.count(0):
+        budget = p.steps_for_grade(g)
+        while space.grade(p.dot(k)) < g:
+            k += 1
+            if k > budget + 1:
+                raise PointDefect(
+                    f"successor_normalize: grade {g} not reached within "
+                    f"{budget} steps of {p!r}"
+                )
+        prev = ancestor_at(space, p.dot(k), g, under=prev)
+        yield prev
+
+
 def successor_normalize(p: Point) -> Point:
     """The equivalent successor point: grade(result_k) = k for every k."""
-    space = p.space
-    if space.spraid_info is None:
-        raise SpaceDefect(f"{space.name}: successor_normalize needs grades")
-
-    def gen() -> Iterator[Dot]:
-        prev: Optional[Dot] = None
-        k = 0  # stream position in p
-        for g in itertools.count(0):
-            budget = p.steps_for_grade(g)
-            while space.grade(p.dot(k)) < g:
-                k += 1
-                if k > budget + 1:
-                    raise PointDefect(
-                        f"successor_normalize: grade {g} not reached within "
-                        f"{budget} steps of {p!r}"
-                    )
-            q = ancestor_at(space, p.dot(k), g, under=prev)
-            prev = q
-            yield q
-
+    if p.space.spraid_info is None:
+        raise SpaceDefect(f"{p.space.name}: successor_normalize needs grades")
     return Point(
-        space,
-        gen,
+        p.space,
+        lambda: normalized_dots(p),
         strictness_bound=STRICTNESS_BOUND,
         steps_for_grade=lambda g: g + 1,
         name=f"norm({p.name})",

@@ -29,8 +29,12 @@ from .dots import (
     RatInterval,
     Seq,
     TupleDot,
+    endpoints,
+    grid_ancestors,
     interval_contains,
     intervals_apart,
+    seq_dot,
+    width,
 )
 
 
@@ -418,14 +422,12 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
     def predecessors(d: Dot) -> Tuple[Dot, ...]:
         if type(d) is MaxDot or d.m == m0:
             return ()
-        m = d.m - 1
-        if m < 0:
+        if d.m == 0:  # on the line, below MAX
             return (MAX,)
-        # the parents n' with base*n' <= n < base*n' + k: at most two
-        lo, hi = -((k - 1 - d.n) // base), d.n // base
-        if not line:
-            lo, hi = max(lo, 0), min(hi, base**m - spill - 1)
-        return (dot(lo, m),) if lo == hi else (dot(lo, m), dot(hi, m))
+        parents = grid_ancestors(d, d.m - 1)
+        if line:
+            return parents
+        return tuple(p for p in parents if rank(p) is not None)
 
     # (an n-ary dot of another base gets an index; index_of's check rejects it)
     if line:
@@ -465,7 +467,7 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
         _interval_refines,
         MAX if line else dot(0, m0),
         spraid_info=SpraidInfo(grade, successors, predecessors, not line),
-        width=lambda d: d.width,
+        width=width,
         rank=rank,
         unrank=unrank,
     )
@@ -628,21 +630,15 @@ def _sigma_k(k: int, name: str, apart=_seq_apart, width=None) -> Space:
 
 
 def seq_interval(d: Seq, base: int) -> Tuple[Fraction, Fraction]:
-    """The base-b interval [val, val + b^-len] a digit string denotes."""
-    val = 0
-    for s in d.syms:
-        val = val * base + s
-    lo = Fraction(val, base ** len(d.syms))
-    return (lo, lo + Fraction(1, base ** len(d.syms)))
+    """The base-b interval a digit string denotes (see dots.seq_dot)."""
+    return endpoints(seq_dot(d, base))
 
 
 def _sigma_k_real(k: int, name: str) -> Space:
     def apart(a: Dot, b: Dot) -> bool:
-        alo, ahi = seq_interval(a, k)
-        blo, bhi = seq_interval(b, k)
-        return ahi < blo or bhi < alo
+        return intervals_apart(seq_dot(a, k), seq_dot(b, k))
 
-    return _sigma_k(k, name, apart, width=lambda d: Fraction(1, k ** len(d.syms)))
+    return _sigma_k(k, name, apart, width=lambda d: width(seq_dot(d, k)))
 
 
 def _chain(k: int, name: str) -> Space:
@@ -706,7 +702,7 @@ def _r_rat() -> Space:
         MAX,
         enum,
         None,
-        width=lambda d: d.hi - d.lo,
+        width=width,
     )
 
 

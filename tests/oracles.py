@@ -212,6 +212,31 @@ def interval_contains_reference(
     return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
+def interval_of_json(obj: dict) -> Tuple[Fraction, Fraction]:
+    """The endpoints of an interval dot, read off its JSON object form: the
+    dyadic dot (n, m) is [n, n+2]/2^m, the n-ary dot (base, n, m) is
+    [n, n+1]/base^m, and a rational dot carries its endpoints."""
+    if obj["kind"] == "dyadic":
+        return Fraction(obj["n"], 2 ** obj["m"]), Fraction(obj["n"] + 2, 2 ** obj["m"])
+    if obj["kind"] == "nary":
+        unit = Fraction(1, obj["base"] ** obj["m"])
+        return obj["n"] * unit, (obj["n"] + 1) * unit
+    if obj["kind"] == "rat":
+        return Fraction(obj["lo"]), Fraction(obj["hi"])
+    raise ValueError(f"no interval dot: {obj!r}")
+
+
+def interval_gap_reference(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> Fraction:
+    """The distance between [alo, ahi] and [blo, bhi]; 0 when they touch."""
+    return max(b[0] - a[1], a[0] - b[1], Fraction(0))
+
+
+def digit_interval(syms: Sequence[int], base: int) -> Tuple[Fraction, Fraction]:
+    """The interval of reals whose base-b expansion starts 0.s1 s2 ... sk."""
+    lo = sum(Fraction(s, base ** (i + 1)) for i, s in enumerate(syms))
+    return lo, lo + Fraction(1, base ** len(syms))
+
+
 # ---------------------------------------------------------------------------
 # Sign oracle for line calls.
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command-line surface: outputs, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 import time
 from fractions import Fraction as F
 
@@ -208,6 +212,13 @@ def test_eval_deep_nesting_parse_error(capsys, expr):
     assert code == 1 and "parse error" in err and "Traceback" not in err
 
 
+def test_eval_long_flat_sum_answers(capsys):
+    # a sum pairs its operands without a Point around either normalized stream
+    code, out, _ = run(capsys, "eval", "--bits", "4", "--", "+".join(["1"] * 120))
+    lo, hi = (F(line.split()[1]) for line in out.splitlines())
+    assert code == 0 and lo <= 120 <= hi
+
+
 _ROOT = {"kind": "dyadic", "n": 0, "m": 1}  # the maximal dot of sigma_[0,1]
 _LEVEL1 = [{"kind": "dyadic", "n": n, "m": 2} for n in range(3)]
 
@@ -282,3 +293,109 @@ def test_linecall_threshold_cap(capsys):
     assert code == 2 and cap in err and "Traceback" not in err
     assert time.perf_counter() - start < 1
     assert run(capsys, "linecall", "--synthetic=1/3", "--threshold-exp", cap)[:2] == (0, "IN\n")
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any argv and any file contents keep the exit-code contract.
+
+_SPACE_NAMES = st.sampled_from(
+    ["sigma_R", "sigma_[0,1]", "sigma_[0,1]^+", "R_rat", "R_ter", "[0,1]_bin", "baire",
+     "cantor", "T3", "T2^+", "nowhere"]
+)
+_small = st.integers(-2, 12).map(str)
+_field = st.one_of(st.integers(-4, 9), st.text(max_size=2), st.none())
+_rational_text = st.sampled_from(["0", "1/3", "-2/3", "1", "1/0", "x", ""])
+_leaf_dots = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("dyadic"), "n": _field, "m": _field}),
+    st.fixed_dictionaries({"kind": st.just("nary"), "base": _field, "n": _field, "m": _field}),
+    st.fixed_dictionaries({"kind": st.just("rat"), "lo": _rational_text, "hi": _rational_text}),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["max", "iso", "ball", "seq", "bogus"]), "k": _field,
+         "i": _field, "s": _field, "syms": st.lists(_field, max_size=3)}
+    ),
+    _field,
+)
+_dots_json = st.recursive(
+    _leaf_dots,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(["tuple", "trail"]), "items": st.lists(inner, max_size=3)}
+        ),
+        st.fixed_dictionaries({"leaf": inner}),
+        st.fixed_dictionaries({"split": inner, "children": st.lists(inner, max_size=3)}),
+    ),
+    max_leaves=8,
+)
+
+
+def _nested(depth: int, shape) -> str:
+    opener, leaf, closer = shape
+    return opener * depth + leaf + closer * depth
+
+
+_deep_json = st.builds(
+    _nested,
+    st.integers(1, 20_000),
+    st.sampled_from([("[", "", "]"), ('{"kind":"tuple","items":[', '{"kind":"max"}', "]}"),
+                     ('{"split":{"kind":"max"},"children":[', "", "]}")]),
+)
+_file_texts = st.one_of(
+    _dots_json.map(json.dumps),
+    st.lists(_dots_json, max_size=4).map(lambda ds: "\n".join(map(json.dumps, ds))),
+    st.fixed_dictionaries(
+        {"space": _SPACE_NAMES, "cover": st.lists(_dots_json, max_size=4),
+         "witness": st.fixed_dictionaries({"derivation": _dots_json})}
+    ).map(json.dumps),
+    _deep_json,
+    st.text(max_size=12),
+)
+_exprs = st.one_of(
+    st.text(alphabet="0123456789+-*/(), absminx", max_size=24),
+    st.builds(_nested, st.integers(1, 3000),
+              st.sampled_from([("(", "1", ")"), ("-", "1", ""), ("abs(", "1", ")")])),
+)
+
+
+@st.composite
+def _invocations(draw):
+    """An argv for one subcommand; @x and @y stand for two fuzzed files."""
+    command = draw(st.sampled_from(["eval", "cantor", "linecall", "subcover", "metric",
+                                    "validate", "nope"]))
+    if command == "eval":
+        argv = ["eval", "--bits", draw(_small), "--", draw(_exprs)]
+    elif command == "cantor":
+        argv = ["cantor", draw(st.text("0123x", max_size=6)), "--depth", draw(_small)]
+    elif command == "linecall":
+        source = draw(st.sampled_from([["@x"], ["--synthetic", "1/3"], ["--synthetic=x"]]))
+        argv = ["linecall", *source, "--threshold-exp", draw(_small)]
+    elif command == "subcover":
+        argv = ["subcover", "@x"]
+    elif command == "metric":
+        bits = draw(st.sampled_from(["-1", "0", "1", "2"]))
+        argv = ["metric", draw(_SPACE_NAMES), "@x", "@y", "--bits", bits]
+    elif command == "validate":
+        argv = ["validate", draw(_SPACE_NAMES), "--depth", draw(st.integers(-1, 25).map(str))]
+    else:
+        argv = [command]
+    extra = st.sampled_from(["--format", "json", "text", "xml", "--bits", "-h", "7"])
+    return argv + draw(st.lists(extra, max_size=2))
+
+
+@given(_invocations(), _file_texts, _file_texts)
+@settings(max_examples=80, deadline=None)
+def test_cli_fuzz_keeps_the_exit_code_contract(argv, x_text, y_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, text in (("@x", x_text), ("@y", y_text)):
+            files[name] = os.path.join(tmp, name[1:] + ".json")
+            with open(files[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([files.get(a, a) for a in argv])
+            except SystemExit as exc:  # --help
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -19,10 +19,13 @@ from natspace.dots import (
     dot_from_json,
     dot_to_json,
     endpoints,
+    grid_ancestors,
     interval_contains,
     interval_gap,
     intervals_apart,
+    width,
 )
+from natspace.points import ancestors_at
 
 dyadics = st.builds(
     D, st.integers(min_value=-64, max_value=64), st.integers(min_value=0, max_value=8)
@@ -71,6 +74,50 @@ def test_gap_and_containment_consistent(a, b):
     assert interval_contains(a, b) == oracles.interval_contains_reference(
         endpoints(a), endpoints(b)
     )
+
+
+@given(interval_dots, interval_dots)
+def test_layout_matches_the_fraction_reference(a, b):
+    ra, rb = oracles.interval_of_json(dot_to_json(a)), oracles.interval_of_json(dot_to_json(b))
+    assert endpoints(a) == ra and width(a) == ra[1] - ra[0]
+    assert interval_gap(a, b) == oracles.interval_gap_reference(ra, rb)
+    assert intervals_apart(a, b) == oracles.intervals_apart_reference(ra, rb)
+    assert interval_contains(a, b) == oracles.interval_contains_reference(ra, rb)
+
+
+@given(
+    st.sampled_from(["sigma_R", "sigma_[0,1]", "R_ter", "[0,1]_bin"]),
+    st.integers(min_value=1, max_value=400),
+    st.data(),
+)
+def test_grid_ancestors_match_the_predecessor_walk(name, i, data):
+    space = ns.std_space(name)
+    d = space.enumerate_dot(i)
+    g = data.draw(st.integers(min_value=1, max_value=space.grade(d)), label="grade")
+    m = d.m - (space.grade(d) - g)
+    ancestors = grid_ancestors(d, m)
+    # a grid ancestor past the end of the unit interval is no dot of the space
+    in_space = tuple(c for c in ancestors if space.refines(c, space.max_dot))
+    assert in_space == ancestors_at(space, d, g)
+    # and the ancestors are the grid dots around d's position that hold it
+    base = 2 if type(d) is D else d.base
+    top = d.n // base ** (d.m - m)
+    grid = [D(n, m) if type(d) is D else NaryInterval(base, n, m) for n in range(top - 2, top + 3)]
+    inner = oracles.interval_of_json(dot_to_json(d))
+    assert ancestors == tuple(
+        c for c in grid
+        if oracles.interval_contains_reference(oracles.interval_of_json(dot_to_json(c)), inner)
+    )
+
+
+@given(
+    st.integers(min_value=2, max_value=10).flatmap(
+        lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b - 1), max_size=8))
+    )
+)
+def test_seq_interval_reads_the_digit_value(base_syms):
+    base, syms = base_syms
+    assert ns.seq_interval(Seq(syms), base) == oracles.digit_interval(syms, base)
 
 
 def test_interval_relations_reject_non_interval_dots():

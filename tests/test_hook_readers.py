@@ -1,7 +1,10 @@
-"""The rank and unrank hooks are read in spaces.py only: every other module
-of the package asks a space through index_of, enumerate_dot and
-strict_refinements, so the choice between a closed form and a scan stays
-with the space."""
+"""Decisions that one module owns are read there only.  The rank and unrank
+hooks are read in spaces.py only: every other module of the package asks a
+space through index_of, enumerate_dot and strict_refinements, so the choice
+between a closed form and a scan stays with the space.  An interval dot's
+lo and hi are read in dots.py only: every other module reads a layout
+through endpoints, width, interval_gap and grid_ancestors, so the layouts
+are stated once."""
 
 import ast
 from pathlib import Path
@@ -9,15 +12,21 @@ from pathlib import Path
 import natspace
 
 _PACKAGE = Path(natspace.__file__).parent
-_HOOKS = {"rank", "unrank"}
+
+
+def _reads_outside(owner: str, attrs: set) -> list:
+    return [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        if path.name != owner
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in attrs
+    ]
 
 
 def test_only_spaces_reads_the_rank_hooks():
-    sites = [
-        f"{path.name}:{node.lineno}: .{node.attr}"
-        for path in sorted(_PACKAGE.glob("*.py"))
-        if path.name != "spaces.py"
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr in _HOOKS
-    ]
-    assert sites == []
+    assert _reads_outside("spaces.py", {"rank", "unrank"}) == []
+
+
+def test_only_dots_reads_interval_endpoints():
+    assert _reads_outside("dots.py", {"lo", "hi"}) == []

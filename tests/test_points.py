@@ -54,6 +54,20 @@ def test_distinct_rationals_are_apart(p_val, q_val):
     assert isinstance(ns.point_apart(p, q, 24), ns.Apart)
 
 
+@given(st.integers(1, 80), st.integers(1, 80), st.integers(0, 16))
+@settings(max_examples=60, deadline=None)
+def test_point_apart_names_the_first_apart_dots(ext01, i, j, budget):
+    p, q = (ns.canonical_point(ext01, ext01.enumerate_dot(n)) for n in (i, j))
+    verdict = ns.point_apart(p, q, budget)
+    apart = [ext01.apart(p.dot(k), q.dot(k)) for k in range(budget + 1)]
+    if isinstance(verdict, ns.Apart):
+        k = verdict.witness_index
+        assert apart[k] and not any(apart[:k])
+        assert ns.point_apart(q, p, budget) == verdict
+    else:
+        assert verdict == ns.Unknown(budget) and not any(apart)
+
+
 def test_identical_rationals_never_apart():
     p = ns.rational_to_point(F(2, 7))
     q = ns.rational_to_point(F(2, 7))
