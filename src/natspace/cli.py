@@ -273,9 +273,12 @@ def _read_witness(space, blob) -> GeneticBar:
 # Subcommands.
 
 
+EVAL_MAX_BITS = 10_000  # the work grows faster than quadratically in it
+
+
 def _cmd_eval(args, out) -> int:
-    if args.bits < 1:
-        raise CliSemanticError("--bits must be >= 1")
+    if not 1 <= args.bits <= EVAL_MAX_BITS:
+        raise CliSemanticError(f"--bits must be in 1..{EVAL_MAX_BITS}")
     try:
         # every operation deepens the stack of parsing, compiling and each
         # dot pull

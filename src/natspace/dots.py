@@ -61,7 +61,7 @@ class DyadicInterval(Dot):
             raise ValueError("DyadicInterval needs m >= 0")
 
     def __repr__(self) -> str:
-        lo, hi, den = _int_endpoints(self)
+        lo, hi, den = int_endpoints(self)
         return f"[{Fraction(lo, den)},{Fraction(hi, den)}]d"
 
 
@@ -80,7 +80,7 @@ class NaryInterval(Dot):
             raise ValueError("NaryInterval needs m >= 0")
 
     def __repr__(self) -> str:
-        lo, hi, den = _int_endpoints(self)
+        lo, hi, den = int_endpoints(self)
         return f"[{Fraction(lo, den)},{Fraction(hi, den)}]@{self.base}"
 
 
@@ -178,7 +178,7 @@ def is_interval(d: Dot) -> bool:
     return isinstance(d, (RatInterval, DyadicInterval, NaryInterval))
 
 
-def _int_endpoints(d: Dot) -> Tup[int, int, int]:
+def int_endpoints(d: Dot) -> Tup[int, int, int]:
     """(lo_num, hi_num, den): the endpoints of an interval dot over one
     integer den > 0, with no Fraction built (and no gcd taken) on the
     dyadic and n-ary hot path.  A non-interval dot raises TypeError."""
@@ -194,34 +194,37 @@ def _int_endpoints(d: Dot) -> Tup[int, int, int]:
 
 def endpoints(d: Dot) -> Tup[Fraction, Fraction]:
     """Exact rational endpoints of an interval dot."""
-    lo, hi, den = _int_endpoints(d)
+    lo, hi, den = int_endpoints(d)
     return Fraction(lo, den), Fraction(hi, den)
 
 
 def width(d: Dot) -> Fraction:
     """hi - lo of an interval dot."""
-    lo, hi, den = _int_endpoints(d)
+    lo, hi, den = int_endpoints(d)
     return Fraction(hi - lo, den)
 
 
 def intervals_apart(a: Dot, b: Dot) -> bool:
     """Strict disjointness; shared endpoints mean touching, not apart."""
-    alo, ahi, ad = _int_endpoints(a)
-    blo, bhi, bd = _int_endpoints(b)
+    alo, ahi, ad = int_endpoints(a)
+    blo, bhi, bd = int_endpoints(b)
     return ahi * bd < blo * ad or bhi * ad < alo * bd
 
 
 def interval_contains(outer: Dot, inner: Dot) -> bool:
-    """Endpoint containment: inner refines outer."""
-    olo, ohi, od = _int_endpoints(outer)
-    ilo, ihi, idn = _int_endpoints(inner)
+    """Endpoint containment: inner refines outer (two dyadic dots by shifts)."""
+    if type(outer) is DyadicInterval and type(inner) is DyadicInterval:
+        s = inner.m - outer.m
+        return s >= 0 and outer.n << s <= inner.n and inner.n + 2 <= (outer.n + 2) << s
+    olo, ohi, od = int_endpoints(outer)
+    ilo, ihi, idn = int_endpoints(inner)
     return olo * idn <= ilo * od and ihi * od <= ohi * idn
 
 
 def interval_gap(a: Dot, b: Dot) -> Fraction:
     """Distance between two interval dots (0 when they touch)."""
-    alo, ahi, ad = _int_endpoints(a)
-    blo, bhi, bd = _int_endpoints(b)
+    alo, ahi, ad = int_endpoints(a)
+    blo, bhi, bd = int_endpoints(b)
     return Fraction(max(blo * ad - ahi * bd, alo * bd - bhi * ad, 0), ad * bd)
 
 
@@ -261,13 +264,6 @@ def seq_dot(d: Seq, base: int) -> NaryInterval:
     for s in d.syms:
         val = val * base + s
     return NaryInterval(base, val, len(d.syms))
-
-
-def dyadic_span(lo: Fraction, hi: Fraction, m: int) -> range:
-    """The n of the exponent-m dyadic dots [n/2^m, (n+2)/2^m] containing
-    [lo, hi] (m >= 0): from ceil(hi*2^m) - 2 to floor(lo*2^m)."""
-    hi_num, lo_num = hi.numerator << m, lo.numerator << m
-    return range(-(-hi_num // hi.denominator) - 2, lo_num // lo.denominator + 1)
 
 
 # ---------------------------------------------------------------------------

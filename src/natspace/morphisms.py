@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
@@ -26,8 +25,8 @@ from .dots import (
     Seq,
     Trail,
     TupleDot,
-    dyadic_span,
     endpoints,
+    int_endpoints,
     seq_dot,
 )
 from .points import Point, PointDefect, normalized_dots
@@ -247,32 +246,33 @@ def sigma_rr() -> Space:
     return product([s, s])
 
 
-def round_hull(lo: Fraction, hi: Fraction, m_hint: int = 0) -> Dot:
-    """The dyadic dot with maximal exponent m containing [lo,hi], least n as
-    tie-break; MaxDot when no dot contains the hull.  Zero-width hulls round
-    at exponent m_hint+1 so output grade tracks input grade.
+def round_hull(lo: int, hi: int, den: int, m_hint: int = 0) -> Dot:
+    """The dyadic dot with maximal exponent m containing [lo/den, hi/den]
+    (the integer form of dots.int_endpoints, den > 0, reduced or not), least
+    n as tie-break; MaxDot when no dot contains the hull.  Zero-width hulls
+    round at exponent m_hint+1 so output grade tracks input grade.
 
-    Closed form: exponent-m dots step by 2^-m and span 2^(1-m), so with k the
-    largest m such that the width is at most 2^-m, every hull fits at k and
-    none at k+2; the answer is k+1 if it fits, else k, else (k < 0) MaxDot."""
-    if hi < lo:
-        raise ValueError("empty hull")
-    if hi == lo:
-        m = m_hint + 1
-        return DyadicInterval(dyadic_span(lo, hi, m).start, m)
+    Closed form: the exponent-m dots [n/2^m, (n+2)/2^m] containing the hull
+    run from n = ceil(hi*2^m/den) - 2 to floor(lo*2^m/den); they span 2^(1-m),
+    so with k the largest m with width <= 2^-m, every hull fits at k and none
+    at k+2: the answer is k+1 if it fits, else k, else (k < 0) MaxDot."""
     w = hi - lo
-    num, den = w.numerator, w.denominator
-    k = den.bit_length() - num.bit_length()
-    if num << max(k, 0) > den << max(-k, 0):  # w > 2^-k
+    if w < 0:
+        raise ValueError("empty hull")
+    if w == 0:
+        m = m_hint + 1
+        return DyadicInterval(-(-(hi << m) // den) - 2, m)
+    k = den.bit_length() - w.bit_length()
+    if w << max(k, 0) > den << max(-k, 0):  # w/den > 2^-k
         k -= 1
     for m in (k + 1, k):
-        if m >= 0 and (span := dyadic_span(lo, hi, m)):
-            return DyadicInterval(span.start, m)
+        if m >= 0 and (n := -(-(hi << m) // den) - 2) <= (lo << m) // den:
+            return DyadicInterval(n, m)
     return MAX
 
 
 def _hull_neg(a):
-    return (-a[1], -a[0])
+    return (-a[1], -a[0], a[2])
 
 
 def _hull_abs(a):
@@ -280,24 +280,24 @@ def _hull_abs(a):
         return a
     if a[1] <= 0:
         return _hull_neg(a)
-    return (Fraction(0), max(-a[0], a[1]))
+    return (0, max(-a[0], a[1]), a[2])
 
 
 def _hull_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+    return (a[0] * b[2] + b[0] * a[2], a[1] * b[2] + b[1] * a[2], a[2] * b[2])
 
 
 def _hull_mul(a, b):
     ps = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-    return (min(ps), max(ps))
+    return (min(ps), max(ps), a[2] * b[2])
 
 
 def _hull_min(a, b):
-    return (min(a[0], b[0]), min(a[1], b[1]))
+    return (min(a[0] * b[2], b[0] * a[2]), min(a[1] * b[2], b[1] * a[2]), a[2] * b[2])
 
 
 def _hull_max(a, b):
-    return (max(a[0], b[0]), max(a[1], b[1]))
+    return (max(a[0] * b[2], b[0] * a[2]), max(a[1] * b[2], b[1] * a[2]), a[2] * b[2])
 
 
 def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
@@ -307,6 +307,9 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
     min, max) map the sigma product sigma_R x_s sigma_R to sigma_R.  The
     output is the rational hull of the operation's image, rounded to the
     maximal-exponent containing dyadic dot (MaxDot when the hull is too wide).
+    The hull is integer: the hull ops map the operands' endpoint forms
+    (lo, hi, den) from dots.int_endpoints, scalar(q) as mul by [q, q], to
+    the form that round_hull takes.
     """
     sr = std_space("sigma_R")
     extra = {"neg": 0, "abs": 1, "mul": 12}.get(op, 3)  # liveness(g) = g + extra
@@ -317,7 +320,7 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
         extra = (abs(q.numerator) // q.denominator).bit_length() + 2
     hull_op = {"neg": _hull_neg, "abs": _hull_abs, "add": _hull_add, "mul": _hull_mul,
                "min": _hull_min, "max": _hull_max,
-               "scalar": lambda a: tuple(sorted((q * a[0], q * a[1])))}.get(op)
+               "scalar": lambda a: _hull_mul(a, (q.numerator, q.numerator, q.denominator))}.get(op)
     if hull_op is None:
         raise ValueError(f"unknown arith op {op!r}")
     binary = op in ("add", "mul", "min", "max")
@@ -326,8 +329,7 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
         items = d.items if binary else (d,)
         if any(isinstance(x, MaxDot) for x in items):
             return MAX
-        lo, hi = hull_op(*(endpoints(x) for x in items))
-        return round_hull(lo, hi, max(x.m for x in items))
+        return round_hull(*hull_op(*map(int_endpoints, items)), max(x.m for x in items))
 
     dyn = None
     if op == "mul":
@@ -336,13 +338,13 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
             @functools.cache
             def offset() -> int:  # read off p.dot(2) once, at the first query
                 d = p.dot(2)
-                bound = Fraction(1)
+                bound = 1  # max(1, ceil|lo|, ceil|hi|) over the coordinates
                 if isinstance(d, TupleDot):
                     for c in d.items:
                         if not isinstance(c, MaxDot):
-                            lo, hi = endpoints(c)
-                            bound = max(bound, abs(lo), abs(hi))
-                return (1 + math.ceil(bound)).bit_length() + 2
+                            lo, hi, den = int_endpoints(c)
+                            bound = max(bound, -(-max(-lo, hi) // den))
+                return (1 + bound).bit_length() + 2
 
             return lambda g: g + offset()
 

@@ -9,7 +9,6 @@ explicit step budget.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
@@ -218,14 +217,14 @@ def successor_normalize(p: Point) -> Point:
 def rational_to_point(q: Fraction) -> Point:
     """The standard embedding of a rational into sigma_R: at each exponent m
     the dot [n/2^m,(n+2)/2^m] with n = floor(q*2^m - 1/2), which places q in
-    the middle half; successive dots are successors."""
-    q = Fraction(q)
+    the middle half; successive dots are successors.  With q = num/den,
+    n = floor((num*2^(m+1) - den) / (2*den)), in integers."""
+    num, den = q.as_integer_ratio()
     space = std_space("sigma_R")
 
     def gen() -> Iterator[Dot]:
         for m in itertools.count(0):
-            n = math.floor(q * 2**m - Fraction(1, 2))
-            yield DyadicInterval(n, m)
+            yield DyadicInterval(((num << (m + 1)) - den) // (2 * den), m)
 
     return Point(
         space,

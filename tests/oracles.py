@@ -253,7 +253,8 @@ def sign_call(limit: Fraction, threshold_exp: int) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Dyadic rounding by probing exponents one at a time.
+# Dyadic rounding by probing exponents one at a time, and the rational hulls
+# and embeddings it rounds.
 # ---------------------------------------------------------------------------
 
 
@@ -275,6 +276,50 @@ def round_hull_reference(lo: Fraction, hi: Fraction, m_hint: int = 0) -> Optiona
     while fits(m + 1) is not None:
         m += 1
     return (fits(m), m)
+
+
+def _hull_neg(a):
+    return (-a[1], -a[0])
+
+
+def _hull_abs(a):
+    if a[0] >= 0:
+        return a
+    if a[1] <= 0:
+        return _hull_neg(a)
+    return (Fraction(0), max(-a[0], a[1]))
+
+
+def _hull_mul(a, b):
+    ps = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
+    return (min(ps), max(ps))
+
+
+_HULL_OPS = {
+    "neg": _hull_neg,
+    "abs": _hull_abs,
+    "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "mul": _hull_mul,
+    "min": lambda a, b: (min(a[0], b[0]), min(a[1], b[1])),
+    "max": lambda a, b: (max(a[0], b[0]), max(a[1], b[1])),
+}
+
+
+def hull_reference(op: str, *operands: Tuple[Fraction, Fraction],
+                   q: Optional[Fraction] = None) -> Tuple[Fraction, Fraction]:
+    """The rational hull (lo, hi) of an interval-arithmetic op's image of
+    operand intervals (lo, hi), in Fractions: neg, abs and scalar (times q)
+    take one operand, add, mul, min and max two."""
+    if op == "scalar":
+        (a,) = operands
+        return tuple(sorted((q * a[0], q * a[1])))
+    return _HULL_OPS[op](*operands)
+
+
+def rational_dot_reference(q: Fraction, m: int) -> int:
+    """The n of the exponent-m dyadic dot [n/2^m, (n+2)/2^m] that holds q in
+    its middle half: floor(q*2^m - 1/2)."""
+    return math.floor(q * 2**m - Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

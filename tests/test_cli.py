@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspace as ns
-from natspace.cli import eval_expression_bounds, main
+from natspace.cli import EVAL_MAX_BITS, eval_expression_bounds, main
 from natspace.dots import DyadicInterval as D, dot_to_json
 from natspace.morphisms import LINE_CALL_MAX_EXPONENT
 
@@ -188,6 +188,13 @@ def test_linecall_missing_file_exit_2(tmp_path, capsys):
 def test_eval_nonpositive_bits_exit_2(capsys, bits):
     code, _, err = run(capsys, "eval", "--bits", bits, "--", "1/3")
     assert code == 2 and "bits" in err
+
+
+def test_eval_bits_above_the_cap_exit_2(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "eval", "--bits", str(EVAL_MAX_BITS + 1), "--", "1/3")
+    assert code == 2 and str(EVAL_MAX_BITS) in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1
 
 
 def test_metric_negative_bits_exit_2(tmp_path, capsys):

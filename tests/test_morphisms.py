@@ -1,13 +1,14 @@
 """Dot-level morphisms: arithmetic, codecs, line calls, diagonalization."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspace as ns
-from natspace.dots import DyadicInterval as D, Seq, endpoints
+from natspace.dots import DyadicInterval as D, Seq, TupleDot, endpoints
 
 import oracles
 
@@ -79,7 +80,7 @@ def test_nary_encode_morphism_laws(base):
 
 
 def test_round_hull_maximal_containing_dot():
-    d = ns.round_hull(F(1, 3), F(5, 12))
+    d = ns.round_hull(4, 5, 12)  # [1/3, 5/12]
     lo, hi = endpoints(d)
     assert lo <= F(1, 3) and F(5, 12) <= hi
     # deepest containing dyadic dot (the grade-4 grid still has one)
@@ -106,13 +107,49 @@ def _hulls(draw):
     return lo, lo + draw(_widths), draw(st.integers(0, 400))
 
 
-@given(_hulls())
+@given(_hulls(), st.one_of(st.just(1), st.integers(2, 2**64)))
 @settings(max_examples=300, deadline=None)
-def test_round_hull_matches_probing_reference(hull):
+def test_round_hull_matches_probing_reference(hull, c):
+    """The integer form (lo, hi, den) over the least common den, and the
+    same hull scaled by c (not reduced), round as the Fraction reference."""
     lo, hi, hint = hull
-    d = ns.round_hull(lo, hi, hint)
+    den = math.lcm(lo.denominator, hi.denominator) * c
+    d = ns.round_hull(int(lo * den), int(hi * den), den, hint)
     got = None if d == ns.MAX else (d.n, d.m)
     assert got == oracles.round_hull_reference(lo, hi, hint)
+
+
+_ARITH_OPS = ("neg", "abs", "scalar", "add", "mul", "min", "max")
+_dyadics = st.builds(D, st.integers(-(2**40), 2**40), st.integers(0, 300))
+
+
+@st.composite
+def _operands(draw):
+    """Two dyadic dots; one in ten times one of them is MAX."""
+    items = [draw(_dyadics), draw(_dyadics)]
+    if draw(st.integers(0, 9)) == 0:
+        items[draw(st.integers(0, 1))] = ns.MAX
+    return items
+
+
+@given(
+    st.sampled_from(_ARITH_OPS),
+    _operands(),
+    st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+@settings(max_examples=400, deadline=None)
+def test_arith_is_bit_identical_to_the_rational_hull(op, operands, q):
+    """arith's integer hulls give the dot that rounding the Fraction hull of
+    the operands' endpoints gives, for operands of unequal exponents too."""
+    items = operands if op in ("add", "mul", "min", "max") else operands[:1]
+    got = ns.arith(op, q if op == "scalar" else None).map(
+        TupleDot(tuple(items)) if len(items) == 2 else items[0])
+    if ns.MAX in items:
+        assert got == ns.MAX
+        return
+    hull = oracles.hull_reference(op, *map(endpoints, items), q=q)
+    ref = oracles.round_hull_reference(*hull, max(x.m for x in items))
+    assert got == (ns.MAX if ref is None else D(*ref))
 
 
 def test_cantor_digit_rule_matches_oracle_depth_6():

@@ -12,6 +12,8 @@ from natspace import spaces
 from natspace.dots import DyadicInterval as D, Seq
 from natspace.points import PointDefect
 
+import oracles
+
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=64
 )
@@ -29,6 +31,18 @@ def test_zero_starts_at_the_centered_unit_dot():
     p = ns.rational_to_point(F(0))
     assert p.dot(0) in (ns.MAX, D(-1, 0))
     assert ns.approximate(p, 1) == D(-1, 0)  # [-1,1], the m=0 centered dot
+
+
+@given(
+    st.one_of(
+        st.builds(F, st.integers(-(2**80), 2**80), st.integers(1, 2**64)),
+        st.integers(-(2**80), 2**80).map(F),
+    ),
+    st.integers(0, 500),
+)
+@settings(max_examples=200, deadline=None)
+def test_rational_point_dots_match_the_rational_reference(q, m):
+    assert ns.rational_to_point(q).dot(m).n == oracles.rational_dot_reference(q, m)
 
 
 @given(rationals)
