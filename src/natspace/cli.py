@@ -3,8 +3,8 @@ line calls, cover analysis, metric tables, and axiom validation.
 
 Exit codes: 0 success, 1 parse error (expression / digits / JSON syntax / a
 malformed dot), 2 semantic error (unknown space, missing witness, a dot
-outside the space, contract violation, a linecall --threshold-exp outside
-1..10000), 3 budget exhaustion (a lazy stream could not deliver in time).
+outside the space, contract violation, an option past its cap), 3 budget
+exhaustion (a lazy stream could not deliver in time).
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .dots import Dot, dot_from_json, dot_to_json, endpoints, merged_segments
+from .dots import (
+    Dot, dot_from_json, dot_to_json, endpoints, int_endpoints, meeting_segment, merged_segments,
+)
 from .induction import BarDefect, Cover, GeneticBar, bar_from_json, finite_subcover
 from .metric import DIGIT_CAP, MetricDefect, MetricEvaluator, evaluate_metric, metric_digit_goal
 from .morphisms import (
@@ -117,9 +119,7 @@ class _Parser:
     def expr(self) -> tuple:
         node = self.term()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
+            node = ("add" if self.take() == "+" else "sub", node, self.term())
         return node
 
     def term(self) -> tuple:
@@ -139,20 +139,15 @@ class _Parser:
             node = self.expr()
             self.take(")")
             return node
-        if tok in ("min", "max"):
+        if tok in ("min", "max", "abs"):
             self.take()
             self.take("(")
-            a = self.expr()
-            self.take(",")
-            b = self.expr()
+            args = [self.expr()]
+            if tok != "abs":
+                self.take(",")
+                args.append(self.expr())
             self.take(")")
-            return (tok, a, b)
-        if tok == "abs":
-            self.take()
-            self.take("(")
-            a = self.expr()
-            self.take(")")
-            return ("abs", a)
+            return (tok, *args)
         if tok is not None and tok.isdigit():
             num = int(self.take())
             if self.peek() == "/":
@@ -176,10 +171,8 @@ def compile_expression(node: tuple) -> Point:
     kind = node[0]
     if kind == "rat":
         return rational_to_point(node[1])
-    if kind == "neg":
-        return apply_point(arith("neg"), compile_expression(node[1]))
-    if kind == "abs":
-        return apply_point(arith("abs"), compile_expression(node[1]))
+    if kind in ("neg", "abs"):
+        return apply_point(arith(kind), compile_expression(node[1]))
     if kind == "sub":
         rhs = apply_point(arith("neg"), compile_expression(node[2]))
         return apply_point(arith("add"), pair_point(compile_expression(node[1]), rhs))
@@ -274,6 +267,8 @@ def _read_witness(space, blob) -> GeneticBar:
 
 
 EVAL_MAX_BITS = 10_000  # the work grows faster than quadratically in it
+METRIC_MAX_BITS = 10  # one separator per bit; past DIGIT_CAP the bounds narrow little
+VALIDATE_MAX_DEPTH = 500  # the axiom checks grow about quadratically in it
 
 
 def _cmd_eval(args, out) -> int:
@@ -342,11 +337,12 @@ def _cmd_linecall(args, out) -> int:
 
 def _union_covers_root(space, dots) -> Optional[bool]:
     try:
-        root_lo, root_hi = endpoints(space.max_dot)
-        segs = merged_segments(dots)
+        los, his, den = segs = merged_segments(dots)
+        i = meeting_segment(segs, space.max_dot)  # the one segment that can hold it
+        lo, hi, rd = int_endpoints(space.max_dot)
     except TypeError:  # the root or a cover dot is no interval
         return None
-    return any(lo <= root_lo and root_hi <= hi for lo, hi in segs)
+    return i is not None and los[i] * rd <= lo * den and hi * den <= his[i] * rd
 
 
 def _cmd_subcover(args, out) -> int:
@@ -385,6 +381,8 @@ def _load_point(space, path: str, name: str) -> Point:
 def _cmd_metric(args, out) -> int:
     if args.bits < 0:
         raise CliSemanticError("--bits must be >= 0")
+    if args.bits > METRIC_MAX_BITS:
+        raise CliSemanticError(f"--bits must be at most {METRIC_MAX_BITS}")
     space = _resolve_space(args.space)
     x = _load_point(space, args.x, "x")
     y = _load_point(space, args.y, "y")
@@ -424,6 +422,8 @@ def _cmd_metric(args, out) -> int:
 
 
 def _cmd_validate(args, out) -> int:
+    if args.depth > VALIDATE_MAX_DEPTH:
+        raise CliSemanticError(f"--depth must be at most {VALIDATE_MAX_DEPTH}")
     space = _resolve_space(args.space)
     report = validate_space(space, args.depth)
     _emit(

@@ -10,6 +10,8 @@ dot identity).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple as Tup
@@ -228,16 +230,31 @@ def interval_gap(a: Dot, b: Dot) -> Fraction:
     return Fraction(max(blo * ad - ahi * bd, alo * bd - bhi * ad, 0), ad * bd)
 
 
-def merged_segments(dots) -> List[Tup[Fraction, Fraction]]:
-    """The union of interval dots as disjoint closed segments from left to
-    right; dots that touch merge into one segment."""
-    segs: List[Tup[Fraction, Fraction]] = []
-    for lo, hi in sorted(map(endpoints, dots)):
-        if segs and lo <= segs[-1][1]:
-            segs[-1] = (segs[-1][0], max(segs[-1][1], hi))
+def merged_segments(dots) -> Tup[List[int], List[int], int]:
+    """The union of interval dots as (los, his, den): disjoint closed
+    segments [los[i]/den, his[i]/den] from left to right over one common
+    integer den; dots that touch merge into one segment."""
+    ends = [int_endpoints(d) for d in dots]
+    den = math.lcm(*(d for _, _, d in ends))
+    los, his = [], []
+    for lo, hi in sorted((lo * (den // d), hi * (den // d)) for lo, hi, d in ends):
+        if his and lo <= his[-1]:
+            his[-1] = max(his[-1], hi)
         else:
-            segs.append((lo, hi))
-    return segs
+            los.append(lo)
+            his.append(hi)
+    return los, his, den
+
+
+def meeting_segment(segs: Tup[List[int], List[int], int], d: Dot) -> Optional[int]:
+    """The index of the leftmost segment of merged_segments' (los, his, den)
+    that the interval dot d meets, or None: bisect his for the first
+    segment ending at or after d's low end, then one cross-multiplied test
+    of its low end against d's high end."""
+    los, his, den = segs
+    lo, hi, dd = int_endpoints(d)
+    i = bisect_left(his, -(-lo * den // dd))
+    return i if i < len(his) and los[i] * dd <= hi * den else None
 
 
 def grid_ancestors(d: Dot, m: int) -> Optional[Tup[Dot, ...]]:

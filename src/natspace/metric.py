@@ -28,10 +28,11 @@ from .dots import (
     grid_ancestors,
     interval_contains,
     is_interval,
+    meeting_segment,
     merged_segments,
 )
 from .points import Point, successor_normalize
-from .spaces import Lazy, Space, SpaceDefect, SpraidInfo, seq_interval
+from .spaces import Lazy, Space, SpaceDefect, SpraidInfo, Successors, seq_interval
 
 MAX_LEVEL_GRADE = 9  # the deepest level an evaluator's separators split at
 DIGIT_CAP = 4  # ternary digits read per separator term
@@ -142,27 +143,25 @@ def is_star_finite(space: Space, depth: int) -> StarReport:
 
 
 class _TouchSet:
-    """A finite dot set with a fast touch test (merged interval segments for
-    interval dots, flags for isolated dots, a plain scan for the rest)."""
+    """A finite dot set with a fast touch test: its interval dots as merged
+    integer segments, the other dots scanned.  An isolated dot touches only
+    the isolated dots and the root."""
 
     def __init__(self, space: Space, dots):
         self.space = space
         self.dots = tuple(dots)
-        self.has_iso = any(isinstance(d, Isolated) for d in self.dots)
         self.segs = merged_segments(filter(is_interval, self.dots))
-        self.other = tuple(
-            d for d in self.dots if not is_interval(d) and not isinstance(d, Isolated)
-        )
+        self.has_iso = any(isinstance(d, Isolated) for d in self.dots)
+        self.other = tuple(d for d in self.dots if not (is_interval(d) or isinstance(d, Isolated)))
 
     def touches(self, c: Dot) -> bool:
-        if isinstance(c, Isolated):
-            return self.has_iso
-        if is_interval(c):
-            clo, chi = endpoints(c)
-            if any(lo <= chi and clo <= hi for lo, hi in self.segs):
-                return True
-            return any(self.space.touch(c, d) for d in self.other)
-        return any(self.space.touch(c, d) for d in self.dots)
+        if not is_interval(c):
+            return any(self.space.touch(c, d) for d in self.dots)
+        return (
+            meeting_segment(self.segs, c) is not None
+            or self.has_iso and c == self.space.max_dot
+            or any(self.space.touch(c, d) for d in self.other)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +172,16 @@ def splitting_depth(fann: Space, A, B, max_depth: int = 32) -> int:
     """The least grade N at which the touchers of A and the touchers of B
     are apart from each other, searched from the deepest input grade up."""
     A, B = tuple(A), tuple(B)
-    for a in A:
-        for b in B:
-            if not fann.apart(a, b):
-                raise MetricDefect("splitting needs apart input sets")
+    sa = _TouchSet(fann, A)
+    if any(sa.touches(b) for b in B):
+        raise MetricDefect("splitting needs apart input sets")
     grades = [fann.grade(d) for d in A + B]
     start = max(grades) if grades else 1
-    sa = _TouchSet(fann, A)
     sb = _TouchSet(fann, B)
     for N in range(max(start, 1), max_depth + 1):
         level = fann.level(N)
         ta = [c for c in level if sa.touches(c)]
-        tb = [c for c in level if sb.touches(c)]
-        tbset = _TouchSet(fann, tb)
+        tbset = _TouchSet(fann, [c for c in level if sb.touches(c)])
         if not any(tbset.touches(c) for c in ta):
             return N
     raise MetricDefect(
@@ -232,8 +228,6 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
     member_set = {d for lvl in levels for d in lvl}
 
     def successors(d: Dot):
-        from .spaces import Successors
-
         if d not in succ_map:
             if d in member_set:
                 raise SpaceDefect(f"subfan built to depth {depth} only")
@@ -436,17 +430,11 @@ class _FanZones(UrysohnFunction):
             level_n = self.space.level(N)
             sa = _TouchSet(self.space, A)
             sb = _TouchSet(self.space, B)
-            ta, mid, tb = [], [], []
+            parts: Tuple[List[Dot], ...] = ([], [], [])  # near a, middle, near b
             for c in level_n:
-                if sa.touches(c):
-                    ta.append(c)
-                elif sb.touches(c):
-                    tb.append(c)
-                else:
-                    mid.append(c)
-            self.X[(i, 0)] = _GenSet(self.space, ta)
-            self.X[(i, 1)] = _GenSet(self.space, mid)
-            self.X[(i, 2)] = _GenSet(self.space, tb)
+                parts[0 if sa.touches(c) else 2 if sb.touches(c) else 1].append(c)
+            for s in range(3):
+                self.X[(i, s)] = _GenSet(self.space, parts[s])
             depths.append(N)
         t_next = max(depths) if depths else t + 1
         level_next = self.space.level(t_next) if t_next <= self.max_level_grade else ()
@@ -548,20 +536,14 @@ class _SpreadZones(UrysohnFunction):
         return self._sec[key]
 
     def has_zone(self, d: Dot, n: int) -> bool:
-        if n == 0:
-            return True
-        key = (d, n)
-        if key in self._zone:
-            return self._zone[key]
-
         def rec(i: Tuple[int, ...]) -> bool:
             if len(i) == n:
                 return True
             return any(self.member(d, i + (s,)) and rec(i + (s,)) for s in (0, 1, 2))
 
-        res = rec(())
-        self._zone[key] = res
-        return res
+        if (d, n) not in self._zone:
+            self._zone[(d, n)] = rec(())
+        return self._zone[(d, n)]
 
     def _in_child(self, c: Dot, head: Tuple[int, ...], s: int) -> bool:
         n = len(head)

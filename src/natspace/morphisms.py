@@ -255,18 +255,19 @@ def round_hull(lo: int, hi: int, den: int, m_hint: int = 0) -> Dot:
     Closed form: the exponent-m dots [n/2^m, (n+2)/2^m] containing the hull
     run from n = ceil(hi*2^m/den) - 2 to floor(lo*2^m/den); they span 2^(1-m),
     so with k the largest m with width <= 2^-m, every hull fits at k and none
-    at k+2: the answer is k+1 if it fits, else k, else (k < 0) MaxDot."""
+    at k+2: the answer is k+1 if it fits, else k, else (k < 0) MaxDot.  With
+    den = 2^e * odd, both roundings shift by e, then divide by odd (1 for a
+    dyadic hull): CPython's big-int division is quadratic in the digits."""
     w = hi - lo
     if w < 0:
         raise ValueError("empty hull")
-    if w == 0:
-        m = m_hint + 1
-        return DyadicInterval(-(-(hi << m) // den) - 2, m)
     k = den.bit_length() - w.bit_length()
     if w << max(k, 0) > den << max(-k, 0):  # w/den > 2^-k
         k -= 1
-    for m in (k + 1, k):
-        if m >= 0 and (n := -(-(hi << m) // den) - 2) <= (lo << m) // den:
+    e = (den & -den).bit_length() - 1
+    odd = den >> e
+    for m in (m_hint + 1,) if w == 0 else (k + 1, k):  # a zero-width hull always fits
+        if m >= 0 and (n := -((-hi << m >> e) // odd) - 2) <= (lo << m >> e) // odd:
             return DyadicInterval(n, m)
     return MAX
 

@@ -226,6 +226,20 @@ def interval_of_json(obj: dict) -> Tuple[Fraction, Fraction]:
     raise ValueError(f"no interval dot: {obj!r}")
 
 
+def merged_segments_reference(
+    intervals: Sequence[Tuple[Fraction, Fraction]]
+) -> List[Tuple[Fraction, Fraction]]:
+    """The union of closed intervals as disjoint segments from left to
+    right, found by growing each segment while the next interval touches it."""
+    out: List[Tuple[Fraction, Fraction]] = []
+    for lo, hi in sorted(intervals):
+        if out and _touches(out[-1], (lo, hi)):
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
 def interval_gap_reference(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> Fraction:
     """The distance between [alo, ahi] and [blo, bhi]; 0 when they touch."""
     return max(b[0] - a[1], a[0] - b[1], Fraction(0))

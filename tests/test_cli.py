@@ -7,14 +7,18 @@ import os
 import random
 import tempfile
 import time
+import types
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspace as ns
-from natspace.cli import EVAL_MAX_BITS, eval_expression_bounds, main
-from natspace.dots import DyadicInterval as D, dot_to_json
+from natspace.cli import (
+    EVAL_MAX_BITS, METRIC_MAX_BITS, VALIDATE_MAX_DEPTH, _union_covers_root,
+    eval_expression_bounds, main,
+)
+from natspace.dots import DyadicInterval as D, NaryInterval, RatInterval, dot_to_json, endpoints
 from natspace.morphisms import LINE_CALL_MAX_EXPONENT
 
 import oracles
@@ -205,6 +209,48 @@ def test_metric_negative_bits_exit_2(tmp_path, capsys):
     assert code == 2 and "bits" in err and "Traceback" not in err
 
 
+def test_metric_bits_cap(tmp_path, capsys):
+    xf, yf = tmp_path / "x.json", tmp_path / "y.json"
+    xf.write_text(json.dumps([dot_to_json(D(0, m)) for m in range(1, 40)]))
+    yf.write_text(json.dumps([dot_to_json(D(2**m - 2, m)) for m in range(1, 40)]))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "metric", "sigma_[0,1]^+", str(xf), str(yf),
+                       "--bits", str(METRIC_MAX_BITS + 1))
+    assert code == 2 and str(METRIC_MAX_BITS) in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "metric", "sigma_[0,1]^+", str(xf), str(yf),
+                       "--bits", str(METRIC_MAX_BITS), "--format", "json")
+    assert code == 0 and len(json.loads(out)["terms"]) == METRIC_MAX_BITS + 1
+
+
+def test_validate_depth_cap(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "validate", "sigma_R", "--depth", str(VALIDATE_MAX_DEPTH + 1))
+    assert code == 2 and str(VALIDATE_MAX_DEPTH) in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "validate", "sigma_[0,1]", "--depth", str(VALIDATE_MAX_DEPTH))
+    assert code == 0 and f"depth={VALIDATE_MAX_DEPTH}" in out
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [
+        [D(2, 3), D(4, 3)],  # [1/4,1/2] and [1/2,3/4] meet at 1/2
+        [NaryInterval(3, 1, 1)],  # exactly the root
+        [D(0, 2), RatInterval(F(1, 3), F(2, 3))],
+        [D(0, 2), D(6, 3)],  # a gap (1/2, 3/4)
+        [NaryInterval(3, 0, 1), NaryInterval(3, 2, 1)],  # touches the root's ends only
+        [RatInterval(F(1, 3), F(13, 20)), RatInterval(F(2, 3), F(1))],  # misses (13/20, 2/3)
+    ],
+)
+def test_union_covers_a_rational_root_of_another_den(cover):
+    """A root [1/3, 2/3] over den 9 against covers over dens 8, 3 and 20."""
+    root = RatInterval(F(1, 3), F(2, 3))
+    got = _union_covers_root(types.SimpleNamespace(max_dot=root), cover)
+    assert got == oracles.union_covers([endpoints(d) for d in cover], root.lo, root.hi)
+    assert _union_covers_root(types.SimpleNamespace(max_dot=ns.MAX), cover) is None
+
+
 @pytest.mark.parametrize(
     "expr",
     [
@@ -379,10 +425,11 @@ def _invocations(draw):
     elif command == "subcover":
         argv = ["subcover", "@x"]
     elif command == "metric":
-        bits = draw(st.sampled_from(["-1", "0", "1", "2"]))
+        bits = draw(st.sampled_from(["-1", "0", "1", "2", str(METRIC_MAX_BITS + 1), "300"]))
         argv = ["metric", draw(_SPACE_NAMES), "@x", "@y", "--bits", bits]
     elif command == "validate":
-        argv = ["validate", draw(_SPACE_NAMES), "--depth", draw(st.integers(-1, 25).map(str))]
+        depth = st.one_of(st.integers(-1, 25), st.integers(VALIDATE_MAX_DEPTH + 1, 10**6))
+        argv = ["validate", draw(_SPACE_NAMES), "--depth", draw(depth.map(str))]
     else:
         argv = [command]
     extra = st.sampled_from(["--format", "json", "text", "xml", "--bits", "-h", "7"])

@@ -23,6 +23,8 @@ from natspace.dots import (
     interval_contains,
     interval_gap,
     intervals_apart,
+    meeting_segment,
+    merged_segments,
     width,
 )
 from natspace.points import ancestors_at
@@ -83,6 +85,33 @@ def test_layout_matches_the_fraction_reference(a, b):
     assert interval_gap(a, b) == oracles.interval_gap_reference(ra, rb)
     assert intervals_apart(a, b) == oracles.intervals_apart_reference(ra, rb)
     assert interval_contains(a, b) == oracles.interval_contains_reference(ra, rb)
+
+
+@given(st.lists(interval_dots, max_size=8), interval_dots)
+def test_segment_kernel_matches_the_fraction_reference(dots, c):
+    """merged_segments over mixed layouts and dens gives the Fraction merge
+    over one common den, and meeting_segment finds the one segment c meets
+    first, or None when c touches no dot."""
+    los, his, den = segs = merged_segments(dots)
+    ref = oracles.merged_segments_reference([endpoints(d) for d in dots])
+    assert [(F(lo, den), F(hi, den)) for lo, hi in zip(los, his)] == ref
+    i = meeting_segment(segs, c)
+    met = [k for k, seg in enumerate(ref)
+           if not oracles.intervals_apart_reference(seg, endpoints(c))]
+    assert i == (met[0] if met else None)
+    assert (i is not None) == any(not intervals_apart(c, d) for d in dots)
+
+
+def test_segments_merge_at_a_shared_endpoint_across_layouts():
+    # [0,1/4] (dyadic), [1/4,1/3] (rational), [1/3,2/3] (ternary): one segment;
+    # [3/4,1] only touches the point 3/4 that no other dot reaches
+    dots = [D(0, 3), RatInterval(F(1, 4), F(1, 3)), NaryInterval(3, 1, 1), D(6, 3)]
+    los, his, den = segs = merged_segments(dots)
+    assert [(F(lo, den), F(hi, den)) for lo, hi in zip(los, his)] == [
+        (F(0), F(2, 3)), (F(3, 4), F(1))]
+    assert meeting_segment(segs, RatInterval(F(2, 3), F(3, 4))) == 0
+    assert meeting_segment(segs, RatInterval(F(7, 10), F(8, 11))) is None
+    assert meeting_segment(merged_segments([]), D(0, 1)) is None
 
 
 @given(

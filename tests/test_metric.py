@@ -54,6 +54,34 @@ def test_splitting_requires_apart_sets(sigma01):
         ns.splitting_depth(sigma01, (D(0, 3),), (D(1, 3),))
 
 
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        ((D(0, 3),), (D(2, 3),)),  # [0,1/4] and [1/4,1/2] share only 1/4
+        ((D(6, 3), D(0, 3)), (D(3, 3), D(4, 3))),  # only [1/2,3/4] and [3/4,1] meet
+        ((Isolated(3), D(0, 3)), (D(2, 3),)),  # an isolated A dot beside a touching one
+        ((Isolated(3),), (Isolated(5),)),
+        ((Isolated(2),), (D(0, 1),)),  # the root touches every dot
+        ((D(0, 1),), (Isolated(2),)),
+    ],
+    ids=["shared-endpoint", "second-dot", "iso-beside-touching", "iso-iso", "iso-root",
+         "root-iso"],
+)
+def test_splitting_rejects_touching_sets(ext01, A, B):
+    assert any(ext01.touch(a, b) for a in A for b in B)
+    with pytest.raises(MetricDefect, match="apart input sets"):
+        ns.splitting_depth(ext01, A, B, max_depth=6)  # a missed touch fails fast
+
+
+def test_splitting_an_isolated_dot_from_a_regular_one(ext01):
+    """An isolated dot is apart from every regular dot but the root, so the
+    precheck passes and the touchers split at once: at grade 3 the isolated
+    dot touches only itself."""
+    A, B = (Isolated(3),), (D(2, 3),)
+    assert ns.splitting_depth(ext01, A, B) == 3
+    assert oracles.check_splitting(ext01, A, B, 3)
+
+
 def test_subfan_levels(sigmaR):
     p = ns.rational_to_point(F(1, 3))
     sub = ns.subfan_Wx(sigmaR, p, 6)

@@ -95,6 +95,7 @@ _widths = st.one_of(
     st.just(F(0)),
     st.integers(-3, 600).map(_power_of_two),  # 2^-j: the largest m that fits is j or j+1
     st.integers(-3, 600).map(lambda j: 2 * _power_of_two(j)),  # 2^(1-j)
+    st.integers(1000, 2500).map(_power_of_two),  # rounded at m past 1,000 by shifts
     st.builds(F, st.integers(1, 2**600), st.integers(1, 2**600)),
     st.integers(3, 2**20).map(F),  # wider than every dot: MAX
 )
@@ -102,7 +103,8 @@ _widths = st.one_of(
 
 @st.composite
 def _hulls(draw):
-    den = draw(st.one_of(st.integers(0, 600).map(lambda a: 2**a), st.integers(1, 2**600)))
+    den = draw(st.one_of(st.integers(0, 600).map(lambda a: 2**a), st.integers(1, 2**600),
+                         st.integers(1000, 2500).map(lambda a: 2**a)))  # dyadic at high bits
     lo = F(draw(st.integers(-5 * den, 5 * den)), den)  # straddling 0 or wholly negative too
     return lo, lo + draw(_widths), draw(st.integers(0, 400))
 
