@@ -275,8 +275,8 @@ def _cmd_eval(args, out) -> int:
     if not 1 <= args.bits <= EVAL_MAX_BITS:
         raise CliSemanticError(f"--bits must be in 1..{EVAL_MAX_BITS}")
     try:
-        # every operation deepens the stack of parsing, compiling and each
-        # dot pull
+        # every operation deepens the stack of parsing and compiling, and
+        # that of each dot pull by one frame (unary) or three (binary)
         lo, hi = eval_expression_bounds(args.expr, args.bits)
     except RecursionError:
         raise CliParseError("expression nested too deeply")

@@ -10,7 +10,6 @@ weights 2^-m yields a metric compatible with the apartness topology.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from dataclasses import dataclass
@@ -606,12 +605,13 @@ def urysohn_spread(
 
 
 def _pair_stream(space: Space) -> Iterator[Tuple[Dot, Dot]]:
-    """The frozen enumeration of separator endpoint pairs: grade by grade,
-    first (isolated, regular) pairs in level order, then apart regular pairs
-    in level order.  Touching pairs separate nothing and are skipped."""
-    for g in itertools.count(1):
+    """The frozen enumeration of separator endpoint pairs: grade by grade up
+    to MAX_LEVEL_GRADE, past which no separator splits, first (isolated,
+    regular) pairs in level order, then apart regular pairs in level order.
+    Touching pairs separate nothing and are skipped."""
+    for g in range(1, MAX_LEVEL_GRADE + 1):
         level = space.level(g)
-        iso = [d for d in level if isinstance(d, Isolated) or space.is_isolated(d)]
+        iso = [d for d in level if space.is_isolated(d)]
         reg = [d for d in level if d not in iso]
         for i in iso:
             for c in reg:
@@ -639,7 +639,12 @@ class MetricEvaluator:
         self._lock = threading.RLock()
 
     def pair(self, m: int) -> Tuple[Dot, Dot]:
-        return self._pairs[m]
+        try:
+            return self._pairs[m]
+        except IndexError:
+            raise MetricDefect(
+                f"{self.space.name}: no separator pair {m} up to grade {MAX_LEVEL_GRADE}"
+            ) from None
 
     def separator(self, m: int) -> UrysohnFunction:
         with self._lock:

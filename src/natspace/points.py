@@ -9,6 +9,7 @@ explicit step budget.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
@@ -25,10 +26,12 @@ class PointDefect(Exception):
 
 
 class Point:
-    """A point of a space given by a factory of its dot stream.  The stream
-    is drawn once into a spaces.Lazy, under its lock, and checked as it is
-    drawn: each dot refines the one before, and with a strictness_bound b
-    no b + 1 dots in a row are equal."""
+    """A point of a space given by a factory of its dot stream, called once.
+    dot(k) draws the stream under the point's lock and checks each dot as it
+    is drawn: it refines the one before, and with a strictness_bound b no
+    b + 1 dots in a row are equal.  Drawn dots stay in items, read without
+    the lock; a stream or check that raised raises the same error again.
+    The stream must not hold its Point: points are freed by reference count."""
 
     def __init__(
         self,
@@ -39,41 +42,53 @@ class Point:
         name: str = "",
     ):
         self.space = space
-        label = f"point {name or '<anon>'}"
-        # the closure must not hold self: points are freed by reference count
-        self._stream = spaces.Lazy(lambda: _checked(space, dots(), strictness_bound, label))
         self.steps_for_grade = steps_for_grade or (lambda g: STRICTNESS_BOUND * (g + 1) + 16)
         self.name = name
+        self.items: List[Dot] = []
+        self._iter = iter(dots())
+        self._error: Optional[Exception] = None
+        self._bound = strictness_bound
+        self._repeats = 0  # how many dots in a row equal the one before
+        self._lock = threading.RLock()
 
     def dot(self, k: int) -> Dot:
-        try:
-            return self._stream[k]
-        except IndexError:
-            raise PointDefect(
-                f"point {self.name or '<anon>'}: stream exhausted at "
-                f"index {len(self._stream.items)} (requested {k})"
-            ) from None
+        items = self.items
+        if k < len(items):  # items only grow, so this read needs no lock
+            return items[k]
+        with self._lock:
+            while len(items) <= k:
+                if self._error is not None:
+                    raise self._error
+                try:
+                    d = next(self._iter)
+                    if items and not self.space.refines(d, items[-1]):
+                        raise PointDefect(
+                            f"point {self.name or '<anon>'}: dot {d!r} does not refine "
+                            f"previous {items[-1]!r}"
+                        )
+                    self._repeats = self._repeats + 1 if items and d == items[-1] else 0
+                    if self._bound is not None and self._repeats >= self._bound:
+                        raise PointDefect(
+                            f"point {self.name or '<anon>'}: no strict refinement within "
+                            f"{self._bound} steps at prefix length {len(items) + 1}"
+                        )
+                except StopIteration:
+                    raise PointDefect(
+                        f"point {self.name or '<anon>'}: stream exhausted at "
+                        f"index {len(items)} (requested {k})"
+                    ) from None
+                except Exception as exc:  # the stream or its check failed: keep the error
+                    self._error = exc
+                    raise
+                items.append(d)
+            return items[k]
 
     def prefix(self, k: int) -> Tuple[Dot, ...]:
         self.dot(k - 1)
-        return tuple(self._stream.items[:k])
+        return tuple(self.items[:k])
 
     def __repr__(self) -> str:
         return f"Point({self.space.name}, {self.name or '...'})"
-
-
-def _checked(space: Space, dots: Iterator[Dot], bound: Optional[int], label: str):
-    prev, repeats = None, 0
-    for n, d in enumerate(dots, 1):
-        if n > 1 and not space.refines(d, prev):
-            raise PointDefect(f"{label}: dot {d!r} does not refine previous {prev!r}")
-        repeats = repeats + 1 if n > 1 and d == prev else 0
-        if bound is not None and repeats >= bound:
-            raise PointDefect(
-                f"{label}: no strict refinement within {bound} steps at prefix length {n}"
-            )
-        prev = d
-        yield d
 
 
 @dataclass(frozen=True)
@@ -137,8 +152,8 @@ def canonical_point(space: Space, a: Dot) -> Point:
 
     def gen() -> Iterator[Dot]:
         cur = a
-        yield cur
         while True:
+            yield cur
             nxt = next(space.strict_refinements(cur), None)
             if nxt is None:
                 raise SpaceDefect(
@@ -146,7 +161,6 @@ def canonical_point(space: Space, a: Dot) -> Point:
                     f"{spaces.SCAN_BUDGET} enumerated dots (space defect)"
                 )
             cur = nxt
-            yield cur
 
     return Point(space, gen, strictness_bound=STRICTNESS_BOUND, name=f"canon({a!r})")
 

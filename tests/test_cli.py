@@ -18,7 +18,9 @@ from natspace.cli import (
     EVAL_MAX_BITS, METRIC_MAX_BITS, VALIDATE_MAX_DEPTH, _union_covers_root,
     eval_expression_bounds, main,
 )
-from natspace.dots import DyadicInterval as D, NaryInterval, RatInterval, dot_to_json, endpoints
+from natspace.dots import (
+    DyadicInterval as D, NaryInterval, RatInterval, Seq, dot_to_json, endpoints,
+)
 from natspace.morphisms import LINE_CALL_MAX_EXPONENT
 
 import oracles
@@ -223,6 +225,19 @@ def test_metric_bits_cap(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)["terms"]) == METRIC_MAX_BITS + 1
 
 
+@pytest.mark.parametrize("bits", ["0", "1", "2", "3"])
+@pytest.mark.parametrize("space", ["T2", "T3", "T2^+"])
+def test_metric_without_separator_pairs_exit_2(tmp_path, capsys, space, bits):
+    # every dot is isolated, so no level up to MAX_LEVEL_GRADE holds a pair
+    point = tmp_path / "x.json"
+    point.write_text(json.dumps([dot_to_json(Seq((0,) * n)) for n in range(3)]))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "metric", space, str(point), str(point), "--bits", bits)
+    assert code == 2 and "Traceback" not in err
+    assert err == f"error: {space}: no separator pair 0 up to grade 9\n"
+    assert time.perf_counter() - start < 5
+
+
 def test_validate_depth_cap(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "validate", "sigma_R", "--depth", str(VALIDATE_MAX_DEPTH + 1))
@@ -255,8 +270,8 @@ def test_union_covers_a_rational_root_of_another_den(cover):
     "expr",
     [
         "(" * 2000 + "1" + ")" * 2000,
-        "+".join(["1"] * 200),  # each operation nests one generator level
-        "-" * 600 + "1",
+        "+".join(["1"] * 1000),  # each addition nests three frames of a dot pull
+        "-" * 2000 + "1",
     ],
     ids=["parens", "sum-chain", "minus-chain"],
 )
@@ -267,9 +282,16 @@ def test_eval_deep_nesting_parse_error(capsys, expr):
 
 def test_eval_long_flat_sum_answers(capsys):
     # a sum pairs its operands without a Point around either normalized stream
-    code, out, _ = run(capsys, "eval", "--bits", "4", "--", "+".join(["1"] * 120))
+    code, out, _ = run(capsys, "eval", "--bits", "4", "--", "+".join(["1"] * 250))
     lo, hi = (F(line.split()[1]) for line in out.splitlines())
-    assert code == 0 and lo <= 120 <= hi
+    assert code == 0 and lo <= 250 <= hi
+
+
+def test_eval_long_minus_chain_answers(capsys):
+    # a unary operation costs one frame per dot pull: its image Point's dot
+    code, out, _ = run(capsys, "eval", "--bits", "4", "--", "-" * 800 + "1")
+    lo, hi = (F(line.split()[1]) for line in out.splitlines())
+    assert code == 0 and lo <= 1 <= hi
 
 
 _ROOT = {"kind": "dyadic", "n": 0, "m": 1}  # the maximal dot of sigma_[0,1]

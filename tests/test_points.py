@@ -1,7 +1,10 @@
 """Lazy points: rational streams, approximation, apartness verdicts."""
 
+import gc
+import json
 import sys
 import threading
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import natspace as ns
 from natspace import spaces
-from natspace.dots import DyadicInterval as D, Seq
+from natspace.cli import main
+from natspace.dots import DyadicInterval as D, dot_to_json
 from natspace.points import PointDefect
 
 import oracles
@@ -102,6 +106,104 @@ def test_exhausted_stream_is_a_defect(sigmaR):
     p = ns.point_from_prefix(sigmaR, [D(0, 1), D(0, 2)])
     with pytest.raises(PointDefect):
         ns.approximate(p, 12)
+
+
+@st.composite
+def _streams(draw):
+    """A finite sigma_R stream, its strictness bound b, and its one defect
+    at index j with the text dot(j) raises (None for a sound stream): a dot
+    apart from the one before, b + 1 equal dots ending at j, or an end at j.
+    A sound stream may stall for up to b equal dots in a row."""
+    sigmaR = ns.std_space("sigma_R")
+    b = draw(st.integers(1, 4))
+    chain, run = [D(draw(st.integers(-8, 8)), 1)], 1
+    for choice in draw(st.lists(st.integers(0, 3), max_size=12)):
+        stall = choice == 3 and run < b
+        chain.append(chain[-1] if stall else sigmaR.successors(chain[-1]).prefix(3)[choice % 3])
+        run = run + 1 if stall else 1
+    kind = draw(st.sampled_from(["none", "apart", "repeat", "end"]))
+    if kind == "none":
+        return chain, b, len(chain), None
+    if kind == "end":
+        j = draw(st.integers(0, len(chain)))
+        return chain[:j], b, j, f"point s: stream exhausted at index {j} (requested {j})"
+    if kind == "apart":
+        j = draw(st.integers(1, len(chain)))
+        prev = chain[j - 1]
+        bad = D(prev.n + 4, prev.m)
+        text = f"point s: dot {bad!r} does not refine previous {prev!r}"
+        return chain[:j] + [bad] + chain[j:], b, j, text
+    i = draw(st.integers(0, len(chain) - 1))
+    stream = chain[: i + 1] + [chain[i]] * b + chain[i + 1 :]
+    j, run = 0, 1  # j ends at the first index where b + 1 equal dots end
+    while run <= b:
+        j += 1
+        run = run + 1 if stream[j] == stream[j - 1] else 1
+    text = f"point s: no strict refinement within {b} steps at prefix length {j + 1}"
+    return stream, b, j, text
+
+
+@given(_streams(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_a_point_draws_its_stream_up_to_the_first_defect(stream_case, jump):
+    stream, b, j, text = stream_case
+    p = ns.Point(ns.std_space("sigma_R"), lambda: stream, strictness_bound=b, name="s")
+    if text is None:
+        assert [p.dot(k) for k in range(j)] == stream
+        return
+    if not jump:  # read the sound prefix first, else draw it on the way to j
+        assert [p.dot(k) for k in range(j)] == stream[:j]
+    for _ in range(2):  # a second read raises the defect again
+        with pytest.raises(PointDefect) as defect:
+            p.dot(j)
+        assert str(defect.value) == text
+    assert [p.dot(k) for k in range(j)] == stream[:j] == list(p.items)
+
+
+def test_a_stream_error_is_raised_again(sigmaR):
+    def gen():
+        yield D(0, 1)
+        raise ValueError("sensor lost")
+
+    p = ns.Point(sigmaR, gen)
+    with pytest.raises(ValueError) as first:
+        p.dot(1)
+    with pytest.raises(ValueError) as again:
+        p.dot(3)
+    assert again.value is first.value and p.dot(0) == D(0, 1)
+
+
+def test_linecall_names_where_a_short_stream_ends(tmp_path, capsys):
+    path = tmp_path / "short.jsonl"
+    path.write_text("".join(json.dumps(dot_to_json(D(-1, m))) + "\n" for m in range(2)))
+    assert main(["linecall", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: point measurements: stream exhausted at index 2 (requested 2)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ns.rational_to_point(F(1, 3)),
+        lambda: ns.canonical_point(ns.std_space("sigma_[0,1]"), D(0, 2)),
+        lambda: ns.apply_point(ns.arith("neg"), ns.rational_to_point(F(1, 3))),
+        lambda: ns.pair_point(ns.rational_to_point(F(1, 3)), ns.rational_to_point(F(2, 5))),
+    ],
+    ids=["rational", "canonical", "apply", "pair"],
+)
+def test_a_point_is_freed_by_reference_count(make):
+    # no stream holds its own Point, so MetricEvaluator's per-point tables
+    # (weak keys) go with their points without a garbage collection
+    gc.disable()
+    try:
+        p = make()
+        p.dot(6)
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_canonical_point_refines_its_dot(sigma01):
