@@ -11,7 +11,7 @@ dot identity).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple as Tup
@@ -255,6 +255,32 @@ def meeting_segment(segs: Tup[List[int], List[int], int], d: Dot) -> Optional[in
     lo, hi, dd = int_endpoints(d)
     i = bisect_left(his, -(-lo * den // dd))
     return i if i < len(his) and los[i] * dd <= hi * den else None
+
+
+def interval_row(dots) -> Optional[Tup[Tup[Dot, ...], List[int], List[int], int]]:
+    """Interval dots as one integer row (dots, los, his, den), dots[j] being
+    [los[j]/den, his[j]/den], when los and his both strictly increase, as on
+    every grid level; else None, and the dots are taken one by one."""
+    dots = tuple(dots)
+    ends = [int_endpoints(d) for d in dots]
+    den = math.lcm(*(d for _, _, d in ends))
+    los, his = [lo * (den // d) for lo, _, d in ends], [hi * (den // d) for _, hi, d in ends]
+    rising = all(x < y for xs in (los, his) for x, y in zip(xs, xs[1:]))
+    return (dots, los, his, den) if rising else None
+
+
+def row_touchers(row, segs: Tup[List[int], List[int], int]) -> List[Dot]:
+    """The dots of an interval_row meeting a segment of merged_segments'
+    (los, his, den), left to right and each once: over the row's den, [lo, hi]
+    meets the run [bisect_left(his, ceil(lo)), bisect_right(los, floor(hi)))."""
+    dots, los, his, den = row
+    out: List[Dot] = []
+    end = 0  # the runs move right; each starts past the one before
+    for lo, hi in zip(segs[0], segs[1]):
+        start = max(end, bisect_left(his, -(-lo * den // segs[2])))
+        end = max(end, bisect_right(los, hi * den // segs[2]))
+        out += dots[start:end]
+    return out
 
 
 def grid_ancestors(d: Dot, m: int) -> Optional[Tup[Dot, ...]]:

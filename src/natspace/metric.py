@@ -14,7 +14,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .dots import (
     Dot,
@@ -26,9 +26,11 @@ from .dots import (
     endpoints,
     grid_ancestors,
     interval_contains,
+    interval_row,
     is_interval,
     meeting_segment,
     merged_segments,
+    row_touchers,
 )
 from .points import Point, successor_normalize
 from .spaces import Lazy, Space, SpaceDefect, SpraidInfo, Successors, seq_interval
@@ -49,10 +51,8 @@ def star_dots(space: Space, d: Dot) -> Tuple[Dot, ...]:
     """All same-grade dots touching d (including d itself)."""
     if space.spraid_info is None:
         raise SpaceDefect(f"{space.name}: stars need a graded space")
-    if d == space.max_dot:
-        return (d,)
-    if isinstance(d, Isolated):
-        # The isolated chain has one dot per grade and touches nothing else.
+    if d == space.max_dot or isinstance(d, Isolated):
+        # the isolated chain has one dot per grade and touches nothing else
         return (d,)
     if isinstance(d, DyadicInterval):
         # Overlapping dyadic grid: [n, n+2] scaled by 2^-m meets [n', n'+2]
@@ -117,9 +117,7 @@ class StarReport:
 def is_star_finite(space: Space, depth: int) -> StarReport:
     """Examine the first `depth` enumerated dots; report the largest star and
     the largest one-sided star (dots extending left / right of the dot)."""
-    max_star = 0
-    max_side = 0
-    checked = 0
+    max_star = max_side = checked = 0
     for i in range(depth):
         d = space.enumerate_dot(i)
         if d == space.max_dot:
@@ -162,6 +160,31 @@ class _TouchSet:
             or any(self.space.touch(c, d) for d in self.other)
         )
 
+    def touchers(self, row, rest) -> List[Dot]:
+        """The dots of a _level_row (row, rest) touching the set: the row's by
+        bisecting it per merged segment, the rest's by touches, as is every
+        dot when there is no row or the set holds a non-interval non-isolated dot."""
+        if row is not None and not self.other:
+            return row_touchers(row, self.segs) + [c for c in rest if self.touches(c)]
+        return [c for c in (rest if row is None else row[0] + rest) if self.touches(c)]
+
+
+# per space: grade -> _level_row(space, grade); an entry dies with its space
+_LEVEL_ROWS: "weakref.WeakKeyDictionary[Space, Dict[int, tuple]]" = weakref.WeakKeyDictionary()
+
+
+def _level_row(space: Space, g: int) -> Tuple[Optional[tuple], Tuple[Dot, ...]]:
+    """(row, rest): level g's interval dots but the root as one
+    dots.interval_row and its other dots in level order, or (None, level)
+    when those interval dots are no row."""
+    rows = _LEVEL_ROWS.setdefault(space, {})
+    if g not in rows:
+        level = space.level(g)
+        rest = tuple(c for c in level if not is_interval(c) or c == space.max_dot)
+        row = interval_row(c for c in level if is_interval(c) and c != space.max_dot)
+        rows[g] = (row, rest) if row is not None else (None, level)
+    return rows[g]
+
 
 # ---------------------------------------------------------------------------
 # Splitting depth.
@@ -174,14 +197,12 @@ def splitting_depth(fann: Space, A, B, max_depth: int = 32) -> int:
     sa = _TouchSet(fann, A)
     if any(sa.touches(b) for b in B):
         raise MetricDefect("splitting needs apart input sets")
-    grades = [fann.grade(d) for d in A + B]
-    start = max(grades) if grades else 1
+    start = max((fann.grade(d) for d in A + B), default=1)
     sb = _TouchSet(fann, B)
     for N in range(max(start, 1), max_depth + 1):
-        level = fann.level(N)
-        ta = [c for c in level if sa.touches(c)]
-        tbset = _TouchSet(fann, [c for c in level if sb.touches(c)])
-        if not any(tbset.touches(c) for c in ta):
+        row = _level_row(fann, N)
+        tbset = _TouchSet(fann, sb.touchers(*row))
+        if not any(tbset.touches(c) for c in sa.touchers(*row)):
             return N
     raise MetricDefect(
         f"no splitting depth for {len(A)} vs {len(B)} dots within grade {max_depth}"
@@ -254,28 +275,6 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
     return sub
 
 
-class _GenSet:
-    """A same-grade generator set with a fast 'does c refine a member' test:
-    a grid dot finds its few ancestors at the set's exponent through
-    grid_ancestors."""
-
-    def __init__(self, space: Space, dots):
-        self.space = space
-        self.dots = frozenset(dots)
-        self.iso = tuple(d for d in self.dots if isinstance(d, Isolated))
-        # same-grade grid dots share their exponent; no other dot has an m
-        self.m = next((d.m for d in self.dots if hasattr(d, "m")), None)
-
-    def contains_refiner(self, c: Dot) -> bool:
-        if c in self.dots:
-            return True
-        if isinstance(c, Isolated):
-            return any(self.space.refines(c, x) for x in self.iso)
-        if self.m is not None and (ancestors := grid_ancestors(c, self.m)) is not None:
-            return any(a in self.dots for a in ancestors)
-        return any(self.space.refines(c, x) for x in self.dots)
-
-
 # ---------------------------------------------------------------------------
 # Ternary zone systems: the separating function.
 
@@ -304,10 +303,10 @@ class UrysohnFunction:
     {0,1,2}^n; the cone under a sits before the first index of every level
     and the cone under b after the last one.  digits(c), the zone index of
     the dot c, is a dot of sigma_3_real, and value_bounds reads the [0,1]
-    value at a point off those digits.  Subclasses decide membership in the
-    child zone head + (s,) through _in_child and give through
-    grade_for_digits the grade k digits need; member() answers the cones
-    and the root and memoizes."""
+    value at a point off those digits.  Subclasses give digits and, through
+    grade_for_digits, the grade k digits need: the fan classifies each
+    level once (see _FanZones), and only the spread asks membership one
+    (dot, zone) pair at a time (see _SpreadZones.member)."""
 
     def __init__(self, space: Space, a: Dot, b: Dot):
         if space.spraid_info is None:
@@ -317,29 +316,10 @@ class UrysohnFunction:
         if space.grade(a) != space.grade(b):
             raise MetricDefect("zone endpoints must share a grade")
         self.space = space
-        self.a = a
-        self.b = b
+        self.a, self.b = a, b
         self.M = space.grade(a)
         self.pending_set: List[Tuple[Dot, int]] = []
-        self._mem: Dict[Tuple[Dot, Tuple[int, ...]], bool] = {}
         self._lock = threading.RLock()
-
-    # -- zone membership ----------------------------------------------------
-
-    def member(self, c: Dot, i) -> bool:
-        if i == _CONE_A:
-            return self.space.refines(c, self.a)
-        if i == _CONE_B:
-            return self.space.refines(c, self.b)
-        if i == ():
-            return True
-        key = (c, i)
-        if key in self._mem:
-            return self._mem[key]
-        self._mem[key] = False  # cut recursive re-entry on the same query
-        res = self._in_child(c, i[:-1], i[-1])
-        self._mem[key] = res
-        return res
 
     def pending(self) -> Tuple[Tuple[Dot, int], ...]:
         """The dots (with their digit counts) whose classification the
@@ -358,9 +338,7 @@ class UrysohnFunction:
             got = self.digits(d)
             if len(got.syms) > len(best.syms):
                 best = got
-            if len(best.syms) >= digit_goal:
-                break
-            if self.space.grade(d) >= needed:
+            if len(best.syms) >= digit_goal or self.space.grade(d) >= needed:
                 break
         return seq_interval(best, 3)
 
@@ -370,9 +348,14 @@ class UrysohnFunction:
 
 
 class _FanZones(UrysohnFunction):
-    """The zone system on a fann.  Each refinement step takes the grade-t
-    members of the two neighbouring zones, finds a splitting depth N, and
-    classifies the grade-N dots into near-left / middle / near-right."""
+    """The zone system on a fann, which classifies each level once.  Step n
+    finds a splitting depth N for the level-t[n] dots of each alive zone i's
+    two neighbours and splits level N into near-a / middle / near-b: part[i]
+    maps each grade-N dot to its part s, and a dot of zone i lies in zone
+    i + (s,) when it refines a dot of part s (_hits).  Every dot of level
+    t[n+1] descends from () through its hits once; the groups give the
+    alive zones and the neighbours of step n+1, and digits walks the same
+    hits.  Only the cones are tested dot by dot."""
 
     def __init__(self, fann: Space, a: Dot, b: Dot, max_level_grade: int):
         if fann.spraid_info is None or not fann.spraid_info.finitely_branching:
@@ -383,19 +366,29 @@ class _FanZones(UrysohnFunction):
         self.max_level_grade = max_level_grade
         self.t: List[int] = [self.M]
         self.alive: Dict[int, Tuple[Tuple[int, ...], ...]] = {0: ((),)}
-        self.X: Dict[Tuple[Tuple[int, ...], int], _GenSet] = {}
+        # zone -> (level N's grid exponent, {dot: part}, the _level_row rest)
+        self.part: Dict[Tuple[int, ...], Tuple[Optional[int], Dict[Dot, int], tuple]] = {}
+        self.groups: Dict[Tuple[int, ...], List[Dot]] = {}  # level t[-1] by zone
         self.exhausted = False
 
-    def _in_child(self, c: Dot, head: Tuple[int, ...], s: int) -> bool:
-        gens = self.X.get((head, s))
-        return (
-            gens is not None
-            and self.member(c, head)
-            and gens.contains_refiner(c)
-        )
+    def _hits(self, i: Tuple[int, ...], c: Dot) -> Set[int]:
+        """The s with c in zone i + (s,), for c in zone i: the parts of c's
+        grid ancestors at level N's exponent, of the isolated dots c
+        refines, or else of every dot c refines."""
+        if i not in self.part:
+            return set()
+        m, part, rest = self.part[i]
+        if isinstance(c, Isolated):
+            return {part[x] for x in rest if isinstance(x, Isolated) and self.space.refines(c, x)}
+        if m is not None and (ancestors := grid_ancestors(c, m)) is not None:
+            return {part[x] for x in ancestors if x in part}
+        return {s for x, s in part.items() if x == c or self.space.refines(c, x)}
 
     def _zone_dots(self, i, level) -> Tuple[Dot, ...]:
-        return tuple(c for c in level if self.member(c, i))
+        if i in (_CONE_A, _CONE_B):
+            end = self.b if i == _CONE_B else self.a
+            return tuple(c for c in level if self.space.refines(c, end))
+        return tuple(self.groups.get(i, ()))
 
     # -- level construction --------------------------------------------------
 
@@ -411,64 +404,55 @@ class _FanZones(UrysohnFunction):
             self.exhausted = True
             return
         level_t = self.space.level(t)
-        depths = []
+        depths, parts = [], {}
         for i in self.alive[n]:
             A = self._zone_dots(_shift(i, -1), level_t)
             B = self._zone_dots(_shift(i, 1), level_t)
             try:
-                if A and B:
-                    N = splitting_depth(
-                        self.space, A, B, max_depth=self.max_level_grade
-                    )
-                    N = max(N, t + 1)
-                else:
-                    N = t + 1
+                N = splitting_depth(self.space, A, B, self.max_level_grade) if A and B else t
             except MetricDefect:
                 self.exhausted = True
                 return
+            N = max(N, t + 1)
             level_n = self.space.level(N)
-            sa = _TouchSet(self.space, A)
-            sb = _TouchSet(self.space, B)
-            parts: Tuple[List[Dot], ...] = ([], [], [])  # near a, middle, near b
-            for c in level_n:
-                parts[0 if sa.touches(c) else 2 if sb.touches(c) else 1].append(c)
-            for s in range(3):
-                self.X[(i, s)] = _GenSet(self.space, parts[s])
+            row, rest = _level_row(self.space, N)
+            part = dict.fromkeys(level_n, 1)  # near a 0, middle 1, near b 2
+            part.update(dict.fromkeys(_TouchSet(self.space, B).touchers(row, rest), 2))
+            part.update(dict.fromkeys(_TouchSet(self.space, A).touchers(row, rest), 0))
+            # same-grade grid dots share their exponent; no other dot has an m
+            parts[i] = (next((d.m for d in level_n if hasattr(d, "m")), None), part, rest)
             depths.append(N)
+        self.part.update(parts)  # a step's part maps all land, or none
         t_next = max(depths) if depths else t + 1
-        level_next = self.space.level(t_next) if t_next <= self.max_level_grade else ()
-        alive_next = []
-        for i in self.alive[n]:
-            for s in range(3):
-                child = i + (s,)
-                if any(self.member(c, child) for c in level_next):
-                    alive_next.append(child)
+        self.groups = {}
+        for c in self.space.level(t_next) if t_next <= self.max_level_grade else ():
+            zones = [()]  # c's zones, one digit deeper per pass
+            for _ in range(n + 1):
+                zones = [i + (s,) for i in zones for s in self._hits(i, c)]
+            for i in zones:
+                self.groups.setdefault(i, []).append(c)
         self.t.append(t_next)
-        self.alive[n + 1] = tuple(alive_next)
+        self.alive[n + 1] = tuple(
+            i + (s,) for i in self.alive[n] for s in range(3) if i + (s,) in self.groups
+        )
 
     # -- the digit map -------------------------------------------------------
 
     def digits(self, c: Dot) -> Seq:
         i: Tuple[int, ...] = ()  # the zone index of c so far: its digits
         g = self.space.grade(c)
-        while True:
-            n = len(i)
-            if g <= self.t[n]:
-                break
-            self.ensure_level(n + 1)
-            if len(self.t) <= n + 1:
-                break
-            hits = [s for s in (0, 1, 2) if self.member(c, i + (s,))]
+        while g > self.t[len(i)]:
+            self.ensure_level(len(i) + 1)
+            hits = self._hits(i, c)  # none once the steps ran out
             if len(hits) != 1:
                 break
-            i = i + (hits[0],)
+            i += tuple(hits)
         return Seq(i)
 
     def grade_for_digits(self, k: int) -> int:
         self.ensure_level(k)
-        idx = min(k, len(self.t) - 1)
-        penalty = 3 * max(0, k - (len(self.t) - 1))
-        return self.t[idx] + 1 + penalty
+        built = len(self.t) - 1  # steps built; each missing digit costs 3 grades
+        return self.t[min(k, built)] + 1 + 3 * max(0, k - built)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +462,15 @@ class _FanZones(UrysohnFunction):
 
 class _SpreadZones(UrysohnFunction):
     """The zone system on a star-finite spread.  Zone membership is decided
-    from a dot's finite star and its ancestors; a security predicate (the
-    whole 2-star already classified one level up) gates refinement."""
+    one (dot, zone) pair at a time from a dot's finite star and its
+    ancestors; a security predicate (the whole 2-star already classified one
+    level up) gates refinement.  member() answers the cones and the root
+    and memoizes."""
 
     def __init__(self, space: Space, a: Dot, b: Dot, depth_budget: int):
         super().__init__(space, a, b)
         self.depth_budget = depth_budget
+        self._mem: Dict[Tuple[Dot, Tuple[int, ...]], bool] = {}
         self._sec: Dict[Tuple[Dot, int], bool] = {}
         self._zone: Dict[Tuple[Dot, int], bool] = {}
         self._star: Dict[Dot, Tuple[Dot, ...]] = {}
@@ -496,10 +483,7 @@ class _SpreadZones(UrysohnFunction):
         return self._star[d]
 
     def star2(self, d: Dot) -> Tuple[Dot, ...]:
-        out = set()
-        for e in self.star(d):
-            out.update(self.star(e))
-        return tuple(out)
+        return tuple({x for e in self.star(d) for x in self.star(e)})
 
     def _ancestors(self, c: Dot) -> Tuple[Dot, ...]:
         """c and everything above it (the maximal dot excluded)."""
@@ -516,6 +500,16 @@ class _SpreadZones(UrysohnFunction):
         return tuple(out)
 
     # -- zone membership --------------------------------------------------------
+
+    def member(self, c: Dot, i) -> bool:
+        if i in (_CONE_A, _CONE_B):
+            return self.space.refines(c, self.b if i == _CONE_B else self.a)
+        if i == ():
+            return True
+        if (c, i) not in self._mem:
+            self._mem[(c, i)] = False  # cut recursive re-entry on the same query
+            self._mem[(c, i)] = self._in_child(c, i[:-1], i[-1])
+        return self._mem[(c, i)]
 
     def _touch_zone(self, d: Dot, j) -> bool:
         return any(self.member(e, j) for e in self.star(d))
@@ -690,12 +684,10 @@ def evaluate_metric(
     beyond that the bounds stay sound but may be wider."""
     terms = precision_bits + 1
     goal = min(metric_digit_goal(precision_bits), DIGIT_CAP)
-    lo = Fraction(0)
-    hi = Fraction(0)
+    lo = hi = Fraction(0)
     fx_of, fy_of = ev.values_of(x), ev.values_of(y)
     for m in range(terms):
-        fx = fx_of(m, goal)
-        fy = fy_of(m, goal)
+        fx, fy = fx_of(m, goal), fy_of(m, goal)
         dlo = max(Fraction(0), fx[0] - fy[1], fy[0] - fx[1])
         dhi = min(Fraction(1), max(fx[1] - fy[0], fy[1] - fx[0]))
         w = Fraction(1, 2**m)

@@ -47,6 +47,7 @@ class Point:
         self.items: List[Dot] = []
         self._iter = iter(dots())
         self._error: Optional[Exception] = None
+        self._traceback = None
         self._bound = strictness_bound
         self._repeats = 0  # how many dots in a row equal the one before
         self._lock = threading.RLock()
@@ -57,8 +58,8 @@ class Point:
             return items[k]
         with self._lock:
             while len(items) <= k:
-                if self._error is not None:
-                    raise self._error
+                if self._error is not None:  # the first traceback, so it does not grow
+                    raise self._error.with_traceback(self._traceback)
                 try:
                     d = next(self._iter)
                     if items and not self.space.refines(d, items[-1]):
@@ -78,7 +79,7 @@ class Point:
                         f"index {len(items)} (requested {k})"
                     ) from None
                 except Exception as exc:  # the stream or its check failed: keep the error
-                    self._error = exc
+                    self._error, self._traceback = exc, exc.__traceback__
                     raise
                 items.append(d)
             return items[k]

@@ -56,6 +56,7 @@ class Lazy:
         self._factory = factory
         self._iter: Optional[Iterator] = None
         self._error: Optional[Exception] = None
+        self._traceback = None
         self.items: list = []
         self._lock = threading.RLock()
 
@@ -67,14 +68,14 @@ class Lazy:
             if self._iter is None:
                 self._iter = iter(self._factory())
             while len(items) <= i:
-                if self._error is not None:
-                    raise self._error
+                if self._error is not None:  # the first traceback, so it does not grow
+                    raise self._error.with_traceback(self._traceback)
                 try:
                     items.append(next(self._iter))
                 except StopIteration:
                     raise IndexError(i) from None
                 except Exception as exc:  # the iterator is spent: keep its error
-                    self._error = exc
+                    self._error, self._traceback = exc, exc.__traceback__
                     raise
             return items[i]
 

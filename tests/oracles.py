@@ -441,3 +441,120 @@ def cover_trails_listed(predecessors: Callable, top, a) -> List[Tuple]:
     if not preds:
         return [(a,)]
     return [t + (a,) for p in preds for t in cover_trails_listed(predecessors, top, p)]
+
+
+# ---------------------------------------------------------------------------
+# Fan zones by the recursive per-(dot, zone) membership rule.
+# ---------------------------------------------------------------------------
+
+
+class FanZonesReference:
+    """The fan zone system as it was built before levels were classified
+    once: membership in a zone head + (s,) is asked one (dot, zone) pair at
+    a time, recursively through the parent zone and memoized, against the
+    generator set of part s (the grade-N dots split near a / middle / near
+    b); splitting depths and the three-way split test every level dot on
+    its own.  The space is read through its own relations; the caller
+    supplies touch_set(dots) -> a per-dot touch predicate, grid_ancestors
+    (the grid dots of an exponent containing a dot, None off the grids)
+    and is_isolated."""
+
+    def __init__(self, space, a, b, max_level_grade, touch_set, grid_ancestors, is_isolated):
+        self.space, self.a, self.b = space, a, b
+        self.max_level_grade = max_level_grade
+        self.touch_set, self.grid_ancestors, self.is_isolated = touch_set, grid_ancestors, is_isolated
+        self.t = [space.grade(a)]
+        self.alive = {0: ((),)}
+        self.X = {}  # (head, s) -> the dots of part s
+        self.mem = {}
+        self.exhausted = False
+
+    @staticmethod
+    def shift(i, step):
+        v = 0
+        for s in i:
+            v = 3 * v + s
+        v += step
+        if v < 0:
+            return "A"
+        if v >= 3 ** len(i):
+            return "B"
+        return tuple(v // 3**k % 3 for k in reversed(range(len(i))))
+
+    def contains_refiner(self, gens, c) -> bool:
+        if c in gens:
+            return True
+        if self.is_isolated(c):
+            return any(self.space.refines(c, x) for x in gens if self.is_isolated(x))
+        m = next((x.m for x in gens if hasattr(x, "m")), None)
+        if m is not None and (ancestors := self.grid_ancestors(c, m)) is not None:
+            return any(x in gens for x in ancestors)
+        return any(self.space.refines(c, x) for x in gens)
+
+    def member(self, c, i) -> bool:
+        if i == "A":
+            return self.space.refines(c, self.a)
+        if i == "B":
+            return self.space.refines(c, self.b)
+        if i == ():
+            return True
+        if (c, i) not in self.mem:
+            gens = self.X.get((i[:-1], i[-1]))
+            self.mem[(c, i)] = (
+                gens is not None and self.member(c, i[:-1]) and self.contains_refiner(gens, c)
+            )
+        return self.mem[(c, i)]
+
+    def splitting_depth(self, A, B):
+        sa, sb = self.touch_set(A), self.touch_set(B)
+        if any(sa(b) for b in B):
+            return None
+        for N in range(max(max(self.space.grade(d) for d in A + B), 1), self.max_level_grade + 1):
+            level = self.space.level(N)
+            tb = self.touch_set([c for c in level if sb(c)])
+            if not any(tb(c) for c in level if sa(c)):
+                return N
+        return None
+
+    def build_all(self) -> None:
+        while not self.exhausted:
+            n = len(self.t) - 1
+            t = self.t[n]
+            if t > self.max_level_grade:
+                self.exhausted = True
+                return
+            level_t = self.space.level(t)
+            depths = []
+            for i in self.alive[n]:
+                A = tuple(c for c in level_t if self.member(c, self.shift(i, -1)))
+                B = tuple(c for c in level_t if self.member(c, self.shift(i, 1)))
+                N = self.splitting_depth(A, B) if A and B else t + 1
+                if N is None:
+                    self.exhausted = True
+                    return
+                N = max(N, t + 1)
+                sa, sb = self.touch_set(A), self.touch_set(B)
+                parts = ([], [], [])
+                for c in self.space.level(N):
+                    parts[0 if sa(c) else 2 if sb(c) else 1].append(c)
+                for s in range(3):
+                    self.X[(i, s)] = frozenset(parts[s])
+                depths.append(N)
+            t_next = max(depths) if depths else t + 1
+            level_next = self.space.level(t_next) if t_next <= self.max_level_grade else ()
+            self.t.append(t_next)
+            self.alive[n + 1] = tuple(
+                i + (s,) for i in self.alive[n] for s in range(3)
+                if any(self.member(c, i + (s,)) for c in level_next)
+            )
+
+    def digits(self, c) -> Tuple[int, ...]:
+        """The zone index of c, once build_all has run."""
+        i: Tuple[int, ...] = ()
+        g = self.space.grade(c)
+        while len(i) + 1 < len(self.t) and g > self.t[len(i)]:
+            hits = [s for s in (0, 1, 2) if self.member(c, i + (s,))]
+            if len(hits) != 1:
+                break
+            i += (hits[0],)
+        return i

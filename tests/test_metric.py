@@ -1,14 +1,16 @@
 """Star finiteness, splitting depths, Urysohn separators, the metric."""
 
 import gc
+import hashlib
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import natspace as ns
-from natspace.dots import DyadicInterval as D, Isolated, Seq
-from natspace.metric import MetricDefect
+from natspace.dots import DyadicInterval as D, Isolated, Seq, grid_ancestors, interval_row
+from natspace.metric import MAX_LEVEL_GRADE, MetricDefect, _level_row, _TouchSet
 
 import oracles
 
@@ -212,3 +214,101 @@ def test_metric_brackets_are_a_pseudometric(metric_ev, a, b, c):
     assert d(x, y) == d(y, x)
     assert d(x, x)[0] == 0
     assert d(x, z)[0] <= d(x, y)[1] + d(y, z)[1]
+
+
+# ---------------------------------------------------------------------------
+# Fan zones classified once per level, against the recursive rule.
+
+
+def _fan_and_reference(space, a, b, max_level_grade):
+    f = ns.urysohn_fan(space, a, b, max_level_grade)
+    ref = oracles.FanZonesReference(
+        space, a, b, max_level_grade,
+        touch_set=lambda dots: _TouchSet(space, dots).touches,
+        grid_ancestors=grid_ancestors,
+        is_isolated=lambda d: isinstance(d, Isolated),
+    )
+    f.ensure_level(max_level_grade + 1)
+    ref.build_all()
+    return f, ref
+
+
+def _assert_same_zones(space, f, ref, levels):
+    assert f.t == ref.t
+    assert f.alive == ref.alive
+    for g in levels:
+        for c in space.level(g):
+            assert f.digits(c).syms == ref.digits(c), c
+
+
+def test_fan_zones_match_the_recursive_rule_on_the_metric_table(metric_ev, ext01):
+    """The 11 separators a 10-bit metric table reads, every dot of levels
+    1-7: part maps, one descent per dot and level touchers by segment give
+    the t, alive zones and digits of the per-(dot, zone) recursion."""
+    for m in range(11):
+        f, ref = _fan_and_reference(ext01, *metric_ev.pair(m), MAX_LEVEL_GRADE)
+        _assert_same_zones(ext01, f, ref, range(1, 8))
+
+
+@pytest.mark.parametrize(
+    "name, a, b",
+    [
+        ("[0,1]_ter", ns.NaryInterval(3, 0, 2), ns.NaryInterval(3, 4, 2)),
+        ("cantor", Seq((0, 0)), Seq((1, 0))),  # no grid: every hit is a refines scan
+        ("sigma_2", Seq((0, 1)), Seq((1, 1))),
+    ],
+)
+def test_fan_zones_match_the_recursive_rule_off_the_dyadic_grid(name, a, b):
+    space = ns.std_space(name)
+    f, ref = _fan_and_reference(space, a, b, 7)
+    assert len(f.t) > 2
+    _assert_same_zones(space, f, ref, range(1, 8))
+
+
+@st.composite
+def touch_sets(draw):
+    """At most six dots of sigma_[0,1]^+: grid dots up to grade 7 and
+    isolated dots."""
+    return draw(st.lists(ext01_starts().filter(lambda d: not isinstance(d, D) or d.m <= 8),
+                         max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), touch_sets())
+def test_level_touchers_match_the_per_dot_scan(ext01, g, dots):
+    ts = _TouchSet(ext01, dots)
+    level = ext01.level(g)
+    got = ts.touchers(*_level_row(ext01, g))
+    assert len(got) == len(set(got))
+    assert set(got) == {c for c in level if ts.touches(c)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda g: st.tuples(st.just(g), st.permutations(ns.std_space("sigma_[0,1]").level(g)))),
+    touch_sets())
+def test_level_touchers_of_a_level_that_is_no_row(ext01, case, dots):
+    g, shuffled = case
+    level = ext01.level(g)
+    assume([c for c in level if c in shuffled] != shuffled)
+    assert interval_row(shuffled) is None
+    ts = _TouchSet(ext01, dots)
+    got = ts.touchers(None, tuple(shuffled) + (Isolated(g),))
+    assert len(got) == len(set(got)) and set(got) == {c for c in level if ts.touches(c)}
+
+
+def test_a_fresh_metric_table_keeps_its_frozen_digest():
+    """All 105 brackets of the 10-bit table on sigma_[0,1]^+ over the 15
+    canonical points at D(n,3), D(4n+1,5) (n < 7) and iso(2), pairs in
+    itertools.combinations order, one "lo hi" line each."""
+    space = ns.extend_with_isolated_point(ns.std_space("sigma_[0,1]"))
+    ev = ns.MetricEvaluator(space)
+    bases = [d for n in range(7) for d in (D(n, 3), D(4 * n + 1, 5))] + [Isolated(2)]
+    points = [ns.canonical_point(space, d) for d in bases]
+    lines = "".join(
+        "{} {}\n".format(*ns.evaluate_metric(ev, x, y, 10))
+        for x, y in itertools.combinations(points, 2)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "b5bc0d564a4b1932f187057b81120d2fd7cfb31ffe191f17bb4b0301cf61123e"
+    )

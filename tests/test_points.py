@@ -173,6 +173,40 @@ def test_a_stream_error_is_raised_again(sigmaR):
     assert again.value is first.value and p.dot(0) == D(0, 1)
 
 
+def _traceback_length(error: BaseException) -> int:
+    n, tb = 0, error.__traceback__
+    while tb is not None:
+        n, tb = n + 1, tb.tb_next
+    return n
+
+
+@pytest.mark.parametrize("kind", ["point", "lazy"])
+def test_a_stored_error_keeps_its_traceback_length(sigmaR, kind):
+    """Each later read raises the stored error with the traceback of the
+    first failure, so it does not grow with the reads (it grew by one or two
+    entries per read)."""
+
+    def gen():
+        yield D(0, 1)
+        if kind == "lazy":
+            raise ValueError("sensor lost")
+        yield D(8, 1)  # does not refine the dot before
+
+    if kind == "point":
+        read, error = ns.Point(sigmaR, gen, name="jump").dot, PointDefect
+    else:
+        read, error = spaces.Lazy(gen).__getitem__, ValueError
+    lengths, texts = [], set()
+    for _ in range(1000):
+        with pytest.raises(error) as raised:
+            read(1)
+        lengths.append(_traceback_length(raised.value))
+        texts.add(str(raised.value))
+    assert len(set(lengths[1:])) == 1 and lengths[-1] <= lengths[0] + 1
+    if kind == "point":
+        assert texts == {"point jump: dot [4,5]d does not refine previous [0,1]d"}
+
+
 def test_linecall_names_where_a_short_stream_ends(tmp_path, capsys):
     path = tmp_path / "short.jsonl"
     path.write_text("".join(json.dumps(dot_to_json(D(-1, m))) + "\n" for m in range(2)))
