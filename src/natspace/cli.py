@@ -93,6 +93,9 @@ def _tokenize(text: str) -> List[str]:
     return out
 
 
+_BINARY = {"+": ("add", 0), "-": ("sub", 0), "*": ("mul", 1)}  # operator -> (node, precedence)
+
+
 class _Parser:
     def __init__(self, tokens: List[str]):
         self.toks = tokens
@@ -116,17 +119,14 @@ class _Parser:
             raise CliParseError(f"trailing input at {self.peek()!r}")
         return node
 
-    def expr(self) -> tuple:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            node = ("add" if self.take() == "+" else "sub", node, self.term())
-        return node
-
-    def term(self) -> tuple:
+    def expr(self, prec: int = 0) -> tuple:
+        """Precedence climbing: a factor, then each operator binding at least
+        as tightly as prec, its right operand one level tighter (left
+        associative); a level of parentheses costs two frames."""
         node = self.factor()
-        while self.peek() == "*":
-            self.take()
-            node = ("mul", node, self.factor())
+        while self.peek() in _BINARY and _BINARY[self.peek()][1] >= prec:
+            kind, level = _BINARY[self.take()]
+            node = (kind, node, self.expr(level + 1))
         return node
 
     def factor(self) -> tuple:
@@ -389,12 +389,11 @@ def _cmd_metric(args, out) -> int:
     ev = MetricEvaluator(space)
     lo, hi = evaluate_metric(ev, x, y, args.bits)
     fx_of, fy_of = ev.values_of(x), ev.values_of(y)
+    goal = min(metric_digit_goal(args.bits), DIGIT_CAP)
     rows = []
     for m in range(args.bits + 1):
         a, b = ev.pair(m)
-        goal = min(metric_digit_goal(args.bits), DIGIT_CAP)
-        fx = fx_of(m, goal)
-        fy = fy_of(m, goal)
+        fx, fy = fx_of(m, goal), fy_of(m, goal)
         rows.append(
             {
                 "m": m,

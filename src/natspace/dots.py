@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import List, Optional, Tuple as Tup
 
@@ -257,47 +258,72 @@ def meeting_segment(segs: Tup[List[int], List[int], int], d: Dot) -> Optional[in
     return i if i < len(his) and los[i] * dd <= hi * den else None
 
 
-def interval_row(dots) -> Optional[Tup[Tup[Dot, ...], List[int], List[int], int]]:
-    """Interval dots as one integer row (dots, los, his, den), dots[j] being
-    [los[j]/den, his[j]/den], when los and his both strictly increase, as on
-    every grid level; else None, and the dots are taken one by one."""
+def interval_row(dots) -> Optional[Tup[Tup[Dot, ...], range, range, int]]:
+    """One grid exponent's consecutive dots n0, n0 + 1, ... (a grid level) as
+    one integer row (dots, los, his, den), dots[j] being [los[j]/den,
+    his[j]/den]; else None.  Neighbours touch, so a run covers a segment."""
     dots = tuple(dots)
-    ends = [int_endpoints(d) for d in dots]
-    den = math.lcm(*(d for _, _, d in ends))
-    los, his = [lo * (den // d) for lo, _, d in ends], [hi * (den // d) for _, hi, d in ends]
-    rising = all(x < y for xs in (los, his) for x, y in zip(xs, xs[1:]))
-    return (dots, los, his, den) if rising else None
+    if not dots or any(type(d) not in (DyadicInterval, NaryInterval) for d in dots) or len(
+        {(type(d), getattr(d, "base", 2), d.m, d.n - j) for j, d in enumerate(dots)}
+    ) > 1:
+        return None
+    lo, hi, den = int_endpoints(dots[0])
+    return dots, range(lo, lo + len(dots)), range(hi, hi + len(dots)), den
 
 
-def row_touchers(row, segs: Tup[List[int], List[int], int]) -> List[Dot]:
-    """The dots of an interval_row meeting a segment of merged_segments'
-    (los, his, den), left to right and each once: over the row's den, [lo, hi]
-    meets the run [bisect_left(his, ceil(lo)), bisect_right(los, floor(hi)))."""
-    dots, los, his, den = row
-    out: List[Dot] = []
-    end = 0  # the runs move right; each starts past the one before
-    for lo, hi in zip(segs[0], segs[1]):
-        start = max(end, bisect_left(his, -(-lo * den // segs[2])))
-        end = max(end, bisect_right(los, hi * den // segs[2]))
-        out += dots[start:end]
-    return out
+def row_runs(row, segs, inside: bool = False) -> List[Tup[int, int]]:
+    """The interval_row dots meeting (inside: lying in) a segment of (los,
+    his, den), left to right, as sorted disjoint runs [j0, j1): over the row's
+    den, [lo, hi] meets his >= ceil(lo) and los <= floor(hi), bisected."""
+    (_, los, his, den), (slos, shis, sden) = row, segs
+    firsts, lasts = (los, his) if inside else (his, los)
+    runs: List[Tup[int, int]] = []
+    for lo, hi in zip(slos, shis):
+        j0, j1 = bisect_left(firsts, -(-lo * den // sden)), bisect_right(lasts, hi * den // sden)
+        if runs and j0 <= runs[-1][1]:
+            runs[-1] = (runs[-1][0], max(runs[-1][1], j1))
+        elif j0 < j1:
+            runs.append((j0, j1))
+    return runs
+
+
+def row_segments(row, runs) -> Tup[List[int], List[int], int]:
+    """One segment per run of an interval_row, [los[j0], his[j1 - 1]] for
+    [j0, j1): left to right, as merged_segments' readers need, maybe touching."""
+    _, los, his, den = row
+    return [los[j0] for j0, _ in runs], [his[j1 - 1] for _, j1 in runs], den
+
+
+def ancestor_span(d: Dot, m: int) -> Optional[Tup[int, int]]:
+    """The n run [lo, hi) of the exponent-m dots of d's grid that contain d:
+    one or two dyadic dots (two grid steps wide) by shifts, one n-ary dot by
+    floor division, none when m exceeds d's exponent.  None off the grids."""
+    if type(d) is DyadicInterval and m <= d.m:  # ceil((n+2)/2^s) - 2 to floor(n/2^s)
+        return -(-(d.n + 2) >> d.m - m) - 2, (d.n >> d.m - m) + 1
+    if type(d) is NaryInterval and m <= d.m:
+        return d.n // d.base ** (d.m - m), d.n // d.base ** (d.m - m) + 1
+    return (0, 0) if type(d) in (DyadicInterval, NaryInterval) else None
+
+
+def row_span(row, d: Dot) -> Optional[Tup[int, int]]:
+    """The run [j0, j1) of the interval_row dots that contain d: its
+    ancestor_span at the row's exponent; None off the row's grid."""
+    first = row[0][0]
+    if type(d) is not type(first) or getattr(d, "base", 2) != getattr(first, "base", 2):
+        return None
+    lo, hi = ancestor_span(d, first.m)
+    return max(lo - first.n, 0), max(hi - first.n, 0)
 
 
 def grid_ancestors(d: Dot, m: int) -> Optional[Tup[Dot, ...]]:
-    """The exponent-m dots of d's grid that contain d, by increasing n: the
-    one n-ary dot (base, n // base^(d.m - m), m), or the one or two dyadic
-    dots (a dyadic dot is two grid steps wide), or none when m exceeds d's
-    exponent.  None for a dot of no grid."""
-    if type(d) is DyadicInterval:
-        s = d.m - m
-        if s < 0:
-            return ()
-        lo, hi = -(-(d.n + 2) >> s) - 2, d.n >> s  # ceil((n+2)/2^s) - 2, floor(n/2^s)
-        first = DyadicInterval(lo, m)
-        return (first,) if lo == hi else (first, DyadicInterval(hi, m))
-    if type(d) is not NaryInterval:
+    """The exponent-m dots of d's grid that contain d, by increasing n (see
+    ancestor_span); None for a dot of no grid."""
+    span = ancestor_span(d, m)
+    if span is None:
         return None
-    return (NaryInterval(d.base, d.n // d.base ** (d.m - m), m),) if m <= d.m else ()
+    lo, hi = span
+    make = DyadicInterval if type(d) is DyadicInterval else partial(NaryInterval, d.base)
+    return (make(lo, m), make(lo + 1, m)) if hi - lo == 2 else (make(lo, m),) if hi > lo else ()
 
 
 def seq_dot(d: Seq, base: int) -> NaryInterval:

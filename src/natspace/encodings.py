@@ -408,16 +408,12 @@ class BaireEncoding:
         a = self.space.max_dot
         while True:
             n = len(syms) + 1
-            hit = None
-            for x in items:
-                if not self.space.strictly_refines(x, a):
-                    continue
-                if self.space.index_of(x) < n:
-                    continue
-                if not self.has_e_grade(x, n):
-                    continue
-                hit = x
-                break
+            hit = next((
+                x for x in items
+                if self.space.strictly_refines(x, a)
+                and self.space.index_of(x) >= n
+                and self.has_e_grade(x, n)
+            ), None)
             if hit is None:
                 return Seq(tuple(syms))
             syms.append(self.level_index(n, a, hit))

@@ -118,14 +118,11 @@ def _successors_above(space: Space, r: Dot, d: Dot) -> List[Dot]:
 def flatten(bar: GeneticBar) -> Tuple[Dot, ...]:
     """All leaf dots of the derivation (finite exactly when every visited
     cone branches finitely)."""
-    out: List[Dot] = []
-    seen = set()
+    out: Dict[Dot, None] = {}  # an ordered set
 
     def walk(node: BarNode) -> None:
         if isinstance(node, Leaf):
-            if node.dot not in seen:
-                seen.add(node.dot)
-                out.append(node.dot)
+            out[node.dot] = None
             return
         for s in _finite_successors(bar.space, node.dot):
             walk(node.child(s))
@@ -191,17 +188,14 @@ def finite_subcover(fann: Space, cover: Cover) -> Tuple[Dot, ...]:
         raise BarDefect("finite_subcover needs a finite cover with a bar witness")
     if fann.spraid_info is None or not fann.spraid_info.finitely_branching:
         raise BarDefect(f"{fann.name}: finite subcovers need a fann")
-    chosen: List[Dot] = []
-    chosen_set = set()
+    chosen: Dict[Dot, None] = {}  # an ordered set
     for d in flatten(cover.witness):
         hit = next((c for c in cover.dots if fann.refines(d, c)), None)
         if hit is None:
             raise BarDefect(
                 f"invalid witness: bar dot {d!r} refines no cover element"
             )
-        if hit not in chosen_set:
-            chosen_set.add(hit)
-            chosen.append(hit)
+        chosen[hit] = None
     return tuple(chosen)
 
 

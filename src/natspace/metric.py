@@ -10,6 +10,7 @@ weights 2^-m yields a metric compatible with the apartness topology.
 
 from __future__ import annotations
 
+import re
 import threading
 import weakref
 from dataclasses import dataclass
@@ -24,13 +25,14 @@ from .dots import (
     NaryInterval,
     Seq,
     endpoints,
-    grid_ancestors,
     interval_contains,
     interval_row,
     is_interval,
     meeting_segment,
     merged_segments,
-    row_touchers,
+    row_runs,
+    row_segments,
+    row_span,
 )
 from .points import Point, successor_normalize
 from .spaces import Lazy, Space, SpaceDefect, SpraidInfo, Successors, seq_interval
@@ -66,12 +68,10 @@ def star_dots(space: Space, d: Dot) -> Tuple[Dot, ...]:
     else:
         raise SpaceDefect(f"{space.name}: no star rule for {d!r}")
     root = space.max_dot
-    out = []
-    for c in cands:
-        if isinstance(root, MaxDot) or interval_contains(root, c):
-            if not space.apart(c, d):
-                out.append(c)
-    return tuple(out)
+    return tuple(
+        c for c in cands
+        if (isinstance(root, MaxDot) or interval_contains(root, c)) and not space.apart(c, d)
+    )
 
 
 def star_set(space: Space, n: int, a: Dot) -> Tuple[Dot, ...]:
@@ -80,15 +80,9 @@ def star_set(space: Space, n: int, a: Dot) -> Tuple[Dot, ...]:
     if n < 1:
         raise ValueError("star index must be >= 1")
     cur = {a}
-    for _ in range(n - 1):
-        nxt = set(cur)
-        for c in cur:
-            nxt.update(star_dots(space, c))
-        cur = nxt
-    out = set()
-    for c in cur:
-        out.update(star_dots(space, c))
-    return tuple(sorted(out, key=repr))
+    for _ in range(n):  # every dot is in its own star
+        cur = {e for c in cur for e in star_dots(space, c)}
+    return tuple(sorted(cur, key=repr))
 
 
 def star_relation(space: Space, n: int, a: Dot, b: Dot) -> bool:
@@ -139,17 +133,29 @@ def is_star_finite(space: Space, depth: int) -> StarReport:
 # Touch sets: fast "does c touch anything in S" predicates.
 
 
-class _TouchSet:
-    """A finite dot set with a fast touch test: its interval dots as merged
-    integer segments, the other dots scanned.  An isolated dot touches only
-    the isolated dots and the root."""
+def _meet(xs, ys) -> List[Tuple[int, int]]:
+    """The positions two sorted lists of disjoint runs share, as runs."""
+    return [(max(a, c), min(b, d)) for a, b in xs for c, d in ys if max(a, c) < min(b, d)]
 
-    def __init__(self, space: Space, dots):
-        self.space = space
-        self.dots = tuple(dots)
-        self.segs = merged_segments(filter(is_interval, self.dots))
+
+class _TouchSet:
+    """A finite dot set with a fast touch test: its interval dots as integer
+    segments, the other dots scanned.  A set of one level's dots holds its
+    _level_row dots as runs (row, runs) and only its isolated dots as dots.
+    An isolated dot touches only the isolated dots and the root."""
+
+    def __init__(self, space: Space, dots, row=None, runs=()):
+        self.space, self.dots, self.row, self.runs = space, tuple(dots), row, runs
+        self.segs = (
+            row_segments(row, runs) if runs else merged_segments(filter(is_interval, self.dots))
+        )
         self.has_iso = any(isinstance(d, Isolated) for d in self.dots)
         self.other = tuple(d for d in self.dots if not (is_interval(d) or isinstance(d, Isolated)))
+        sample = self.dots + ((row[0][runs[0][0]],) if runs else ())  # a dot of each grade held
+        self.grade = max(map(space.grade, sample), default=0)
+
+    def __bool__(self) -> bool:
+        return bool(self.runs or self.dots)
 
     def touches(self, c: Dot) -> bool:
         if not is_interval(c):
@@ -160,13 +166,17 @@ class _TouchSet:
             or any(self.space.touch(c, d) for d in self.other)
         )
 
-    def touchers(self, row, rest) -> List[Dot]:
-        """The dots of a _level_row (row, rest) touching the set: the row's by
-        bisecting it per merged segment, the rest's by touches, as is every
-        dot when there is no row or the set holds a non-interval non-isolated dot."""
-        if row is not None and not self.other:
-            return row_touchers(row, self.segs) + [c for c in rest if self.touches(c)]
-        return [c for c in (rest if row is None else row[0] + rest) if self.touches(c)]
+    def meets(self, other: "_TouchSet") -> bool:
+        """Whether a dot of other touches the set: other's runs against the
+        row runs meeting the set's segments, other's scanned dots one by one."""
+        near = row_runs(other.row, self.segs) if other.runs else []
+        return bool(_meet(near, other.runs)) or any(self.touches(c) for c in other.dots)
+
+    def touchers(self, row, rest) -> "_TouchSet":
+        """The dots of a _level_row (row, rest) meeting the set's segments
+        or touching it: the row's as runs, bisected per segment."""
+        runs = row_runs(row, self.segs) if row else ()
+        return _TouchSet(self.space, (c for c in rest if self.touches(c)), row, runs)
 
 
 # per space: grade -> _level_row(space, grade); an entry dies with its space
@@ -174,14 +184,14 @@ _LEVEL_ROWS: "weakref.WeakKeyDictionary[Space, Dict[int, tuple]]" = weakref.Weak
 
 
 def _level_row(space: Space, g: int) -> Tuple[Optional[tuple], Tuple[Dot, ...]]:
-    """(row, rest): level g's interval dots but the root as one
-    dots.interval_row and its other dots in level order, or (None, level)
-    when those interval dots are no row."""
+    """(row, rest): level g's dots but the isolated ones and the root as
+    one dots.interval_row and its isolated dots in level order, or (None,
+    level) when those dots are no row."""
     rows = _LEVEL_ROWS.setdefault(space, {})
     if g not in rows:
         level = space.level(g)
-        rest = tuple(c for c in level if not is_interval(c) or c == space.max_dot)
-        row = interval_row(c for c in level if is_interval(c) and c != space.max_dot)
+        row = interval_row(c for c in level if not (isinstance(c, Isolated) or c == space.max_dot))
+        rest = tuple(c for c in level if isinstance(c, Isolated))
         rows[g] = (row, rest) if row is not None else (None, level)
     return rows[g]
 
@@ -192,20 +202,17 @@ def _level_row(space: Space, g: int) -> Tuple[Optional[tuple], Tuple[Dot, ...]]:
 
 def splitting_depth(fann: Space, A, B, max_depth: int = 32) -> int:
     """The least grade N at which the touchers of A and the touchers of B
-    are apart from each other, searched from the deepest input grade up."""
-    A, B = tuple(A), tuple(B)
-    sa = _TouchSet(fann, A)
-    if any(sa.touches(b) for b in B):
+    are apart from each other, searched from the deepest input grade up.
+    A and B are dots (a fan passes the _TouchSets of one level's dots)."""
+    sa, sb = (S if isinstance(S, _TouchSet) else _TouchSet(fann, S) for S in (A, B))
+    if sa.meets(sb):
         raise MetricDefect("splitting needs apart input sets")
-    start = max((fann.grade(d) for d in A + B), default=1)
-    sb = _TouchSet(fann, B)
-    for N in range(max(start, 1), max_depth + 1):
-        row = _level_row(fann, N)
-        tbset = _TouchSet(fann, sb.touchers(*row))
-        if not any(tbset.touches(c) for c in sa.touchers(*row)):
+    for N in range(max(sa.grade, sb.grade, 1), max_depth + 1):
+        level = _level_row(fann, N)
+        if not sb.touchers(*level).meets(sa.touchers(*level)):
             return N
     raise MetricDefect(
-        f"no splitting depth for {len(A)} vs {len(B)} dots within grade {max_depth}"
+        f"no splitting depth for {len(sa.dots)} vs {len(sb.dots)} dots within grade {max_depth}"
     )
 
 
@@ -227,8 +234,7 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
         if space.grade(target) != n:
             raise MetricDefect("subfan needs a successor-normalized point")
         near = list(star_set(space, 1, target))
-        members: List[Dot] = []
-        seen = set()
+        members: Dict[Dot, None] = {}  # an ordered set
         for a in levels[n - 1]:
             children = [b for b in near if space.strictly_refines(b, a)]
             if not children:
@@ -240,10 +246,7 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
                     )
                 children = [min(succs.dots, key=space.index_of)]
             succ_map[a] = children
-            for b in children:
-                if b not in seen:
-                    seen.add(b)
-                    members.append(b)
+            members.update(dict.fromkeys(children))
         levels.append(tuple(members))
     member_set = {d for lvl in levels for d in lvl}
 
@@ -305,8 +308,8 @@ class UrysohnFunction:
     the dot c, is a dot of sigma_3_real, and value_bounds reads the [0,1]
     value at a point off those digits.  Subclasses give digits and, through
     grade_for_digits, the grade k digits need: the fan classifies each
-    level once (see _FanZones), and only the spread asks membership one
-    (dot, zone) pair at a time (see _SpreadZones.member)."""
+    level once, zones as runs of its row (see _FanZones), and only the
+    spread asks membership one (dot, zone) pair at a time (_SpreadZones)."""
 
     def __init__(self, space: Space, a: Dot, b: Dot):
         if space.spraid_info is None:
@@ -350,12 +353,12 @@ class UrysohnFunction:
 class _FanZones(UrysohnFunction):
     """The zone system on a fann, which classifies each level once.  Step n
     finds a splitting depth N for the level-t[n] dots of each alive zone i's
-    two neighbours and splits level N into near-a / middle / near-b: part[i]
-    maps each grade-N dot to its part s, and a dot of zone i lies in zone
-    i + (s,) when it refines a dot of part s (_hits).  Every dot of level
-    t[n+1] descends from () through its hits once; the groups give the
-    alive zones and the neighbours of step n+1, and digits walks the same
-    hits.  Only the cones are tested dot by dot."""
+    two neighbours and splits level N into near-a 0 / middle 1 / near-b 2:
+    part[i] codes each position of level N's row and each isolated dot, and
+    a dot of zone i is in zone i + (s,) when it lies in a dot of code s
+    (_hits).  On rows, zones and cones are runs of positions, found in
+    closed form per run; isolated dots and levels that are no row go dot by
+    dot.  The groups give the alive zones and the neighbours of step n+1."""
 
     def __init__(self, fann: Space, a: Dot, b: Dot, max_level_grade: int):
         if fann.spraid_info is None or not fann.spraid_info.finitely_branching:
@@ -366,29 +369,55 @@ class _FanZones(UrysohnFunction):
         self.max_level_grade = max_level_grade
         self.t: List[int] = [self.M]
         self.alive: Dict[int, Tuple[Tuple[int, ...], ...]] = {0: ((),)}
-        # zone -> (level N's grid exponent, {dot: part}, the _level_row rest)
-        self.part: Dict[Tuple[int, ...], Tuple[Optional[int], Dict[Dot, int], tuple]] = {}
-        self.groups: Dict[Tuple[int, ...], List[Dot]] = {}  # level t[-1] by zone
+        # zone -> (level N's row, its codes by row position, {rest dot: code})
+        self.part: Dict[Tuple[int, ...], tuple] = {}
+        self.groups: Dict[Tuple[int, ...], tuple] = {}  # zone -> level t[-1]'s (runs, dots)
         self.exhausted = False
 
     def _hits(self, i: Tuple[int, ...], c: Dot) -> Set[int]:
-        """The s with c in zone i + (s,), for c in zone i: the parts of c's
-        grid ancestors at level N's exponent, of the isolated dots c
-        refines, or else of every dot c refines."""
+        """The s with c in zone i + (s,), for c in zone i: the codes of the row
+        dots containing c, found by index, or of the rest dots c refines."""
         if i not in self.part:
             return set()
-        m, part, rest = self.part[i]
-        if isinstance(c, Isolated):
-            return {part[x] for x in rest if isinstance(x, Isolated) and self.space.refines(c, x)}
-        if m is not None and (ancestors := grid_ancestors(c, m)) is not None:
-            return {part[x] for x in ancestors if x in part}
-        return {s for x, s in part.items() if x == c or self.space.refines(c, x)}
+        row, codes, rest = self.part[i]
+        if row is not None and (span := row_span(row, c)) is not None:
+            return set(codes[span[0] : span[1]])
+        return {s for x, s in rest.items() if x == c or self.space.refines(c, x)}
 
-    def _zone_dots(self, i, level) -> Tuple[Dot, ...]:
-        if i in (_CONE_A, _CONE_B):
-            end = self.b if i == _CONE_B else self.a
-            return tuple(c for c in level if self.space.refines(c, end))
-        return tuple(self.groups.get(i, ()))
+    def _zone_set(self, i, t: int) -> _TouchSet:
+        """Zone i's dots of level t: its group, or a cone's: the row run
+        inside the end and the other dots refining it."""
+        row, rest = _level_row(self.space, t)
+        if i not in (_CONE_A, _CONE_B):
+            runs, dots = self.groups.get(i, ((), ()))
+            return _TouchSet(self.space, dots, row, runs)
+        end = self.b if i == _CONE_B else self.a
+        runs = row_runs(row, _TouchSet(self.space, (end,)).segs, inside=True) if row else ()
+        return _TouchSet(self.space, [c for c in rest if self.space.refines(c, end)], row, runs)
+
+    def _groups(self, depth: int, g: int) -> Dict[Tuple[int, ...], tuple]:
+        """Level g's (runs, dots) by zone of the given depth, from the whole
+        level at (): a child's runs are its parent's met with those inside
+        a run of its code, its dots those with that code among their hits."""
+        row, rest = _level_row(self.space, g)
+        groups = {(): ([(0, len(row[0]))] if row else [], rest)}
+        for _ in range(depth):
+            nxt = {}
+            for i, (runs, dots) in groups.items():
+                if i not in self.part:
+                    continue
+                prow, codes, _ = self.part[i]
+                if prow is None and runs:  # level N is no row: these dots go one by one
+                    dots = [row[0][j] for j0, j1 in runs for j in range(j0, j1)] + list(dots)
+                    runs = []
+                for s in range(3):
+                    coded = [m.span() for m in re.finditer(bytes((s,)) + b"+", codes)]
+                    inside = row_runs(row, row_segments(prow, coded), inside=True) if runs else []
+                    child = (_meet(runs, inside), [c for c in dots if s in self._hits(i, c)])
+                    if child[0] or child[1]:
+                        nxt[i + (s,)] = child
+            groups = nxt
+        return groups
 
     # -- level construction --------------------------------------------------
 
@@ -403,34 +432,27 @@ class _FanZones(UrysohnFunction):
         if t > self.max_level_grade:
             self.exhausted = True
             return
-        level_t = self.space.level(t)
         depths, parts = [], {}
         for i in self.alive[n]:
-            A = self._zone_dots(_shift(i, -1), level_t)
-            B = self._zone_dots(_shift(i, 1), level_t)
+            A, B = self._zone_set(_shift(i, -1), t), self._zone_set(_shift(i, 1), t)
             try:
                 N = splitting_depth(self.space, A, B, self.max_level_grade) if A and B else t
             except MetricDefect:
                 self.exhausted = True
                 return
             N = max(N, t + 1)
-            level_n = self.space.level(N)
             row, rest = _level_row(self.space, N)
-            part = dict.fromkeys(level_n, 1)  # near a 0, middle 1, near b 2
-            part.update(dict.fromkeys(_TouchSet(self.space, B).touchers(row, rest), 2))
-            part.update(dict.fromkeys(_TouchSet(self.space, A).touchers(row, rest), 0))
-            # same-grade grid dots share their exponent; no other dot has an m
-            parts[i] = (next((d.m for d in level_n if hasattr(d, "m")), None), part, rest)
+            codes, part = bytearray(b"\1") * (len(row[0]) if row else 0), dict.fromkeys(rest, 1)
+            for s, near in ((2, B), (0, A)):  # near a 0, middle 1, near b 2
+                touchers = near.touchers(row, rest)
+                for j0, j1 in touchers.runs:
+                    codes[j0:j1] = bytes((s,)) * (j1 - j0)
+                part.update(dict.fromkeys(touchers.dots, s))
+            parts[i] = (row, codes, part)
             depths.append(N)
         self.part.update(parts)  # a step's part maps all land, or none
         t_next = max(depths) if depths else t + 1
-        self.groups = {}
-        for c in self.space.level(t_next) if t_next <= self.max_level_grade else ():
-            zones = [()]  # c's zones, one digit deeper per pass
-            for _ in range(n + 1):
-                zones = [i + (s,) for i in zones for s in self._hits(i, c)]
-            for i in zones:
-                self.groups.setdefault(i, []).append(c)
+        self.groups = self._groups(n + 1, t_next) if t_next <= self.max_level_grade else {}
         self.t.append(t_next)
         self.alive[n + 1] = tuple(
             i + (s,) for i in self.alive[n] for s in range(3) if i + (s,) in self.groups
@@ -487,17 +509,14 @@ class _SpreadZones(UrysohnFunction):
 
     def _ancestors(self, c: Dot) -> Tuple[Dot, ...]:
         """c and everything above it (the maximal dot excluded)."""
-        out = [c]
-        seen = {c}
+        seen = {c: None}  # in the order found
         queue = [c]
         while queue:
-            d = queue.pop()
-            for p in self.space.predecessors(d):
+            for p in self.space.predecessors(queue.pop()):
                 if p != self.space.max_dot and p not in seen:
-                    seen.add(p)
-                    out.append(p)
+                    seen[p] = None
                     queue.append(p)
-        return tuple(out)
+        return tuple(seen)
 
     # -- zone membership --------------------------------------------------------
 
@@ -511,11 +530,8 @@ class _SpreadZones(UrysohnFunction):
             self._mem[(c, i)] = self._in_child(c, i[:-1], i[-1])
         return self._mem[(c, i)]
 
-    def _touch_zone(self, d: Dot, j) -> bool:
-        return any(self.member(e, j) for e in self.star(d))
-
-    def _touch2_zone(self, d: Dot, j) -> bool:
-        return any(self.member(e, j) for e in self.star2(d))
+    def _touch_zone(self, star: Tuple[Dot, ...], j) -> bool:
+        return any(self.member(e, j) for e in star)
 
     def sec(self, c: Dot, n: int) -> bool:
         """Security at stage n: the whole 2-star sits in stage-n zones."""
@@ -546,8 +562,8 @@ class _SpreadZones(UrysohnFunction):
             return any(
                 self.member(d, head)
                 and self.sec(d, n)
-                and self._touch_zone(d, near)
-                and not self._touch2_zone(d, far)
+                and self._touch_zone(self.star(d), near)
+                and not self._touch_zone(self.star2(d), far)
                 for d in self._ancestors(c)
             )
         return (
@@ -555,8 +571,8 @@ class _SpreadZones(UrysohnFunction):
             and self.sec(c, n)
             and not self.member(c, head + (0,))
             and not self.member(c, head + (2,))
-            and not self._touch_zone(c, left)
-            and not self._touch_zone(c, right)
+            and not self._touch_zone(self.star(c), left)
+            and not self._touch_zone(self.star(c), right)
         )
 
     # -- the digit map -----------------------------------------------------------
@@ -607,14 +623,8 @@ def _pair_stream(space: Space) -> Iterator[Tuple[Dot, Dot]]:
         level = space.level(g)
         iso = [d for d in level if space.is_isolated(d)]
         reg = [d for d in level if d not in iso]
-        for i in iso:
-            for c in reg:
-                if space.apart(i, c):
-                    yield (i, c)
-        for j, c in enumerate(reg):
-            for d in reg[j + 1 :]:
-                if space.apart(c, d):
-                    yield (c, d)
+        yield from ((i, c) for i in iso for c in reg if space.apart(i, c))
+        yield from ((c, d) for j, c in enumerate(reg) for d in reg[j + 1 :] if space.apart(c, d))
 
 
 class MetricEvaluator:
@@ -651,9 +661,7 @@ class MetricEvaluator:
         """value(m, digits): bounds on f_m(x) to that many ternary digits,
         cached for as long as x lives."""
         with self._lock:
-            table = self._values.get(x)
-            if table is None:
-                table = self._values[x] = {}
+            table = self._values.setdefault(x, {})
 
         def value(m: int, digits: int) -> Tuple[Fraction, Fraction]:
             key = (m, digits)

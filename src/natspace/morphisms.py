@@ -211,13 +211,8 @@ def check_morphism(f: Morphism, depth: int) -> Report:
                 )
     # law (iii), spot check: image streams of sampled canonical points refine
     if f.kind == REFINEMENT and f.source.spraid_info is not None:
-        samples = [f.source.max_dot]
-        for i in range(1, depth):
-            d = f.source.enumerate_dot(i)
-            if d != f.source.max_dot:
-                samples.append(d)
-                break
-        for a in samples:
+        later = (d for d in map(f.source.enumerate_dot, range(1, depth)) if d != f.source.max_dot)
+        for a in [f.source.max_dot, *itertools.islice(later, 1)]:  # the root and the next dot
             try:  # the image point checks that its stream refines as it is drawn
                 apply_point(f, canonical_point(f.source, a)).dot(5)
             except PointDefect as e:

@@ -174,13 +174,7 @@ def ancestors_at(space: Space, d: Dot, g: int) -> Tuple[Dot, ...]:
         raise ValueError(f"dot {d!r} has grade {cur_grade} < {g}")
     frontier = [d]
     while space.grade(frontier[0]) != g:
-        nxt: List[Dot] = []
-        seen = set()
-        for x in frontier:
-            for pr in space.predecessors(x):
-                if pr not in seen:
-                    seen.add(pr)
-                    nxt.append(pr)
+        nxt = list(dict.fromkeys(pr for x in frontier for pr in space.predecessors(x)))
         if not nxt:
             raise SpaceDefect(f"predecessor walk from {d!r} died out before grade {g}")
         frontier = nxt

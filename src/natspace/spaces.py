@@ -343,21 +343,13 @@ def validate_space(space: Space, depth: int) -> Report:
                 ref_row[i] |= 1 << j
     for i in range(n):
         for j in range(i + 1, n):
-            aij = bool(apart_row[i] & (1 << j))
-            aji = bool(apart_row[j] & (1 << i))
-            if aij != aji:
+            if apart_row[i] >> j & 1 != apart_row[j] >> i & 1:
                 rep.entries.append(f"symmetry: {dots[i]!r} vs {dots[j]!r}")
-            rij = bool(ref_row[i] & (1 << j))
-            rji = bool(ref_row[j] & (1 << i))
-            if rij and rji:
+            if ref_row[i] >> j & 1 and ref_row[j] >> i & 1:
                 rep.entries.append(f"antisymmetry: {dots[i]!r} <=> {dots[j]!r}")
-    for i in range(n):
-        row = ref_row[i]
-        j = 0
-        r = row
-        while r:
-            if r & 1:
-                # dots[j] refines dots[i]
+    for i, row in enumerate(ref_row):
+        for j in range(row.bit_length()):
+            if row >> j & 1:  # dots[j] refines dots[i]
                 bad_mono = apart_row[i] & ~apart_row[j]
                 if bad_mono:
                     k = bad_mono.bit_length() - 1
@@ -372,8 +364,6 @@ def validate_space(space: Space, depth: int) -> Report:
                         f"transitivity: {dots[k]!r} <= {dots[j]!r} <= {dots[i]!r} "
                         f"but not {dots[k]!r} <= {dots[i]!r}"
                     )
-            r >>= 1
-            j += 1
     return rep
 
 
@@ -611,10 +601,7 @@ def _sigma_k(k: int, name: str, apart=_seq_apart, width=None) -> Space:
     def rank(d: Dot) -> Optional[int]:
         if type(d) is not Seq or any(x >= k for x in d.syms):
             return None
-        pos = 0
-        for x in d.syms:
-            pos = pos * k + x
-        return (k ** len(d.syms) - 1) // (k - 1) + pos
+        return (k ** len(d.syms) - 1) // (k - 1) + seq_dot(d, k).n  # n: the string's value
 
     def unrank(i: int) -> Dot:
         ln = 0

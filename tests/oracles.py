@@ -75,6 +75,72 @@ def random_expression(rng: random.Random, depth: int = 3) -> Tuple[str, Fraction
     return expr(depth)
 
 
+class ExpressionParserReference:
+    """The expression parser as it was before precedence climbing: one
+    recursive-descent method per grammar rule above (expr -> term ->
+    factor, three frames per level of parentheses), over a token list; a
+    bad token raises ValueError."""
+
+    def __init__(self, tokens: List[str]):
+        self.toks, self.pos = tokens, 0
+
+    def peek(self) -> Optional[str]:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self, expected: Optional[str] = None) -> str:
+        tok = self.peek()
+        if tok is None or expected is not None and tok != expected:
+            raise ValueError(f"expected {expected!r}, found {tok!r}")
+        self.pos += 1
+        return tok
+
+    def parse(self) -> tuple:
+        node = self.expr()
+        if self.peek() is not None:
+            raise ValueError(f"trailing input at {self.peek()!r}")
+        return node
+
+    def expr(self) -> tuple:
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            node = ("add" if self.take() == "+" else "sub", node, self.term())
+        return node
+
+    def term(self) -> tuple:
+        node = self.factor()
+        while self.peek() == "*":
+            self.take()
+            node = ("mul", node, self.factor())
+        return node
+
+    def factor(self) -> tuple:
+        tok = self.peek()
+        if tok == "-":
+            self.take()
+            return ("neg", self.factor())
+        if tok == "(":
+            self.take()
+            node = self.expr()
+            self.take(")")
+            return node
+        if tok in ("min", "max", "abs"):
+            self.take()
+            self.take("(")
+            args = [self.expr()]
+            if tok != "abs":
+                self.take(",")
+                args.append(self.expr())
+            self.take(")")
+            return (tok, *args)
+        if tok is not None and tok.isdigit():
+            num = int(self.take())
+            if self.peek() == "/":
+                self.take()
+                return ("rat", Fraction(num, int(self.take())))
+            return ("rat", Fraction(num))
+        raise ValueError(f"unexpected token {tok!r}")
+
+
 # ---------------------------------------------------------------------------
 # Classical Cantor function (devil's staircase) at exact rationals.
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import types
@@ -15,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import natspace as ns
 from natspace.cli import (
-    EVAL_MAX_BITS, METRIC_MAX_BITS, VALIDATE_MAX_DEPTH, _union_covers_root,
-    eval_expression_bounds, main,
+    EVAL_MAX_BITS, METRIC_MAX_BITS, VALIDATE_MAX_DEPTH, _tokenize, _union_covers_root,
+    eval_expression_bounds, main, parse_expression,
 )
 from natspace.dots import (
     DyadicInterval as D, NaryInterval, RatInterval, Seq, dot_to_json, endpoints,
@@ -292,6 +294,42 @@ def test_eval_long_minus_chain_answers(capsys):
     code, out, _ = run(capsys, "eval", "--bits", "4", "--", "-" * 800 + "1")
     lo, hi = (F(line.split()[1]) for line in out.splitlines())
     assert code == 0 and lo <= 1 <= hi
+
+
+_NESTED = {
+    "parens": "(" * 400 + "1" + ")" * 400,
+    "abs": "abs(" * 400 + "1" + ")" * 400,
+}
+
+
+@pytest.mark.parametrize("expr", _NESTED.values(), ids=_NESTED.keys())
+def test_eval_400_nested_parentheses_answer(capsys, expr):
+    # the parser spends two frames per level of parentheses or abs(
+    code, out, _ = run(capsys, "eval", "--bits", "4", "--", expr)
+    lo, hi = (F(line.split()[1]) for line in out.splitlines())
+    assert code == 0 and lo <= 1 <= hi
+
+
+@pytest.mark.parametrize("expr", _NESTED.values(), ids=_NESTED.keys())
+def test_eval_400_nested_parentheses_answer_from_a_script(expr):
+    script = "import sys; from natspace.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "eval", "--bits", "4", "--", expr],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lo, hi = (F(line.split()[1]) for line in proc.stdout.splitlines())
+    assert lo <= 1 <= hi
+
+
+def test_parser_trees_match_the_three_method_parser():
+    """Precedence climbing builds the trees of the expr/term/factor parser
+    on the acceptance grammar's random expressions."""
+    rng = random.Random(20241019)
+    for _ in range(300):
+        text, _ = oracles.random_expression(rng, depth=4)
+        assert parse_expression(text) == oracles.ExpressionParserReference(_tokenize(text)).parse()
 
 
 _ROOT = {"kind": "dyadic", "n": 0, "m": 1}  # the maximal dot of sigma_[0,1]

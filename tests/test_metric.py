@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import natspace as ns
 from natspace.dots import DyadicInterval as D, Isolated, Seq, grid_ancestors, interval_row
-from natspace.metric import MAX_LEVEL_GRADE, MetricDefect, _level_row, _TouchSet
+from natspace.metric import MAX_LEVEL_GRADE, MetricDefect, _LEVEL_ROWS, _level_row, _TouchSet
 
 import oracles
 
@@ -82,6 +82,28 @@ def test_splitting_an_isolated_dot_from_a_regular_one(ext01):
     A, B = (Isolated(3),), (D(2, 3),)
     assert ns.splitting_depth(ext01, A, B) == 3
     assert oracles.check_splitting(ext01, A, B, 3)
+
+
+def _small_ext01_dots(g):
+    """The dots of sigma_[0,1]^+ of grade g: iso(g) and the grid dots."""
+    grid = st.integers(0, 2 ** (g + 1) - 2).map(lambda n: D(n, g + 1))
+    return st.one_of(st.just(Isolated(g)), grid) if g else grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(*[st.lists(st.integers(0, 6).flatmap(_small_ext01_dots), min_size=1, max_size=4)] * 2)
+def test_splitting_depth_matches_the_oracle_on_random_sets(ext01, A, B):
+    """On sets of grid, root and isolated dots up to grade 6: touching sets
+    raise, and apart ones split at the oracle's least splitting grade of
+    their grid dots (isolated dots touch only each other and the root) or
+    at their deepest grade, whichever is later."""
+    if any(ext01.touch(a, b) for a in A for b in B):
+        with pytest.raises(MetricDefect, match="apart input sets"):
+            ns.splitting_depth(ext01, A, B)
+        return
+    grid = [[ns.endpoints(d) for d in S if isinstance(d, D)] for S in (A, B)]
+    deepest = max(ext01.grade(d) for d in A + B)
+    assert ns.splitting_depth(ext01, A, B) == max(oracles.splitting_depth_oracle(*grid), deepest)
 
 
 def test_subfan_levels(sigmaR):
@@ -265,6 +287,47 @@ def test_fan_zones_match_the_recursive_rule_off_the_dyadic_grid(name, a, b):
     _assert_same_zones(space, f, ref, range(1, 8))
 
 
+_GRIDS = {
+    "sigma_[0,1]^+": ns.extend_with_isolated_point(ns.std_space("sigma_[0,1]")),
+    "[0,1]_ter": ns.std_space("[0,1]_ter"),
+    "[0,1]_bin": ns.std_space("[0,1]_bin"),
+}
+
+
+@st.composite
+def apart_same_grade_pairs(draw):
+    """A unit-interval grid and two apart dots of one grade 1-4 on it."""
+    space = _GRIDS[draw(st.sampled_from(sorted(_GRIDS)))]
+    level = space.level(draw(st.integers(1, 4)))
+    pairs = [(a, b) for a in level for b in level if space.apart(a, b)]
+    assume(pairs)  # the two dots of [0,1]_bin's grade 1 touch
+    return (space, *draw(st.sampled_from(pairs)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(apart_same_grade_pairs())
+def test_run_classified_zones_match_the_recursive_rule_on_random_pairs(case):
+    """t, alive zones and the digits of every dot of levels 1-7, zones
+    split down to grade 6."""
+    space, a, b = case
+    f, ref = _fan_and_reference(space, a, b, 6)
+    _assert_same_zones(space, f, ref, range(1, 8))
+
+
+@pytest.mark.parametrize("no_rows", [(1, 3, 5, 7), (4,)], ids=["odd-levels", "level-4"])
+def test_fan_zones_mix_row_levels_with_levels_taken_dot_by_dot(no_rows):
+    """A level that is no row takes the per-dot path beside row levels, in
+    both directions, for the whole level or inside a zone (here the given
+    levels of a fresh sigma_[0,1]^+ are marked as no row)."""
+    space = ns.extend_with_isolated_point(ns.std_space("sigma_[0,1]"))
+    for g in no_rows:
+        _LEVEL_ROWS.setdefault(space, {})[g] = (None, space.level(g))
+    for a, b in [(D(0, 3), D(6, 3)), (Isolated(2), D(2, 3)), (D(0, 4), D(9, 4))]:
+        f, ref = _fan_and_reference(space, a, b, 7)
+        assert len(f.t) > 2
+        _assert_same_zones(space, f, ref, range(1, 8))
+
+
 @st.composite
 def touch_sets(draw):
     """At most six dots of sigma_[0,1]^+: grid dots up to grade 7 and
@@ -273,12 +336,17 @@ def touch_sets(draw):
                          max_size=6))
 
 
+def _dots_of(ts):
+    """A level touch set's dots: its row runs, then its scanned dots."""
+    return [ts.row[0][j] for j0, j1 in ts.runs for j in range(j0, j1)] + list(ts.dots)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 7), touch_sets())
 def test_level_touchers_match_the_per_dot_scan(ext01, g, dots):
     ts = _TouchSet(ext01, dots)
     level = ext01.level(g)
-    got = ts.touchers(*_level_row(ext01, g))
+    got = _dots_of(ts.touchers(*_level_row(ext01, g)))
     assert len(got) == len(set(got))
     assert set(got) == {c for c in level if ts.touches(c)}
 
@@ -293,7 +361,7 @@ def test_level_touchers_of_a_level_that_is_no_row(ext01, case, dots):
     assume([c for c in level if c in shuffled] != shuffled)
     assert interval_row(shuffled) is None
     ts = _TouchSet(ext01, dots)
-    got = ts.touchers(None, tuple(shuffled) + (Isolated(g),))
+    got = _dots_of(ts.touchers(None, tuple(shuffled) + (Isolated(g),)))
     assert len(got) == len(set(got)) and set(got) == {c for c in level if ts.touches(c)}
 
 
