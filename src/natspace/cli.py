@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .dots import (
-    Dot, dot_from_json, dot_to_json, endpoints, int_endpoints, meeting_segment, merged_segments,
+    Dot, Seq, dot_from_json, dot_to_json, endpoints, int_endpoints, meeting_segment,
+    merged_segments,
 )
 from .induction import BarDefect, Cover, GeneticBar, bar_from_json, finite_subcover
 from .metric import DIGIT_CAP, MetricDefect, MetricEvaluator, evaluate_metric, metric_digit_goal
@@ -43,7 +44,6 @@ from .spaces import (
     std_space,
     validate_space,
 )
-from .dots import Seq
 
 
 class CliParseError(Exception):

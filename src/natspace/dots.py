@@ -335,6 +335,11 @@ def seq_dot(d: Seq, base: int) -> NaryInterval:
     return NaryInterval(base, val, len(d.syms))
 
 
+def nary_seq(d: NaryInterval) -> Seq:
+    """The base-b digit string an n-ary dot stands for (inverse of seq_dot)."""
+    return Seq(tuple(d.n // d.base**k % d.base for k in reversed(range(d.m))))
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization (bit-exact round trip).
 # ---------------------------------------------------------------------------

@@ -479,17 +479,12 @@ def cantor_surjection(fann: Space) -> Morphism:
             L = _block_size(len(succ))
             if i + L > len(bits):
                 return cur
-            if overflow:
-                cur = succ[0]
-            else:
+            if not overflow:
                 v = 0
                 for b in bits[i : i + L]:
                     v = 2 * v + b
-                if v < len(succ):
-                    cur = succ[v]
-                else:
-                    overflow = True
-                    cur = succ[0]
+                overflow = v >= len(succ)
+            cur = succ[0] if overflow else succ[v]
             i += L
 
     def liveness(g: int) -> int:

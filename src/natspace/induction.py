@@ -350,12 +350,6 @@ def _transport_bar(G: GeneticBar, target: Space, bij: Callable[[Dot], Dot]) -> G
     return GeneticBar(target, rec(G.node))
 
 
-def _grade_bar(source: Space, G: GeneticBar) -> GeneticBar:
-    """Uniform source bar at the witness depth (valid for grade-preserving
-    morphisms: every source dot that deep maps under some bar element)."""
-    return genetic_uniform(source, source.max_dot, bar_depth(G))
-
-
 def _conditional_bar(f: Morphism, G: GeneticBar) -> GeneticBar:
     """The continuity-modulus bar: split until the image lands under a bar
     element (terminates on interval arithmetic against finite bars)."""
@@ -384,7 +378,8 @@ def inductive_preimage(f: Morphism, G: GeneticBar) -> GeneticBar:
     if tag == "neg":
         return _transport_bar(G, f.source, f.map)  # neg is its own inverse
     if tag in ("f_can", "nary_encode", "ter_decode", "doubling"):
-        return _grade_bar(f.source, G)
+        # grade-preserving: every source dot at the witness depth maps under the bar
+        return genetic_uniform(f.source, f.source.max_dot, bar_depth(G))
     if tag in ("add", "mul", "min", "max", "abs") or tag.startswith("scalar("):
         return _conditional_bar(f, G)
     if f.parts:

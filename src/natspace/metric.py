@@ -10,6 +10,7 @@ weights 2^-m yields a metric compatible with the apartness topology.
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 import weakref
@@ -20,7 +21,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from .dots import (
     Dot,
     DyadicInterval,
-    Isolated,
     MaxDot,
     NaryInterval,
     Seq,
@@ -30,9 +30,11 @@ from .dots import (
     is_interval,
     meeting_segment,
     merged_segments,
+    nary_seq,
     row_runs,
     row_segments,
     row_span,
+    seq_dot,
 )
 from .points import Point, successor_normalize
 from .spaces import Lazy, Space, SpaceDefect, SpraidInfo, Successors, seq_interval
@@ -53,8 +55,8 @@ def star_dots(space: Space, d: Dot) -> Tuple[Dot, ...]:
     """All same-grade dots touching d (including d itself)."""
     if space.spraid_info is None:
         raise SpaceDefect(f"{space.name}: stars need a graded space")
-    if d == space.max_dot or isinstance(d, Isolated):
-        # the isolated chain has one dot per grade and touches nothing else
+    if d == space.max_dot or space.is_isolated(d):
+        # an isolated point's chain has one dot per grade and touches nothing else
         return (d,)
     if isinstance(d, DyadicInterval):
         # Overlapping dyadic grid: [n, n+2] scaled by 2^-m meets [n', n'+2]
@@ -140,17 +142,16 @@ def _meet(xs, ys) -> List[Tuple[int, int]]:
 
 class _TouchSet:
     """A finite dot set with a fast touch test: its interval dots as integer
-    segments, the other dots scanned.  A set of one level's dots holds its
-    _level_row dots as runs (row, runs) and only its isolated dots as dots.
-    An isolated dot touches only the isolated dots and the root."""
+    segments, the other dots asked through space.touch.  A set of one
+    level's dots holds its _level_row dots as runs (row, runs) and only the
+    dots that are no interval as dots."""
 
     def __init__(self, space: Space, dots, row=None, runs=()):
         self.space, self.dots, self.row, self.runs = space, tuple(dots), row, runs
         self.segs = (
             row_segments(row, runs) if runs else merged_segments(filter(is_interval, self.dots))
         )
-        self.has_iso = any(isinstance(d, Isolated) for d in self.dots)
-        self.other = tuple(d for d in self.dots if not (is_interval(d) or isinstance(d, Isolated)))
+        self.other = tuple(d for d in self.dots if not is_interval(d))
         sample = self.dots + ((row[0][runs[0][0]],) if runs else ())  # a dot of each grade held
         self.grade = max(map(space.grade, sample), default=0)
 
@@ -160,10 +161,8 @@ class _TouchSet:
     def touches(self, c: Dot) -> bool:
         if not is_interval(c):
             return any(self.space.touch(c, d) for d in self.dots)
-        return (
-            meeting_segment(self.segs, c) is not None
-            or self.has_iso and c == self.space.max_dot
-            or any(self.space.touch(c, d) for d in self.other)
+        return meeting_segment(self.segs, c) is not None or any(
+            self.space.touch(c, d) for d in self.other
         )
 
     def meets(self, other: "_TouchSet") -> bool:
@@ -184,14 +183,14 @@ _LEVEL_ROWS: "weakref.WeakKeyDictionary[Space, Dict[int, tuple]]" = weakref.Weak
 
 
 def _level_row(space: Space, g: int) -> Tuple[Optional[tuple], Tuple[Dot, ...]]:
-    """(row, rest): level g's dots but the isolated ones and the root as
-    one dots.interval_row and its isolated dots in level order, or (None,
-    level) when those dots are no row."""
+    """(row, rest): level g's interval dots as one dots.interval_row and
+    its other dots in level order, or (None, level) when they are no row.
+    The root is never a row: rest dots may touch it, which no segment shows."""
     rows = _LEVEL_ROWS.setdefault(space, {})
     if g not in rows:
         level = space.level(g)
-        row = interval_row(c for c in level if not (isinstance(c, Isolated) or c == space.max_dot))
-        rest = tuple(c for c in level if isinstance(c, Isolated))
+        row = interval_row(c for c in level if is_interval(c) and c != space.max_dot)
+        rest = tuple(c for c in level if not is_interval(c))
         rows[g] = (row, rest) if row is not None else (None, level)
     return rows[g]
 
@@ -260,16 +259,12 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
     def predecessors(d: Dot) -> Tuple[Dot, ...]:
         return tuple(p for p in space.predecessors(d) if p in member_set)
 
-    def enum() -> Iterator[Dot]:
-        for lvl in levels:
-            yield from lvl
-
     sub = Space(
         f"W[{x.name or 'x'}]({space.name})",
         space._apart,
         space._refines,
         space.max_dot,
-        enum,
+        lambda: itertools.chain.from_iterable(levels),
         SpraidInfo(space.grade, successors, predecessors, True),
         width=space._width,
         is_isolated=space.is_isolated,
@@ -289,15 +284,12 @@ def _shift(i: Tuple[int, ...], step: int):
     """The zone index step places after i (-1: the predecessor, +1: the
     successor) in the lexicographic order of its level, or the cone beyond
     the level's first or last index."""
-    v = 0
-    for s in i:
-        v = 3 * v + s
-    v += step
+    v = seq_dot(Seq(i), 3).n + step
     if v < 0:
         return _CONE_A
     if v >= 3 ** len(i):
         return _CONE_B
-    return tuple(v // 3**k % 3 for k in reversed(range(len(i))))
+    return nary_seq(NaryInterval(3, v, len(i))).syms
 
 
 class UrysohnFunction:
@@ -354,11 +346,11 @@ class _FanZones(UrysohnFunction):
     """The zone system on a fann, which classifies each level once.  Step n
     finds a splitting depth N for the level-t[n] dots of each alive zone i's
     two neighbours and splits level N into near-a 0 / middle 1 / near-b 2:
-    part[i] codes each position of level N's row and each isolated dot, and
-    a dot of zone i is in zone i + (s,) when it lies in a dot of code s
-    (_hits).  On rows, zones and cones are runs of positions, found in
-    closed form per run; isolated dots and levels that are no row go dot by
-    dot.  The groups give the alive zones and the neighbours of step n+1."""
+    part[i] codes each position of level N's row and each dot of its rest
+    (_level_row), and a dot of zone i is in zone i + (s,) when it lies in a
+    dot of code s (_hits).  On rows, zones and cones are runs of positions,
+    found in closed form per run; rest dots and levels that are no row go
+    dot by dot.  The groups give the alive zones and the neighbours of step n+1."""
 
     def __init__(self, fann: Space, a: Dot, b: Dot, max_level_grade: int):
         if fann.spraid_info is None or not fann.spraid_info.finitely_branching:

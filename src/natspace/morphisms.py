@@ -27,6 +27,7 @@ from .dots import (
     TupleDot,
     endpoints,
     int_endpoints,
+    nary_seq,
     seq_dot,
 )
 from .points import Point, PointDefect, canonical_point, normalized_dots
@@ -402,15 +403,7 @@ def nary_codec(base: int) -> Tuple[Morphism, Optional[Morphism]]:
     decode = None
     if base == 3:
 
-        def dec(d: Dot) -> Dot:
-            digs: List[int] = []
-            n = d.n
-            for _ in range(d.m):
-                digs.append(n % 3)
-                n //= 3
-            return Seq(tuple(reversed(digs)))
-
-        decode = Morphism(REFINEMENT, tgt, seq_sp, dec, lambda g: g, tag="ter_decode")
+        decode = Morphism(REFINEMENT, tgt, seq_sp, nary_seq, lambda g: g, tag="ter_decode")
     return encode, decode
 
 

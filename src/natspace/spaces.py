@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -33,6 +34,7 @@ from .dots import (
     grid_ancestors,
     interval_contains,
     intervals_apart,
+    nary_seq,
     seq_dot,
     width,
 )
@@ -468,10 +470,6 @@ def _seq_apart(a: Dot, b: Dot) -> bool:
     return not (a.extends(b) or b.extends(a))
 
 
-def _seq_refines(b: Dot, a: Dot) -> bool:
-    return b.extends(a)
-
-
 def _seq_parent(d: Dot) -> Tuple[Dot, ...]:
     return (Seq(d.syms[:-1]),) if d.syms else ()
 
@@ -497,7 +495,7 @@ def prefix_tree(
     return Space(
         name,
         apart,
-        _seq_refines,
+        Seq.extends,
         Seq(()),
         spraid_info=SpraidInfo(len, successors, _seq_parent, finitely_branching),
         rank=rank,
@@ -538,23 +536,17 @@ def baire_rank(d: Dot) -> Optional[int]:
     w = max(ln, max(s) + 1)
     r = 1 + sum(_baire_cap_total(c) for c in range(1, w))
     r += sum(_baire_weight_count(l, w) for l in range(1, ln))
-    if ln == w:
-        pos = 0
-        for x in s:
-            pos = pos * w + x
-    else:
-        lex = 0
-        for x in s:
-            lex = lex * w + x
+    pos = 0
+    for x in s:  # the string's value in base w (w = 1 has no seq_dot)
+        pos = pos * w + x
+    if ln != w:
         # drop lex-smaller tuples that never use the top symbol w-1
-        excl = 0
         clean = True
         for i, x in enumerate(s):
             if clean:
-                excl += min(x, w - 1) * (w - 1) ** (ln - 1 - i)
+                pos -= min(x, w - 1) * (w - 1) ** (ln - 1 - i)
             if x == w - 1:
                 clean = False
-        pos = lex - excl
     return r + pos
 
 
@@ -608,11 +600,7 @@ def _sigma_k(k: int, name: str, apart=_seq_apart, width=None) -> Space:
         while i >= k**ln:
             i -= k**ln
             ln += 1
-        syms = []
-        for _ in range(ln):
-            i, x = divmod(i, k)
-            syms.append(x)
-        return Seq(tuple(reversed(syms)))
+        return nary_seq(NaryInterval(k, i, ln))
 
     return prefix_tree(name, apart, successors, rank, unrank, True, width=width)
 
@@ -818,23 +806,24 @@ def product(factors) -> Space:
 
 
 def _compositions(total: int, n: int) -> Iterator[Tuple[int, ...]]:
-    """All n-tuples of naturals summing to total (lexicographic)."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
+    """All n-tuples of naturals summing to total, lexicographic: the gaps
+    around n - 1 bars among total + n - 1 places (stars and bars)."""
+    for bars in itertools.combinations(range(total + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in itertools.pairwise((-1, *bars, total + n - 1)))
 
 
 def _tuple_unrank(k: int, n: int) -> Tuple[int, ...]:
-    """The k-th n-tuple of naturals in the diagonal-by-total order."""
-    for t in itertools.count(0):
-        for tup in _compositions(t, n):
-            if k == 0:
-                return tup
-            k -= 1
-    raise AssertionError
+    """The k-th n-tuple of naturals in the diagonal-by-total order, each part
+    bisected: C(s + r, r) r-tuples have total at most s."""
+    t = bisect_right(range(k + 1), k, key=lambda t: math.comb(t + n, n))
+    k -= math.comb(t + n - 1, n)  # the tuples of smaller total
+    out = []
+    for r in range(n - 1, 0, -1):  # r parts follow this one, which is t - s
+        s = bisect_left(range(t + 1), math.comb(t + r, r) - k, key=lambda s: math.comb(s + r, r))
+        k -= math.comb(t + r, r) - math.comb(s + r, r)  # the tuples with a smaller part here
+        out.append(t - s)
+        t = s
+    return (*out, t)
 
 
 # ---------------------------------------------------------------------------
@@ -863,12 +852,8 @@ def unit_interval_dense_points(i: int) -> Fraction:
         return Fraction(0)
     if i == 1:
         return Fraction(1)
-    i -= 2
-    j = 1
-    while i >= 2 ** (j - 1):
-        i -= 2 ** (j - 1)
-        j += 1
-    return Fraction(2 * i + 1, 2**j)
+    j = (i - 1).bit_length()  # level j holds the 2^(j-1) indices from 2^(j-1) + 1
+    return Fraction(2 * (i - 1) - 2**j + 1, 2**j)
 
 
 def metric_to_spread(oracle: Callable[[int, int, Fraction, Fraction], str]) -> Space:

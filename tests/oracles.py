@@ -455,6 +455,47 @@ def baire_order() -> Iterator[Tuple[int, ...]]:
                     yield syms
 
 
+def compositions_listed(total: int, n: int) -> Iterator[Tuple[int, ...]]:
+    """All n-tuples of naturals summing to total, lexicographic, by recursion
+    on the first part."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions_listed(total - first, n - 1):
+            yield (first,) + rest
+
+
+def diagonal_tuples(n: int) -> Iterator[Tuple[int, ...]]:
+    """The n-tuples of naturals in the diagonal-by-total order, walked one by
+    one: by total, each total's tuples lexicographic."""
+    for t in itertools.count(0):
+        yield from compositions_listed(t, n)
+
+
+def dense_point_walk(i: int) -> Fraction:
+    """The i-th point of the dense enumeration of [0,1]: 0, 1, then the odd
+    k/2^j level by level, level j found by walking the levels below it."""
+    if i < 2:
+        return Fraction(i)
+    i -= 2
+    j = 1
+    while i >= 2 ** (j - 1):
+        i -= 2 ** (j - 1)
+        j += 1
+    return Fraction(2 * i + 1, 2**j)
+
+
+def digits_divided(n: int, base: int, m: int) -> Tuple[int, ...]:
+    """The m low base-b digits of n, most significant first, by repeated
+    division."""
+    digs: List[int] = []
+    for _ in range(m):
+        n, x = divmod(n, base)
+        digs.append(x)
+    return tuple(reversed(digs))
+
+
 def scan_canonical_steps(
     dots: Sequence, strictly_refines: Callable, start, steps: int
 ) -> List:

@@ -25,6 +25,8 @@ from natspace.dots import (
     intervals_apart,
     meeting_segment,
     merged_segments,
+    nary_seq,
+    seq_dot,
     width,
 )
 from natspace.points import ancestors_at
@@ -147,6 +149,23 @@ def test_grid_ancestors_match_the_predecessor_walk(name, i, data):
 def test_seq_interval_reads_the_digit_value(base_syms):
     base, syms = base_syms
     assert ns.seq_interval(Seq(syms), base) == oracles.digit_interval(syms, base)
+
+
+@given(
+    st.integers(min_value=2, max_value=10).flatmap(
+        lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b - 1), max_size=8))
+    )
+)
+def test_nary_seq_inverts_seq_dot(base_syms):
+    base, syms = base_syms
+    assert nary_seq(seq_dot(Seq(syms), base)) == Seq(syms)
+
+
+def test_nary_seq_matches_repeated_division():
+    for base in (2, 3, 5):
+        for m in range(6):
+            for n in range(base**m):
+                assert nary_seq(NaryInterval(base, n, m)).syms == oracles.digits_divided(n, base, m)
 
 
 def test_interval_relations_reject_non_interval_dots():

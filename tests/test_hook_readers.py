@@ -4,7 +4,8 @@ space through index_of, enumerate_dot and strict_refinements, so the choice
 between a closed form and a scan stays with the space.  An interval dot's
 lo and hi are read in dots.py only: every other module reads a layout
 through endpoints, width, interval_gap and grid_ancestors, so the layouts
-are stated once."""
+are stated once.  metric.py never names Isolated: it asks a space through
+is_isolated and touch, so the isolated-point rules stay with the extension."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,15 @@ def test_only_spaces_reads_the_rank_hooks():
 
 def test_only_dots_reads_interval_endpoints():
     assert _reads_outside("dots.py", {"lo", "hi"}) == []
+
+
+def test_metric_never_names_isolated():
+    tree = ast.parse((_PACKAGE / "metric.py").read_text())
+    names = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "Isolated"
+        or isinstance(node, ast.alias) and node.name == "Isolated"
+        or isinstance(node, ast.Attribute) and node.attr == "Isolated"
+    ]
+    assert names == []

@@ -10,7 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import natspace as ns
 from natspace.dots import DyadicInterval as D, Isolated, Seq, grid_ancestors, interval_row
-from natspace.metric import MAX_LEVEL_GRADE, MetricDefect, _LEVEL_ROWS, _level_row, _TouchSet
+from natspace.metric import (
+    _CONE_A, _CONE_B, MAX_LEVEL_GRADE, MetricDefect, _LEVEL_ROWS, _level_row, _shift, _TouchSet,
+)
 
 import oracles
 
@@ -261,6 +263,16 @@ def _assert_same_zones(space, f, ref, levels):
     for g in levels:
         for c in space.level(g):
             assert f.digits(c).syms == ref.digits(c), c
+
+
+def test_zone_shift_matches_the_digit_loop():
+    # the reference encodes and decodes the ternary index by its own loops
+    cones = {"A": _CONE_A, "B": _CONE_B}
+    for ln in range(6):
+        for i in itertools.product(range(3), repeat=ln):
+            for step in (-1, 1):
+                ref = oracles.FanZonesReference.shift(i, step)
+                assert _shift(i, step) == cones.get(ref, ref)
 
 
 def test_fan_zones_match_the_recursive_rule_on_the_metric_table(metric_ev, ext01):

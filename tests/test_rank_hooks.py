@@ -70,7 +70,7 @@ def test_hooks_match_the_reference_order(name):
     assert [space.index_of(d) for d in dots] == list(range(len(dots)))
 
 
-@pytest.mark.parametrize("name", ["sigma_[0,1]", "sigma_R"])
+@pytest.mark.parametrize("name", ["sigma_[0,1]", "sigma_R", "sigma_3"])
 def test_hooks_far_out(name):
     space = _STD_BUILDERS[name]()
     far = list(itertools.islice(_reference(name), 200_000, 203_000))

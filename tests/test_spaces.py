@@ -7,8 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 import natspace as ns
-from natspace.dots import Ball, DyadicInterval as D, Isolated, MAX, Seq
-from natspace.spaces import _STD_BUILDERS, baire_rank, baire_unrank
+from natspace import encodings, spaces
+from natspace.dots import Ball, DyadicInterval as D, Isolated, MAX, Seq, Trail
+from natspace.spaces import (
+    _STD_BUILDERS, _compositions, _tuple_unrank, baire_rank, baire_unrank,
+)
+
+import oracles
 
 STD_NAMES = sorted(_STD_BUILDERS)
 
@@ -169,6 +174,56 @@ def test_dense_points_frozen_prefix():
     assert [ns.unit_interval_dense_points(i) for i in range(8)] == [
         F(0), F(1), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(3, 8), F(5, 8),
     ]
+    assert [ns.unit_interval_dense_points(i) for i in range(5000)] == [
+        oracles.dense_point_walk(i) for i in range(5000)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tuple_orders_match_the_linear_walk(n):
+    """Stars and bars and the bisected unrank against the recursion and the
+    one-by-one walk that first stated the diagonal-by-total order."""
+    for total in range(12):
+        assert list(_compositions(total, n)) == list(oracles.compositions_listed(total, n))
+    walk = itertools.islice(oracles.diagonal_tuples(n), 5000)
+    assert [_tuple_unrank(k, n) for k in range(5000)] == list(walk)
+
+
+def _trail_past_the_scan_budget():
+    more = ns.trail_space(_STD_BUILDERS["sigma_[0,1]"]()).successors(Trail((D(0, 3),))).more
+    return lambda: more(1), ns.SpaceDefect, (
+        "sigma_[0,1]: strict refinement 1 of [0,1/4]d not found in first 5 enumerated dots"
+    )
+
+
+def _baire_level_past_its_scan_budget():
+    enc = ns.baire_encode(_STD_BUILDERS["T3"]())
+    return lambda: enc.level_member(1, enc.space.max_dot, 4), ns.EncodingDefect, (
+        "T3: level 1 under <> exhausted after scanning 5 dots (needed member 4)"
+    )
+
+
+def _metric_past_the_last_pair():
+    ev = ns.MetricEvaluator(_STD_BUILDERS["T2"]())  # every dot isolated: no pair
+    return lambda: ev.pair(0), ns.MetricDefect, "T2: no separator pair 0 up to grade 9"
+
+
+@pytest.mark.parametrize(
+    "case", [_trail_past_the_scan_budget, _baire_level_past_its_scan_budget,
+             _metric_past_the_last_pair],
+)
+def test_a_stream_end_raises_its_owners_error(case, monkeypatch):
+    """Past the end of a Lazy stream its owner's error comes with the
+    owner's text, and without the end of the iterator as its context; so
+    does a second read."""
+    monkeypatch.setattr(spaces, "SCAN_BUDGET", 5)
+    monkeypatch.setattr(encodings, "LEVEL_SCAN_BUDGET", 5)
+    read, error, text = case()
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            read()
+        assert str(raised.value) == text
+        assert raised.value.__suppress_context__ and raised.value.__cause__ is None
 
 
 def test_metric_spread_axioms():
