@@ -73,9 +73,9 @@ def _tokenize(text: str) -> List[str]:
         elif ch in "+-*/(),":
             out.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             out.append(text[i:j])
             i = j
@@ -148,12 +148,12 @@ class _Parser:
                 args.append(self.expr())
             self.take(")")
             return (tok, *args)
-        if tok is not None and tok.isdigit():
+        if tok is not None and tok.isdecimal():
             num = int(self.take())
             if self.peek() == "/":
                 self.take()
                 den_tok = self.take()
-                if not den_tok.isdigit() or int(den_tok) == 0:
+                if not den_tok.isdecimal() or int(den_tok) == 0:
                     raise CliParseError("denominator must be a positive integer")
                 return ("rat", Fraction(num, int(den_tok)))
             return ("rat", Fraction(num))

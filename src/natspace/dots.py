@@ -372,25 +372,32 @@ def dot_to_json(d: Dot) -> dict:
     raise TypeError(f"unserializable dot {d!r}")
 
 
+def _json(v, kind: type):
+    """v, if it is of the JSON type kind (a bool is no int, a string no list)."""
+    if type(v) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, found {v!r}")
+    return v
+
+
 def dot_from_json(obj: dict) -> Dot:
     """Parse the canonical JSON object form back into a dot."""
     kind = obj["kind"]
     if kind == "max":
         return MAX
     if kind == "dyadic":
-        return DyadicInterval(int(obj["n"]), int(obj["m"]))
+        return DyadicInterval(_json(obj["n"], int), _json(obj["m"], int))
     if kind == "rat":
         return RatInterval(Fraction(obj["lo"]), Fraction(obj["hi"]))
     if kind == "nary":
-        return NaryInterval(int(obj["base"]), int(obj["n"]), int(obj["m"]))
+        return NaryInterval(_json(obj["base"], int), _json(obj["n"], int), _json(obj["m"], int))
     if kind == "seq":
-        return Seq(tuple(obj["syms"]))
+        return Seq(tuple(_json(s, int) for s in _json(obj["syms"], list)))
     if kind == "tuple":
-        return TupleDot(tuple(dot_from_json(x) for x in obj["items"]))
+        return TupleDot(tuple(dot_from_json(x) for x in _json(obj["items"], list)))
     if kind == "ball":
-        return Ball(int(obj["i"]), int(obj["s"]))
+        return Ball(_json(obj["i"], int), _json(obj["s"], int))
     if kind == "trail":
-        return Trail(tuple(dot_from_json(x) for x in obj["items"]))
+        return Trail(tuple(dot_from_json(x) for x in _json(obj["items"], list)))
     if kind == "iso":
-        return Isolated(int(obj["k"]))
+        return Isolated(_json(obj["k"], int))
     raise ValueError(f"unknown dot kind {kind!r}")

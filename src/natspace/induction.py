@@ -1,7 +1,8 @@
 """Genetic bars and their algebra: uniform bars, descent, finite subcovers,
-reduction/expansion/min, separation bars, preimage bars under the shipped
-morphism families, product bars, and the translation of a genetic witness
-into a five-rule formal derivation (with an independent rule verifier).
+reduction/expansion/min, separation bars (split until each dot chooses
+between two apart dots), preimage bars under the shipped morphism
+families, product bars, and the translation of a genetic witness into a
+five-rule formal derivation (with an independent rule verifier).
 
 A genetic bar is a derivation tree, never a bare set: Leaf(a) is the bar
 {a} on the cone under a, Split(a, .) recurses on every immediate successor.
@@ -13,21 +14,9 @@ flattened.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .dots import (
-    Dot,
-    Isolated,
-    MaxDot,
-    Seq,
-    Trail,
-    TupleDot,
-    dot_from_json,
-    dot_to_json,
-    interval_gap,
-    seq_dot,
-)
+from .dots import Dot, MaxDot, TupleDot, dot_from_json, dot_to_json
 from .morphisms import Morphism
 from .points import ancestors_at
 from .spaces import Space, SpaceDefect
@@ -270,62 +259,24 @@ def expand_bar(bar: GeneticBar, a: Dot) -> GeneticBar:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_separation_depth(space: Space, gap: Fraction) -> int:
-    """Least uniform depth whose dot widths fall below half the gap (a dot
-    narrower than the gap cannot touch both sides)."""
-    d = space.max_dot
-    k = 0
-    while True:
-        nxt = space.successors(d).prefix(1)
-        if not nxt:
-            raise BarDefect(f"{space.name}: no refinements under {d!r}")
-        d = nxt[0]
-        k += 1
-        if space.width(d) < gap / 2:
-            return k
-
-
 def separation_bar(space: Space, a: Dot, b: Dot) -> GeneticBar:
-    """A genetic bar all of whose dots choose between a and b (each is apart
-    from a or apart from b): uniform at the gap-derived depth on interval
-    spaces, at the deeper grade on spaces of digit strings or trails, via
-    the first apart coordinate on sigma products."""
+    """The split-until-chosen bar under the maximal dot: a dot that chooses
+    between a and b (it is apart from a or apart from b) is a leaf, every
+    other dot splits.  Every point chooses, since a and b are apart, and it
+    chooses through one of its own dots; so every branch reaches a leaf,
+    and by bar induction the choosing dots form a bar.  The rule asks the
+    space for its apartness and successors only."""
+    if space.spraid_info is None:
+        raise SpaceDefect(f"{space.name}: bars need spraid structure")
     if not space.apart(a, b):
         raise BarDefect(f"{space.name}: {a!r} and {b!r} are not apart")
-    factors = getattr(space, "factors", None)
-    if factors is None:
-        depth = _separation_depth(space, a, b)
-    else:  # a product's dots are apart at some coordinate: the first decides
-        depth = next(
-            _separation_depth(f, x, y)
-            for f, x, y in zip(factors, a.items, b.items)
-            if f.apart(x, y)
-        )
-    return genetic_uniform(space, space.max_dot, depth)
 
+    def rec(d: Dot) -> BarNode:
+        if space.apart(d, a) or space.apart(d, b):
+            return Leaf(d)
+        return Split(d, rec)
 
-def _as_interval(space: Space, d: Dot) -> Dot:
-    if isinstance(d, Seq):
-        # a digit string reads in the base its one-digit dots' width states
-        return seq_dot(d, int(1 / space.width(Seq((0,)))))
-    return d
-
-
-def _separation_depth(space: Space, a: Dot, b: Dot) -> int:
-    if isinstance(a, Isolated) or isinstance(b, Isolated):
-        # the other is a non-maximal original dot; each depth-1 dot is an
-        # original dot (apart from the isolated one) or iso(1) (apart from it)
-        return 1
-    if space.interval_like:
-        gap = interval_gap(_as_interval(space, a), _as_interval(space, b))
-        if not gap:
-            raise BarDefect(f"{space.name}: {a!r}, {b!r} have no positive gap")
-        return _uniform_separation_depth(space, gap)
-    if isinstance(a, (Seq, Trail)) and isinstance(b, (Seq, Trail)):
-        # refinement is extension: a dot at the deeper grade extends at most
-        # one of the two, so it is apart from the other
-        return max(space.grade(a), space.grade(b))
-    raise BarDefect(f"{space.name}: no separation strategy for {a!r}, {b!r}")
+    return GeneticBar(space, rec(space.max_dot))
 
 
 # ---------------------------------------------------------------------------

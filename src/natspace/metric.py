@@ -259,7 +259,7 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
     def predecessors(d: Dot) -> Tuple[Dot, ...]:
         return tuple(p for p in space.predecessors(d) if p in member_set)
 
-    sub = Space(
+    return Space(
         f"W[{x.name or 'x'}]({space.name})",
         space._apart,
         space._refines,
@@ -269,8 +269,6 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
         width=space._width,
         is_isolated=space.is_isolated,
     )
-    sub.wx_levels = tuple(levels)
-    return sub
 
 
 # ---------------------------------------------------------------------------

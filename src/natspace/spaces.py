@@ -792,7 +792,7 @@ def product(factors) -> Space:
                     continue
                 yield d
 
-    sp = Space(
+    return Space(
         "product[sigma](" + ",".join(f.name for f in factors) + ")",
         apart,
         refines,
@@ -801,8 +801,6 @@ def product(factors) -> Space:
         info,
         width=width,
     )
-    sp.factors = tuple(factors)
-    return sp
 
 
 def _compositions(total: int, n: int) -> Iterator[Tuple[int, ...]]:

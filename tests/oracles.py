@@ -317,6 +317,38 @@ def digit_interval(syms: Sequence[int], base: int) -> Tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, base ** len(syms))
 
 
+def separation_depth_reference(space, a, b, to_json: Callable[[object], dict]) -> int:
+    """The uniform depth that separation bars once took, by one rule per
+    family of dots, each dot's family read off its JSON form (to_json): 1
+    when either dot is an isolated point; on an interval space the first
+    grade at which the walk down first successors from the root is
+    narrower than half the gap; else the larger grade of two digit strings
+    or trails.  The rules are sound on some spaces only.  Raises ValueError
+    where no rule applies."""
+    ja, jb = to_json(a), to_json(b)
+    if "iso" in (ja["kind"], jb["kind"]):
+        return 1
+    if space.interval_like:
+        gap = interval_gap_reference(_interval_of(space, a, ja), _interval_of(space, b, jb))
+        if not gap:
+            raise ValueError(f"{a!r}, {b!r} have no positive gap")
+        d, k = space.max_dot, 0
+        while k == 0 or space.width(d) >= gap / 2:
+            d, k = space.successors(d).prefix(1)[0], k + 1
+        return k
+    if {ja["kind"], jb["kind"]} <= {"seq", "trail"}:
+        return max(space.grade(a), space.grade(b))
+    raise ValueError(f"no separation rule for {a!r}, {b!r}")
+
+
+def _interval_of(space, d, obj: dict) -> Tuple[Fraction, Fraction]:
+    if obj["kind"] == "seq":  # a digit string reads in the base its width states
+        w, n = space.width(d), len(obj["syms"])
+        base = next(k for k in itertools.count(2) if Fraction(1, k**n) <= w)
+        return digit_interval(obj["syms"], base)
+    return interval_of_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # Sign oracle for line calls.
 # ---------------------------------------------------------------------------

@@ -90,6 +90,21 @@ def test_eval_parse_error_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("expr", ["²", "1/²", "1+²", "1²"])
+def test_eval_non_decimal_digits_parse_error(capsys, expr):
+    # str.isdigit accepts a superscript two, which int() rejects
+    code, _, err = run(capsys, "eval", "--", expr)
+    assert code == 1 and "parse error" in err and "Traceback" not in err
+
+
+def test_eval_reads_decimal_digits_of_any_script(capsys):
+    # int() reads every decimal digit, so the Arabic-Indic three is a number
+    assert run(capsys, "eval", "--", "٣+1") == run(capsys, "eval", "--", "3+1")
+    code, out, _ = run(capsys, "eval", "--", "٣+1")
+    lo, hi = (F(line.split()[1]) for line in out.splitlines())
+    assert code == 0 and lo <= 4 <= hi
+
+
 def test_cantor_frozen_example(capsys):
     code, out, _ = run(capsys, "cantor", "02", "--depth", "2")
     assert code == 0
@@ -356,11 +371,18 @@ def _cover(cover=_LEVEL1, derivation=None):
         (_cover(cover=[{"kind": "seq", "syms": [0]}]), 2),  # a dot of another space
         # every child claims the first successor
         (_cover(derivation={"split": _ROOT, "children": [{"leaf": _LEVEL1[0]}] * 3}), 2),
+        # fields that are no JSON integers or lists, each coercible to a dot
+        (_cover(cover=[{"kind": "dyadic", "n": 0, "m": 1.5}]), 1),
+        (_cover(cover=[{"kind": "dyadic", "n": "0", "m": 1}]), 1),
+        (_cover(derivation={"leaf": {"kind": "dyadic", "n": False, "m": True}}), 1),
+        (_cover(cover=[{"kind": "seq", "syms": "12"}]), 1),
+        (_cover(cover=[{"kind": "trail", "items": {}}]), 1),
     ],
     ids=[
         "no-leaf-or-split", "witness-list", "unknown-kind", "missing-field",
         "non-numeric", "leaf-max", "split-seq", "leaf-below-root", "cover-max",
-        "cover-seq", "child-dot",
+        "cover-seq", "child-dot", "float-field", "string-field", "bool-fields",
+        "string-syms", "object-items",
     ],
 )
 def test_subcover_malformed_file_exit_codes(tmp_path, capsys, blob, code):
@@ -373,8 +395,13 @@ def test_subcover_malformed_file_exit_codes(tmp_path, capsys, blob, code):
 @pytest.mark.parametrize(
     "dot, code",
     [({"kind": "foo"}, 1), ({"kind": "dyadic", "n": "x", "m": 0}, 1),
-     ({"kind": "seq", "syms": [0]}, 2)],
-    ids=["unknown-kind", "non-numeric", "seq"],
+     ({"kind": "seq", "syms": [0]}, 2),
+     # fields that are no JSON integers or lists, each coercible to a dot
+     ({"kind": "dyadic", "n": 0, "m": 1.5}, 1), ({"kind": "dyadic", "n": "0", "m": 1}, 1),
+     ({"kind": "dyadic", "n": False, "m": True}, 1), ({"kind": "seq", "syms": "12"}, 1),
+     ({"kind": "seq", "syms": [True]}, 1), ({"kind": "trail", "items": {}}, 1)],
+    ids=["unknown-kind", "non-numeric", "seq", "float-field", "string-field", "bool-fields",
+         "string-syms", "bool-sym", "object-items"],
 )
 def test_point_files_malformed_dot_exit_codes(tmp_path, capsys, dot, code):
     stream = tmp_path / "stream.jsonl"

@@ -243,6 +243,20 @@ def test_cantor_surjection_morphism_laws(sigma01):
     assert ns.check_morphism(ns.cantor_surjection(sigma01), 30).ok
 
 
+@pytest.mark.parametrize("name", ["sigma_[0,1]", "T3", "cantor"])
+def test_cantor_surjection_liveness(name):
+    # liveness(g) bits reach grade g on every string, and one bit fewer
+    # falls short on some string
+    fann = ns.std_space(name)
+    f = ns.cantor_surjection(fann)
+
+    def least_grade(bits: int) -> int:
+        return min(fann.grade(f.map(Seq(b))) for b in itertools.product((0, 1), repeat=bits))
+
+    for g in range(1, 5):
+        assert least_grade(f.liveness(g)) >= g > least_grade(f.liveness(g) - 1)
+
+
 def test_block_size_is_ceil_log2():
     from natspace.encodings import _block_size
 

@@ -4,11 +4,14 @@ space through index_of, enumerate_dot and strict_refinements, so the choice
 between a closed form and a scan stays with the space.  An interval dot's
 lo and hi are read in dots.py only: every other module reads a layout
 through endpoints, width, interval_gap and grid_ancestors, so the layouts
-are stated once.  metric.py never names Isolated: it asks a space through
-is_isolated and touch, so the isolated-point rules stay with the extension."""
+are stated once.  metric.py and induction.py never name Isolated: they ask
+a space through is_isolated, touch and apart, so the isolated-point rules
+stay with the extension."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import natspace
 
@@ -33,8 +36,9 @@ def test_only_dots_reads_interval_endpoints():
     assert _reads_outside("dots.py", {"lo", "hi"}) == []
 
 
-def test_metric_never_names_isolated():
-    tree = ast.parse((_PACKAGE / "metric.py").read_text())
+@pytest.mark.parametrize("module", ["metric.py", "induction.py"])
+def test_never_names_isolated(module):
+    tree = ast.parse((_PACKAGE / module).read_text())
     names = [
         node.lineno
         for node in ast.walk(tree)

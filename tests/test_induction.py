@@ -1,11 +1,12 @@
 """Genetic bars, covers, Heine-Borel selection, the formal-rule calculus."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 import natspace as ns
-from natspace.dots import DyadicInterval as D, Seq, endpoints
+from natspace.dots import DyadicInterval as D, Seq, Trail, endpoints
 from natspace.induction import (
     BarDefect,
     Cover,
@@ -152,6 +153,38 @@ def test_separation_bar_trees(cantor_space, baire):
         )
 
 
+def _named(name):
+    if name.endswith("^+"):
+        return ns.extend_with_isolated_point(ns.std_space(name[:-2]))
+    return ns.std_space(name)
+
+
+def _chooses(space, d, a, b):
+    return space.apart(d, a) or space.apart(d, b)
+
+
+def _walked_leaves(bar, width=4, depth=4):
+    """The leaves met on the first `width` children of each split, down to
+    `depth` splits: a bar on an infinitely branching space cannot be
+    flattened."""
+    sp, out = bar.space, []
+
+    def walk(node, k):
+        if isinstance(node, Leaf):
+            out.append(node.dot)
+        elif k < depth:
+            for s in sp.successors(node.dot).prefix(width):
+                walk(node.child(s), k + 1)
+
+    walk(bar.node, 0)
+    return out
+
+
+def _apart_pairs(space, n):
+    dots = [space.enumerate_dot(i) for i in range(n)]
+    return [(a, b) for a, b in itertools.combinations(dots, 2) if space.apart(a, b)]
+
+
 @pytest.mark.parametrize(
     "name, a, b",
     [
@@ -169,13 +202,83 @@ def test_separation_bar_trees(cantor_space, baire):
     ],
 )
 def test_separation_bar_digit_intervals(name, a, b):
-    if name.endswith("^+"):
-        space = ns.extend_with_isolated_point(ns.std_space(name[:-2]))
-    else:
-        space = ns.std_space(name)
+    space = _named(name)
     bar = ns.separation_bar(space, a, b)
     for d in ns.flatten(bar):
         assert space.apart(d, a) or space.apart(d, b)
+
+
+def test_separation_bar_on_unglued_interval_trails():
+    # the larger-grade rule leafed T([1/4,3/4]d;[3/8,5/8]d), which touches both
+    space = ns.unglue(ns.std_space("sigma_[0,1]"))
+    a, b = Trail((D(0, 2),)), Trail((D(2, 2), D(5, 3)))
+    leaves = ns.flatten(ns.separation_bar(space, a, b))
+    assert leaves and all(_chooses(space, d, a, b) for d in leaves)
+
+
+@pytest.mark.parametrize(
+    "space, a, b",
+    [
+        # the depth-1 leaf T([0,1/2]d) touches both
+        (ns.trail_space(ns.std_space("sigma_[0,1]")), Trail((D(0, 3),)), Trail((D(4, 3),))),
+        # the leaf <0> maps to [0,1/2]@2, which touches both images
+        (ns.baire_encode(ns.std_space("[0,1]_bin")).spread, Seq((1,)), Seq((2,))),
+        # the width walk met iso(1), which has no endpoints
+        (_named("sigma_R^+"), D(0, 3), D(4, 3)),
+        (_named("R_bin^+"), ns.NaryInterval(2, 0, 2), ns.NaryInterval(2, 2, 2)),
+    ],
+    ids=["trails", "baire-spread", "sigma_R^+", "R_bin^+"],
+)
+def test_separation_bar_on_infinitely_branching_spaces(space, a, b):
+    leaves = _walked_leaves(ns.separation_bar(space, a, b))
+    assert leaves and all(_chooses(space, d, a, b) for d in leaves)
+
+
+_SEPARATED = [
+    "sigma_[0,1]", "[0,1]_ter", "cantor", "T3", "sigma_3_real",
+    "sigma_[0,1]^+", "[0,1]_ter^+", "cantor^+", "T3^+", "sigma_3_real^+",
+]
+
+
+@pytest.mark.parametrize("name", _SEPARATED + ["unglue", "product"])
+def test_separation_bar_leaves_all_choose(name):
+    if name == "unglue":
+        space = ns.unglue(ns.std_space("sigma_[0,1]"))
+    elif name == "product":
+        space = ns.product([ns.std_space("sigma_[0,1]")] * 2)
+    else:
+        space = _named(name)
+    for a, b in _apart_pairs(space, 30):
+        assert all(_chooses(space, d, a, b) for d in ns.flatten(ns.separation_bar(space, a, b)))
+
+
+@pytest.mark.parametrize("name", _SEPARATED + ["sigma_2_real"])
+def test_separation_bar_no_deeper_than_the_family_rules(name):
+    """Wherever the old per-family uniform depth gave a sound bar, the
+    split-until-chosen bar is no deeper and has no more leaves."""
+    space, compared = _named(name), 0
+    for a, b in _apart_pairs(space, 30):
+        try:
+            depth = oracles.separation_depth_reference(space, a, b, ns.dot_to_json)
+        except (ValueError, TypeError):  # no rule, or a width walk into iso(1)
+            continue
+        uniform = ns.flatten(ns.genetic_uniform(space, space.max_dot, depth))
+        if not all(_chooses(space, d, a, b) for d in uniform):
+            continue
+        bar = ns.separation_bar(space, a, b)
+        assert ns.bar_depth(bar) <= depth and len(ns.flatten(bar)) <= len(uniform)
+        compared += 1
+    assert compared
+
+
+def test_separation_bar_needs_apart_dots_and_a_graded_space(sigma01):
+    with pytest.raises(BarDefect, match="not apart"):
+        ns.separation_bar(sigma01, D(0, 2), D(1, 2))
+    rat = ns.std_space("R_rat")  # ungraded
+    a, b = rat.enumerate_dot(3), rat.enumerate_dot(4)  # [1/2,1] and [-1,0]
+    assert rat.apart(a, b)
+    with pytest.raises(ns.SpaceDefect, match="spraid"):
+        ns.separation_bar(rat, a, b)
 
 
 def test_inductive_preimage_identity_and_neg(sigmaR, sigma01):
@@ -189,6 +292,34 @@ def test_inductive_preimage_identity_and_neg(sigmaR, sigma01):
     for d in ns.flatten(Hn):
         img = ns.arith("neg").map(d)
         assert any(sigmaR.refines(img, c) for c in flatG)
+
+
+def _under_the_bar(f, G, leaves):
+    targets = ns.flatten(G)
+    return leaves and all(any(f.target.refines(f.map(d), c) for c in targets) for d in leaves)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [ns.cantor_function(), ns.doubling(), ns.compose(ns.cantor_function(), ns.doubling())],
+    ids=["f_can", "doubling", "composite"],
+)
+def test_inductive_preimage_of_grade_preserving_maps(f):
+    for seed in range(4):
+        G = random_bar(f.target, f.target.max_dot, 3, seed)
+        assert _under_the_bar(f, G, ns.flatten(ns.inductive_preimage(f, G)))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [ns.arith("scalar", F(1, 2)), ns.arith("abs"),
+     ns.compose(ns.arith("scalar", F(1, 2)), ns.arith("neg"))],
+    ids=["scalar", "abs", "composite"],
+)
+def test_inductive_preimage_of_arithmetic(sigmaR, f):
+    # the conditional bar splits until the image lands under a leaf of G
+    G = ns.genetic_uniform(sigmaR, D(0, 0), 2)
+    assert _under_the_bar(f, G, _walked_leaves(ns.inductive_preimage(f, G)))
 
 
 def test_product_bar_cover(sigma01):

@@ -111,9 +111,10 @@ def test_splitting_depth_matches_the_oracle_on_random_sets(ext01, A, B):
 def test_subfan_levels(sigmaR):
     p = ns.rational_to_point(F(1, 3))
     sub = ns.subfan_Wx(sigmaR, p, 6)
-    assert [len(lv) for lv in sub.wx_levels] == [1, 5, 6, 7, 8, 9, 10]
+    levels = [sub.level(n) for n in range(7)]  # built through the subfan's successors
+    assert [len(lv) for lv in levels] == [1, 5, 6, 7, 8, 9, 10]
     # each level's order feeds the next, so the tuples are frozen, not only sizes
-    assert tuple(tuple((d.n, d.m) for d in lv) for lv in sub.wx_levels[1:]) == (
+    assert tuple(tuple((d.n, d.m) for d in lv) for lv in levels[1:]) == (
         ((-1, 0), (-2, 0), (-3, 0), (0, 0), (1, 0)),
         ((-2, 1), (-1, 1), (0, 1), (-4, 1), (2, 1), (1, 1)),
         ((-2, 2), (-1, 2), (0, 2), (2, 2), (1, 2), (-6, 2), (4, 2)),
@@ -122,6 +123,9 @@ def test_subfan_levels(sigmaR):
         ((-2, 5), (4, 5), (8, 5), (10, 5), (9, 5), (12, 5), (11, 5), (16, 5), (-34, 5),
          (32, 5)),
     )
+    for n in range(1, 7):  # each member's parents in the subfan lie one level up
+        assert all(set(sub.predecessors(d)) <= set(levels[n - 1]) for d in levels[n])
+        assert all(sub.predecessors(d) for d in levels[n])
     assert ns.validate_space(sub, 7).ok
 
 
@@ -132,7 +136,19 @@ def test_subfan_enumeration_ends_with_a_space_defect(sigmaR):
     with pytest.raises(ns.SpaceDefect, match="enumeration ends"):
         sub.enumerate_dot(10**4)
     with pytest.raises(ns.SpaceDefect):  # a grade-6 dot has no strict refinement here
-        ns.canonical_point(sub, sub.wx_levels[6][0]).dot(1)
+        ns.canonical_point(sub, sub.level(6)[0]).dot(1)
+
+
+@pytest.mark.parametrize("name", ["[0,1]_ter", "cantor", "T3", "sigma_3_real"])
+def test_star_dots_match_a_level_scan(name):
+    # the n-ary neighbour rule ([0,1]_ter) and the level scan (digit strings)
+    space = ns.std_space(name)
+    for g in range(1, 5):
+        level = space.level(g)
+        for d in level:
+            star = ns.star_dots(space, d)
+            assert len(star) == len(set(star))
+            assert set(star) == {e for e in level if space.touch(d, e)}
 
 
 def test_urysohn_fan_frozen_values(sigma01):

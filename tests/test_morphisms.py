@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspace as ns
-from natspace.dots import DyadicInterval as D, Seq, TupleDot, endpoints
+from natspace.dots import DyadicInterval as D, Seq, Trail, TupleDot, endpoints
+from natspace.morphisms import TRAIL
 
 import oracles
 
@@ -207,6 +208,18 @@ def test_compose_carries_dynamic_liveness(exponent):
     product_dot = ns.approximate(ns.apply_point(ns.arith("mul"), p), 30)
     negated = ns.approximate(ns.apply_point(ns.compose(ns.arith("neg"), ns.arith("mul")), p), 30)
     assert negated == D(-product_dot.n - 2, product_dot.m)
+
+
+def test_compose_lifts_trails_into_a_trail_morphism():
+    # a trail g lifts f trail-wise: by dots for a refinement f, by prefixes
+    # for a trail f; id_str then reads the last dot of the lifted trail
+    s2, s3 = ns.std_space("sigma_2"), ns.std_space("sigma_3")
+    trail = Trail((Seq((1,)), Seq((1, 0)), Seq((1, 0, 1))))
+    after_doubling = ns.compose(ns.id_str(s3), ns.doubling())
+    assert after_doubling.kind == TRAIL and after_doubling.map(trail) == Seq((2, 0, 2))
+    after_trail = ns.compose(ns.id_str(s2), ns.id_str(s2))
+    assert after_trail.map(trail) == Seq((1, 0, 1))
+    assert ns.check_morphism(after_doubling, 12).ok and ns.check_morphism(after_trail, 12).ok
 
 
 def test_failing_check_lists_every_violation():
