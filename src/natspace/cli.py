@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -502,10 +503,16 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at its first use: parsing keeps
+    no state in it."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _arg_parser().parse_args(argv)
         return _DISPATCH[args.command](args, sys.stdout)
     except CliParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

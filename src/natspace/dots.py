@@ -387,7 +387,7 @@ def dot_from_json(obj: dict) -> Dot:
     if kind == "dyadic":
         return DyadicInterval(_json(obj["n"], int), _json(obj["m"], int))
     if kind == "rat":
-        return RatInterval(Fraction(obj["lo"]), Fraction(obj["hi"]))
+        return RatInterval(Fraction(_json(obj["lo"], str)), Fraction(_json(obj["hi"], str)))
     if kind == "nary":
         return NaryInterval(_json(obj["base"], int), _json(obj["n"], int), _json(obj["m"], int))
     if kind == "seq":

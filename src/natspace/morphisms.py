@@ -313,11 +313,20 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
         raise ValueError(f"unknown arith op {op!r}")
     binary = op in ("add", "mul", "min", "max")
 
-    def fmap(d: Dot) -> Dot:
-        items = d.items if binary else (d,)
-        if any(isinstance(x, MaxDot) for x in items):
-            return MAX
-        return round_hull(*hull_op(*map(int_endpoints, items)), max(x.m for x in items))
+    if binary:
+
+        def fmap(d: Dot) -> Dot:
+            a, b = d.items
+            if isinstance(a, MaxDot) or isinstance(b, MaxDot):
+                return MAX
+            return round_hull(*hull_op(int_endpoints(a), int_endpoints(b)), max(a.m, b.m))
+
+    else:
+
+        def fmap(d: Dot) -> Dot:
+            if isinstance(d, MaxDot):
+                return MAX
+            return round_hull(*hull_op(int_endpoints(d)), d.m)
 
     dyn = None
     if op == "mul":

@@ -67,12 +67,13 @@ class Point:
                             f"point {self.name or '<anon>'}: dot {d!r} does not refine "
                             f"previous {items[-1]!r}"
                         )
-                    self._repeats = self._repeats + 1 if items and d == items[-1] else 0
-                    if self._bound is not None and self._repeats >= self._bound:
-                        raise PointDefect(
-                            f"point {self.name or '<anon>'}: no strict refinement within "
-                            f"{self._bound} steps at prefix length {len(items) + 1}"
-                        )
+                    if self._bound is not None:  # repeats count only under a bound
+                        self._repeats = self._repeats + 1 if items and d == items[-1] else 0
+                        if self._repeats >= self._bound:
+                            raise PointDefect(
+                                f"point {self.name or '<anon>'}: no strict refinement within "
+                                f"{self._bound} steps at prefix length {len(items) + 1}"
+                            )
                 except StopIteration:
                     raise PointDefect(
                         f"point {self.name or '<anon>'}: stream exhausted at "
@@ -119,10 +120,11 @@ def approximate(p: Point, grade: int) -> Dot:
     """First stream dot with grade >= requested grade (consumes the stream)."""
     if p.space.spraid_info is None:
         raise SpaceDefect(f"{p.space.name}: approximate needs a graded space")
+    grade_of = p.space.grade
     max_steps = p.steps_for_grade(grade)
     for k in range(max_steps + 1):
         d = p.dot(k)
-        if p.space.grade(d) >= grade:
+        if grade_of(d) >= grade:
             return d
     raise PointDefect(
         f"point {p.name or '<anon>'}: grade {grade} not reached within "
@@ -183,8 +185,8 @@ def ancestors_at(space: Space, d: Dot, g: int) -> Tuple[Dot, ...]:
 
 def ancestor_at(space: Space, d: Dot, g: int, under: Optional[Dot] = None) -> Dot:
     """A grade-g dot c with d <= c (and c <= under when given); deterministic
-    first hit of a breadth-first predecessor walk."""
-    for c in ancestors_at(space, d, g):
+    first hit of a breadth-first predecessor walk, which at d's own grade is d."""
+    for c in (d,) if space.grade(d) == g else ancestors_at(space, d, g):
         if under is None or space.refines(c, under):
             return c
     raise SpaceDefect(f"no grade-{g} ancestor of {d!r} under {under!r}")
@@ -195,19 +197,22 @@ def normalized_dots(p: Point) -> Iterator[Dot]:
     grade-g ancestor, under the one before, of p's first dot of grade g or
     more."""
     space = p.space
+    grade = space.grade
     prev: Optional[Dot] = None
-    k = 0  # stream position in p
+    budget = p.steps_for_grade(0)
+    k, d = 0, p.dot(0)  # the stream position in p and its dot, each read once
     for g in itertools.count(0):
-        budget = p.steps_for_grade(g)
-        while space.grade(p.dot(k)) < g:
+        while grade(d) < g:
             k += 1
             if k > budget + 1:
                 raise PointDefect(
                     f"successor_normalize: grade {g} not reached within "
                     f"{budget} steps of {p!r}"
                 )
-        prev = ancestor_at(space, p.dot(k), g, under=prev)
+            d = p.dot(k)
+        prev = ancestor_at(space, d, g, under=prev)
         yield prev
+        budget = p.steps_for_grade(g + 1)
 
 
 def successor_normalize(p: Point) -> Point:

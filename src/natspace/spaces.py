@@ -740,7 +740,10 @@ def product(factors) -> Space:
     def refines(b: Dot, a: Dot) -> bool:
         if len(b.items) < len(a.items):
             return False
-        return all(factors[i].refines(b.items[i], a.items[i]) for i in range(len(a.items)))
+        for i in range(len(a.items)):  # a loop, not all(...): this runs on every pair pull
+            if not factors[i].refines(b.items[i], a.items[i]):
+                return False
+        return True
 
     max_dot = TupleDot(tuple(f.max_dot for f in factors))
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspace as ns
+from natspace import cli
 from natspace.cli import (
     EVAL_MAX_BITS, METRIC_MAX_BITS, VALIDATE_MAX_DEPTH, _tokenize, _union_covers_root,
     eval_expression_bounds, main, parse_expression,
@@ -200,6 +201,26 @@ def test_validate_unknown_space_exit_2(capsys):
 def test_unknown_subcommand_exit_1(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_the_shared_parser_keeps_no_state(capsys, monkeypatch):
+    """main parses with one parser per process: after a parse error, a json
+    eval and a text eval, each call answers as a fresh parser would, and no
+    default leaks from one subcommand into another."""
+    calls = [
+        ["eval", "--format", "xml", "--", "1"],
+        ["eval", "--bits", "8", "--format", "json", "--", "1/3"],
+        ["eval", "--", "1/3"],
+        ["validate", "sigma_R", "--depth", "5"],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    parsed = [vars(cli._arg_parser().parse_args(argv)) for argv in calls[1:]]
+    monkeypatch.setattr(cli, "_arg_parser", cli.build_parser)
+    assert [run(capsys, *argv) for argv in calls] == shared
+    assert [vars(cli.build_parser().parse_args(argv)) for argv in calls[1:]] == parsed
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0]
+    assert shared[2][1].startswith("lo ") and parsed[1]["format"] == "text"
+    assert "bits" not in parsed[2] and "depth" not in parsed[1]
 
 
 def test_linecall_missing_file_exit_2(tmp_path, capsys):
@@ -399,9 +420,13 @@ def test_subcover_malformed_file_exit_codes(tmp_path, capsys, blob, code):
      # fields that are no JSON integers or lists, each coercible to a dot
      ({"kind": "dyadic", "n": 0, "m": 1.5}, 1), ({"kind": "dyadic", "n": "0", "m": 1}, 1),
      ({"kind": "dyadic", "n": False, "m": True}, 1), ({"kind": "seq", "syms": "12"}, 1),
-     ({"kind": "seq", "syms": [True]}, 1), ({"kind": "trail", "items": {}}, 1)],
+     ({"kind": "seq", "syms": [True]}, 1), ({"kind": "trail", "items": {}}, 1),
+     # a rat dot's endpoints are strings, as dot_to_json writes them
+     ({"kind": "rat", "lo": "0", "hi": "1/2"}, 2), ({"kind": "rat", "lo": 0.1, "hi": True}, 1),
+     ({"kind": "rat", "lo": 0, "hi": "1"}, 1), ({"kind": "rat", "lo": "0", "hi": True}, 1)],
     ids=["unknown-kind", "non-numeric", "seq", "float-field", "string-field", "bool-fields",
-         "string-syms", "bool-sym", "object-items"],
+         "string-syms", "bool-sym", "object-items", "rat", "rat-float-bool", "rat-int-lo",
+         "rat-bool-hi"],
 )
 def test_point_files_malformed_dot_exit_codes(tmp_path, capsys, dot, code):
     stream = tmp_path / "stream.jsonl"

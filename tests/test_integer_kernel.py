@@ -28,10 +28,11 @@ def test_integer_kernel_builds_no_fraction():
     top = _top_level(morphisms)
     kernel = {name: fn for name, fn in top.items()
               if name == "round_hull" or name.startswith("_hull_")}
-    kernel["arith.fmap"] = next(node for node in ast.walk(top["arith"])
-                                if isinstance(node, ast.FunctionDef) and node.name == "fmap")
+    fmaps = [node for node in ast.walk(top["arith"])
+             if isinstance(node, ast.FunctionDef) and node.name == "fmap"]  # one per arity
+    kernel.update((f"arith.fmap@{fn.lineno}", fn) for fn in fmaps)
     kernel["rational_to_point"] = _top_level(points)["rational_to_point"]
-    assert {"round_hull", "_hull_add", "_hull_mul"} <= set(kernel)
+    assert {"round_hull", "_hull_add", "_hull_mul"} <= set(kernel) and len(fmaps) == 2
     sites = [f"{name}:{line}: {what}" for name, fn in sorted(kernel.items())
              for line, what in _fraction_sites(fn)]
     assert sites == []

@@ -210,6 +210,25 @@ def test_compose_carries_dynamic_liveness(exponent):
     assert negated == D(-product_dot.n - 2, product_dot.m)
 
 
+def test_an_operand_stream_defect_keeps_its_text():
+    """A user point whose stream jumps at its third dot: an image point and
+    a pair point raise the PointDefect text of reading the operand alone."""
+
+    def bad():
+        return ns.Point(ns.std_space("sigma_R"), lambda: [D(0, 0), D(0, 1), D(7, 2)], name="bad")
+
+    def text(point):
+        with pytest.raises(ns.PointDefect) as defect:
+            ns.approximate(point, 12)
+        return str(defect.value)
+
+    alone = text(bad())
+    assert alone == f"point bad: dot {D(7, 2)!r} does not refine previous {D(0, 1)!r}"
+    good = ns.rational_to_point(F(1, 3))
+    assert text(ns.apply_point(ns.arith("add"), ns.pair_point(bad(), good))) == alone
+    assert text(ns.apply_point(ns.arith("neg"), bad())) == alone
+
+
 def test_compose_lifts_trails_into_a_trail_morphism():
     # a trail g lifts f trail-wise: by dots for a refinement f, by prefixes
     # for a trail f; id_str then reads the last dot of the lifted trail

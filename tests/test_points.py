@@ -160,6 +160,25 @@ def test_a_point_draws_its_stream_up_to_the_first_defect(stream_case, jump):
     assert [p.dot(k) for k in range(j)] == stream[:j] == list(p.items)
 
 
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_repeats_count_only_under_a_strictness_bound(b, s, extra):
+    """s strictly refining dots, then the last one again and again: with a
+    bound b the dot at prefix length s + b raises, without one the point
+    gives the repeated dot however often it is read."""
+    chain = [D(0, m) for m in range(s)]
+    stream = lambda: chain + [chain[-1]] * (b + extra)  # noqa: E731
+    bounded = ns.Point(ns.std_space("sigma_R"), stream, strictness_bound=b, name="r")
+    assert [bounded.dot(k) for k in range(s + b - 1)] == stream()[: s + b - 1]
+    with pytest.raises(PointDefect) as defect:
+        bounded.dot(s + b - 1)
+    assert str(defect.value) == (
+        f"point r: no strict refinement within {b} steps at prefix length {s + b}"
+    )
+    free = ns.Point(ns.std_space("sigma_R"), stream, name="r")
+    assert [free.dot(k) for k in range(s + b + extra)] == stream()
+
+
 def test_a_stream_error_is_raised_again(sigmaR):
     def gen():
         yield D(0, 1)
