@@ -326,6 +326,17 @@ def grid_ancestors(d: Dot, m: int) -> Optional[Tup[Dot, ...]]:
     return (make(lo, m), make(lo + 1, m)) if hi - lo == 2 else (make(lo, m),) if hi > lo else ()
 
 
+def grid_neighbours(d: Dot) -> Optional[Tup[Dot, ...]]:
+    """The dots of d's grid and exponent that touch d, by increasing n: n - 2
+    .. n + 2 for a dyadic dot (two grid steps wide), n - 1 .. n + 1 for an
+    n-ary one; None off the grids.  Some may lie outside a space's root."""
+    if type(d) is DyadicInterval:
+        return tuple(DyadicInterval(d.n + k, d.m) for k in range(-2, 3))
+    if type(d) is NaryInterval:
+        return tuple(NaryInterval(d.base, d.n + k, d.m) for k in (-1, 0, 1))
+    return None
+
+
 def seq_dot(d: Seq, base: int) -> NaryInterval:
     """The n-ary dot a base-b digit string stands for: [val, val+1]/b^len,
     with val the string's value."""

@@ -20,11 +20,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .dots import (
     Dot,
-    DyadicInterval,
     MaxDot,
-    NaryInterval,
     Seq,
     endpoints,
+    grid_neighbours,
+    int_endpoints,
     interval_contains,
     interval_row,
     is_interval,
@@ -58,16 +58,10 @@ def star_dots(space: Space, d: Dot) -> Tuple[Dot, ...]:
     if d == space.max_dot or space.is_isolated(d):
         # an isolated point's chain has one dot per grade and touches nothing else
         return (d,)
-    if isinstance(d, DyadicInterval):
-        # Overlapping dyadic grid: [n, n+2] scaled by 2^-m meets [n', n'+2]
-        # exactly when |n - n'| <= 2.  Validity is containment in the root.
-        cands = [DyadicInterval(d.n + k, d.m) for k in range(-2, 3)]
-    elif isinstance(d, NaryInterval):
-        cands = [NaryInterval(d.base, d.n + k, d.m) for k in (-1, 0, 1)]
-    elif space.spraid_info.finitely_branching:
-        g = space.grade(d)
-        return tuple(e for e in space.level(g) if space.touch(d, e))
-    else:
+    cands = grid_neighbours(d)
+    if cands is None and space.spraid_info.finitely_branching:
+        return tuple(e for e in space.level(space.grade(d)) if space.touch(d, e))
+    if cands is None:
         raise SpaceDefect(f"{space.name}: no star rule for {d!r}")
     root = space.max_dot
     return tuple(
@@ -282,12 +276,11 @@ def _shift(i: Tuple[int, ...], step: int):
     """The zone index step places after i (-1: the predecessor, +1: the
     successor) in the lexicographic order of its level, or the cone beyond
     the level's first or last index."""
-    v = seq_dot(Seq(i), 3).n + step
-    if v < 0:
-        return _CONE_A
-    if v >= 3 ** len(i):
-        return _CONE_B
-    return nary_seq(NaryInterval(3, v, len(i))).syms
+    there = grid_neighbours(seq_dot(Seq(i), 3))[1 + step]
+    lo, hi, den = int_endpoints(there)
+    if lo < 0 or hi > den:  # past [0, 1]
+        return _CONE_A if step < 0 else _CONE_B
+    return nary_seq(there).syms
 
 
 class UrysohnFunction:
@@ -679,17 +672,20 @@ def evaluate_metric(
     Uses precision_bits + 1 series terms plus an exact tail bound.  The
     output width is at most 2^-(precision_bits-2) whenever the per-term digit
     goal fits under DIGIT_CAP (ceil(0.631*(precision_bits+2)) <= DIGIT_CAP);
-    beyond that the bounds stay sound but may be wider."""
+    beyond that the bounds stay sound but may be wider.
+
+    The series is one integer numerator: every bracket endpoint is scaled to
+    one = 3^L, its largest denominator (a digit string may pass the goal),
+    and with T terms lo = sum_m dlo_m 2^(T-1-m) / (one 2^(T-1)) and hi =
+    (sum_m dhi_m 2^(T-1-m) + one) / (one 2^(T-1)), one being the tail."""
     terms = precision_bits + 1
     goal = min(metric_digit_goal(precision_bits), DIGIT_CAP)
-    lo = hi = Fraction(0)
     fx_of, fy_of = ev.values_of(x), ev.values_of(y)
-    for m in range(terms):
-        fx, fy = fx_of(m, goal), fy_of(m, goal)
-        dlo = max(Fraction(0), fx[0] - fy[1], fy[0] - fx[1])
-        dhi = min(Fraction(1), max(fx[1] - fy[0], fy[1] - fx[0]))
-        w = Fraction(1, 2**m)
-        lo += w * dlo
-        hi += w * dhi
-    hi += Fraction(2, 2**terms)  # remaining terms are at most sum 2^-m
-    return (lo, hi)
+    ends = [[q.as_integer_ratio() for q in fx_of(m, goal) + fy_of(m, goal)] for m in range(terms)]
+    one = max(den for row in ends for _, den in row)
+    lo = hi = 0
+    for m, row in enumerate(ends):
+        xlo, xhi, ylo, yhi = (num * (one // den) for num, den in row)
+        lo += max(0, xlo - yhi, ylo - xhi) << terms - 1 - m
+        hi += min(one, max(xhi - ylo, yhi - xlo)) << terms - 1 - m
+    return Fraction(lo, one << terms - 1), Fraction(hi + one, one << terms - 1)

@@ -31,6 +31,7 @@ class Point:
     is drawn: it refines the one before, and with a strictness_bound b no
     b + 1 dots in a row are equal.  Drawn dots stay in items, read without
     the lock; a stream or check that raised raises the same error again.
+    steps_for_grade(g), at least g, is the index of a dot of grade g or more.
     The stream must not hold its Point: points are freed by reference count."""
 
     def __init__(
@@ -186,7 +187,7 @@ def ancestors_at(space: Space, d: Dot, g: int) -> Tuple[Dot, ...]:
 def ancestor_at(space: Space, d: Dot, g: int, under: Optional[Dot] = None) -> Dot:
     """A grade-g dot c with d <= c (and c <= under when given); deterministic
     first hit of a breadth-first predecessor walk, which at d's own grade is d."""
-    for c in (d,) if space.grade(d) == g else ancestors_at(space, d, g):
+    for c in ancestors_at(space, d, g):
         if under is None or space.refines(c, under):
             return c
     raise SpaceDefect(f"no grade-{g} ancestor of {d!r} under {under!r}")
@@ -195,24 +196,26 @@ def ancestor_at(space: Space, d: Dot, g: int, under: Optional[Dot] = None) -> Do
 def normalized_dots(p: Point) -> Iterator[Dot]:
     """The dot stream of successor_normalize(p): for g = 0, 1, ... the first
     grade-g ancestor, under the one before, of p's first dot of grade g or
-    more."""
+    more.  A dot of grade g is that ancestor itself: it refines the one
+    before through p's checked stream.  Every budget allows g + 1 dots, so
+    p.steps_for_grade(g) is asked only once the stream reads past them."""
     space = p.space
     grade = space.grade
     prev: Optional[Dot] = None
-    budget = p.steps_for_grade(0)
     k, d = 0, p.dot(0)  # the stream position in p and its dot, each read once
+    dg = grade(d)
     for g in itertools.count(0):
-        while grade(d) < g:
+        while dg < g:
             k += 1
-            if k > budget + 1:
+            if k > g + 1 and k > (budget := p.steps_for_grade(g)) + 1:
                 raise PointDefect(
                     f"successor_normalize: grade {g} not reached within "
                     f"{budget} steps of {p!r}"
                 )
             d = p.dot(k)
-        prev = ancestor_at(space, d, g, under=prev)
+            dg = grade(d)
+        prev = d if dg == g else ancestor_at(space, d, g, under=prev)
         yield prev
-        budget = p.steps_for_grade(g + 1)
 
 
 def successor_normalize(p: Point) -> Point:

@@ -107,10 +107,16 @@ class Successors:
 
 @dataclass(frozen=True)
 class SpraidInfo:
+    """A space's graded structure.  Level g holds the successors of level
+    g - 1's dots, in order and each once, from (max_dot,).  A space may give
+    it in closed form as level(g), the same tuple: a grid level's row of n,
+    or an extension's inner level and iso(g).  Only Space.level reads it."""
+
     grade: Callable[[Dot], int]
     successors: Callable[[Dot], Successors]
     predecessors: Callable[[Dot], Tuple[Dot, ...]]
     finitely_branching: bool
+    level: Optional[Callable[[int], Tuple[Dot, ...]]] = None
 
 
 class Space:
@@ -270,6 +276,8 @@ class Space:
         return self._levels[g]
 
     def _level_sets(self) -> Iterator[Tuple[Dot, ...]]:
+        if self.spraid_info.level is not None:  # a closed form: this never ends
+            yield from map(self.spraid_info.level, itertools.count())
         out: Tuple[Dot, ...] = (self.max_dot,)
         while True:
             yield out
@@ -454,12 +462,15 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
                 m += 1
             return dot(i, m)
 
+    def level(g: int) -> Tuple[Dot, ...]:
+        return tuple(dot(n, m0 + g) for n in range(base ** (m0 + g) - spill))
+
     return Space(
         name,
         _interval_apart,
         _interval_refines,
         MAX if line else dot(0, m0),
-        spraid_info=SpraidInfo(grade, successors, predecessors, not line),
+        spraid_info=SpraidInfo(grade, successors, predecessors, not line, None if line else level),
         width=width,
         rank=rank,
         unrank=unrank,
@@ -671,15 +682,7 @@ def _r_rat() -> Space:
                 if lo < hi:
                     yield RatInterval(lo, hi)
 
-    return Space(
-        "R_rat",
-        _interval_apart,
-        _interval_refines,
-        MAX,
-        enum,
-        None,
-        width=width,
-    )
+    return Space("R_rat", _interval_apart, _interval_refines, MAX, enum, width=width)
 
 
 _STD_BUILDERS: dict = {
@@ -1021,12 +1024,15 @@ def extend_with_isolated_point(space: Space) -> Space:
     def is_isolated(d: Dot) -> bool:
         return isinstance(d, Isolated) or space.is_isolated(d)
 
+    def level(g: int) -> Tuple[Dot, ...]:
+        return space.level(g) + (Isolated(g),) if g else (max_dot,)
+
     return Space(
         space.name + "^+",
         apart,
         refines,
         max_dot,
-        spraid_info=SpraidInfo(grade, succs, preds, inner.finitely_branching),
+        spraid_info=SpraidInfo(grade, succs, preds, inner.finitely_branching, level),
         width=space._width,
         is_isolated=is_isolated,
         **order,

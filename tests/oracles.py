@@ -697,3 +697,58 @@ class FanZonesReference:
                 break
             i += (hits[0],)
         return i
+
+
+# ---------------------------------------------------------------------------
+# Loops the package replaced: the metric series summed as Fractions, grid
+# levels by successor expansion, and successor normalization that asks every
+# grade's budget and walks to an ancestor at every grade.
+
+
+def evaluate_metric_reference(ev, x, y, precision_bits: int, goal: int) -> Tuple[Fraction, Fraction]:
+    """Bounds on d(x,y) from the evaluator's value brackets at the digit
+    goal, summed term by term as Fractions: precision_bits + 1 terms
+    weighted 2^-m, plus the tail 2/2^terms."""
+    terms = precision_bits + 1
+    lo = hi = Fraction(0)
+    fx_of, fy_of = ev.values_of(x), ev.values_of(y)
+    for m in range(terms):
+        fx, fy = fx_of(m, goal), fy_of(m, goal)
+        dlo = max(Fraction(0), fx[0] - fy[1], fy[0] - fx[1])
+        dhi = min(Fraction(1), max(fx[1] - fy[0], fy[1] - fx[0]))
+        w = Fraction(1, 2**m)
+        lo += w * dlo
+        hi += w * dhi
+    hi += Fraction(2, 2**terms)  # remaining terms are at most sum 2^-m
+    return (lo, hi)
+
+
+def level_reference(space, g: int) -> Tuple:
+    """Level g of a finitely branching space: the maximal dot expanded g
+    times into its successors, in order, each dot kept once."""
+    out = (space.max_dot,)
+    for _ in range(g):
+        out = tuple(dict.fromkeys(s for d in out for s in space.successors(d).dots))
+    return out
+
+
+def normalized_dots_reference(p) -> Iterator:
+    """The successor-normalized stream of the point p: for g = 0, 1, ... the
+    first grade-g dot, under the one before, of a breadth-first predecessor
+    walk from p's first dot of grade g or more; every grade's budget asked."""
+    space = p.space
+    prev = None
+    budget = p.steps_for_grade(0)
+    k, d = 0, p.dot(0)
+    for g in itertools.count(0):
+        while space.grade(d) < g:
+            k += 1
+            if k > budget + 1:
+                raise ValueError(f"grade {g} not reached within {budget} steps")
+            d = p.dot(k)
+        frontier = [d]
+        while space.grade(frontier[0]) != g:
+            frontier = list(dict.fromkeys(a for c in frontier for a in space.predecessors(c)))
+        prev = next(c for c in frontier if prev is None or space.refines(c, prev))
+        yield prev
+        budget = p.steps_for_grade(g + 1)

@@ -20,6 +20,7 @@ from natspace.dots import (
     dot_to_json,
     endpoints,
     grid_ancestors,
+    grid_neighbours,
     interval_contains,
     interval_gap,
     intervals_apart,
@@ -139,6 +140,24 @@ def test_grid_ancestors_match_the_predecessor_walk(name, i, data):
         c for c in grid
         if oracles.interval_contains_reference(oracles.interval_of_json(dot_to_json(c)), inner)
     )
+
+
+@given(interval_dots)
+def test_grid_neighbours_are_the_touching_dots_of_the_exponent(d):
+    if type(d) not in (D, NaryInterval):
+        assert grid_neighbours(d) is None
+        return
+    # a window wider than any star, touch decided on Fraction endpoints
+    window = [
+        D(d.n + k, d.m) if type(d) is D else NaryInterval(d.base, d.n + k, d.m)
+        for k in range(-6, 7)
+    ]
+    inner = oracles.interval_of_json(dot_to_json(d))
+    assert grid_neighbours(d) == tuple(
+        c for c in window
+        if not oracles.intervals_apart_reference(oracles.interval_of_json(dot_to_json(c)), inner)
+    )
+    assert grid_neighbours(MAX) is None and grid_neighbours(Seq((0,))) is None
 
 
 @given(

@@ -3,10 +3,11 @@ hooks are read in spaces.py only: every other module of the package asks a
 space through index_of, enumerate_dot and strict_refinements, so the choice
 between a closed form and a scan stays with the space.  An interval dot's
 lo and hi are read in dots.py only: every other module reads a layout
-through endpoints, width, interval_gap and grid_ancestors, so the layouts
-are stated once.  metric.py and induction.py never name Isolated: they ask
-a space through is_isolated, touch and apart, so the isolated-point rules
-stay with the extension."""
+through endpoints, width, interval_gap, grid_ancestors and grid_neighbours,
+so the layouts are stated once; metric.py reads no grid field (n, m, base)
+at all.  metric.py and induction.py never name Isolated: they ask a space
+through is_isolated, touch and apart, so the isolated-point rules stay with
+the extension."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,18 @@ def test_only_spaces_reads_the_rank_hooks():
 
 def test_only_dots_reads_interval_endpoints():
     assert _reads_outside("dots.py", {"lo", "hi"}) == []
+
+
+def test_metric_reads_no_grid_fields():
+    # the grid layouts (n, m, base) are read through dots: grid_neighbours
+    # states the star rules, seq_dot and nary_seq the digit strings
+    tree = ast.parse((_PACKAGE / "metric.py").read_text())
+    reads = [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"n", "m", "base"}
+    ]
+    assert reads == []
 
 
 @pytest.mark.parametrize("module", ["metric.py", "induction.py"])

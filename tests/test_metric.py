@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 import natspace as ns
 from natspace.dots import DyadicInterval as D, Isolated, Seq, grid_ancestors, interval_row
 from natspace.metric import (
-    _CONE_A, _CONE_B, MAX_LEVEL_GRADE, MetricDefect, _LEVEL_ROWS, _level_row, _shift, _TouchSet,
+    _CONE_A, _CONE_B, DIGIT_CAP, MAX_LEVEL_GRADE, MetricDefect, _LEVEL_ROWS, _level_row, _shift,
+    _TouchSet,
 )
 
 import oracles
@@ -408,3 +409,24 @@ def test_a_fresh_metric_table_keeps_its_frozen_digest():
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "b5bc0d564a4b1932f187057b81120d2fd7cfb31ffe191f17bb4b0301cf61123e"
     )
+
+
+
+@pytest.mark.parametrize("bases", [
+    [d for n in range(7) for d in (D(n, 3), D(4 * n + 1, 5))] + [Isolated(2)],  # the table's
+    [D(n, 9) for n in range(0, 511, 9)] + [D(510, 9)],
+], ids=["metric-table", "exponent-9"])
+def test_evaluate_metric_matches_the_fraction_sum(bases):
+    space = ns.extend_with_isolated_point(ns.std_space("sigma_[0,1]"))
+    ev = ns.MetricEvaluator(space)
+    points = [ns.canonical_point(space, d) for d in bases]
+    longest = 0  # the largest bracket denominator over the goal's 3^goal
+    for bits in range(11):
+        goal = min(ns.metric_digit_goal(bits), DIGIT_CAP)
+        for x in points:
+            for m in range(bits + 1):
+                longest = max(longest, *(q.denominator // 3**goal for q in ev.values_of(x)(m, goal)))
+        for x, y in itertools.combinations(points, 2):
+            expected = oracles.evaluate_metric_reference(ev, x, y, bits, goal)
+            assert ns.evaluate_metric(ev, x, y, bits) == expected, (bits, x, y)
+    assert longest > 1  # some digit strings run past the goal (at 0..2 bits on the table)

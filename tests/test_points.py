@@ -1,7 +1,9 @@
 """Lazy points: rational streams, approximation, apartness verdicts."""
 
 import gc
+import itertools
 import json
+import random
 import sys
 import threading
 import weakref
@@ -12,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import natspace as ns
 from natspace import spaces
-from natspace.cli import main
+from natspace.cli import compile_expression, main, parse_expression
 from natspace.dots import DyadicInterval as D, dot_to_json
-from natspace.points import PointDefect
+from natspace.points import PointDefect, normalized_dots
 
 import oracles
 
@@ -281,6 +283,26 @@ def test_successor_normalize_aligns_grades(sigma01):
     q = ns.successor_normalize(p)
     for g in range(1, 6):
         assert sigma01.grade(q.dot(g)) == g
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_normalized_dots_match_the_grade_loop(seed):
+    # each side compiles its own points, so neither reads the other's caches
+    tree = parse_expression(oracles.random_expression(random.Random(seed), depth=3)[0])
+    ours = itertools.islice(normalized_dots(compile_expression(tree)), 60)
+    theirs = itertools.islice(oracles.normalized_dots_reference(compile_expression(tree)), 60)
+    assert list(ours) == list(theirs)
+
+
+def test_normalizing_a_rational_point_never_asks_its_budget(sigmaR):
+    # one grade per dot never falls behind the g + 1 dots every budget allows
+    p = ns.rational_to_point(F(1, 3))
+    asked = []
+    p.steps_for_grade = lambda g: asked.append(g) or g + 1
+    q = ns.successor_normalize(p)
+    assert [sigmaR.grade(q.dot(g)) for g in range(51)] == list(range(51))
+    assert asked == []
 
 
 def test_point_in_dot(sigma01):

@@ -150,6 +150,18 @@ def test_unit_fan_level_sizes(sigma01):
         assert len(list(sigma01.level(g))) == 2 ** (g + 1) - 1
 
 
+@pytest.mark.parametrize(
+    "name, levels", [("sigma_[0,1]", 13), ("[0,1]_bin", 13), ("[0,1]_ter", 11)]
+)
+def test_grid_levels_match_the_successor_expansion(name, levels):
+    # fresh spaces, so the levels their caches hold are freed after the test;
+    # the ternary grid stops at level 10, as its level 12 holds 3^12 dots
+    base = spaces._STD_BUILDERS[name]()
+    for space in (base, ns.extend_with_isolated_point(base)):
+        for g in range(levels):
+            assert space.level(g) == oracles.level_reference(space, g), (space.name, g)
+
+
 def test_unit_fan_same_grade_apartness(sigma01):
     # overlapping grid: same-grade dots are apart iff indices differ by >= 3
     lev = list(sigma01.level(2))
