@@ -676,16 +676,16 @@ def evaluate_metric(
 
     The series is one integer numerator: every bracket endpoint is scaled to
     one = 3^L, its largest denominator (a digit string may pass the goal),
-    and with T terms lo = sum_m dlo_m 2^(T-1-m) / (one 2^(T-1)) and hi =
-    (sum_m dhi_m 2^(T-1-m) + one) / (one 2^(T-1)), one being the tail."""
+    and with T terms lo = sum_m dlo_m 2^(T-m) / (one 2^T) and hi =
+    (sum_m dhi_m 2^(T-m) + 2 one) / (one 2^T), 2 one being the tail."""
     terms = precision_bits + 1
     goal = min(metric_digit_goal(precision_bits), DIGIT_CAP)
     fx_of, fy_of = ev.values_of(x), ev.values_of(y)
     ends = [[q.as_integer_ratio() for q in fx_of(m, goal) + fy_of(m, goal)] for m in range(terms)]
-    one = max(den for row in ends for _, den in row)
+    one = max((den for row in ends for _, den in row), default=1)
     lo = hi = 0
     for m, row in enumerate(ends):
         xlo, xhi, ylo, yhi = (num * (one // den) for num, den in row)
-        lo += max(0, xlo - yhi, ylo - xhi) << terms - 1 - m
-        hi += min(one, max(xhi - ylo, yhi - xlo)) << terms - 1 - m
-    return Fraction(lo, one << terms - 1), Fraction(hi + one, one << terms - 1)
+        lo += max(0, xlo - yhi, ylo - xhi) << terms - m
+        hi += min(one, max(xhi - ylo, yhi - xlo)) << terms - m
+    return Fraction(lo, one << terms), Fraction(hi + 2 * one, one << terms)

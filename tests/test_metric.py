@@ -421,7 +421,7 @@ def test_evaluate_metric_matches_the_fraction_sum(bases):
     ev = ns.MetricEvaluator(space)
     points = [ns.canonical_point(space, d) for d in bases]
     longest = 0  # the largest bracket denominator over the goal's 3^goal
-    for bits in range(11):
+    for bits in range(-1, 11):  # -1: no term, the tail alone
         goal = min(ns.metric_digit_goal(bits), DIGIT_CAP)
         for x in points:
             for m in range(bits + 1):
