@@ -705,7 +705,9 @@ class FanZonesReference:
 # grade's budget and walks to an ancestor at every grade.
 
 
-def evaluate_metric_reference(ev, x, y, precision_bits: int, goal: int) -> Tuple[Fraction, Fraction]:
+def evaluate_metric_reference(
+    ev, x, y, precision_bits: int, goal: int
+) -> Tuple[Fraction, Fraction]:
     """Bounds on d(x,y) from the evaluator's value brackets at the digit
     goal, summed term by term as Fractions: precision_bits + 1 terms
     weighted 2^-m, plus the tail 2/2^terms."""

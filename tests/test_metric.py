@@ -411,9 +411,8 @@ def test_a_fresh_metric_table_keeps_its_frozen_digest():
     )
 
 
-
 @pytest.mark.parametrize("bases", [
-    [d for n in range(7) for d in (D(n, 3), D(4 * n + 1, 5))] + [Isolated(2)],  # the table's
+    [d for n in range(7) for d in (D(n, 3), D(4 * n + 1, 5))] + [Isolated(2)],  # the table's 15
     [D(n, 9) for n in range(0, 511, 9)] + [D(510, 9)],
 ], ids=["metric-table", "exponent-9"])
 def test_evaluate_metric_matches_the_fraction_sum(bases):
@@ -423,10 +422,9 @@ def test_evaluate_metric_matches_the_fraction_sum(bases):
     longest = 0  # the largest bracket denominator over the goal's 3^goal
     for bits in range(-1, 11):  # -1: no term, the tail alone
         goal = min(ns.metric_digit_goal(bits), DIGIT_CAP)
-        for x in points:
-            for m in range(bits + 1):
-                longest = max(longest, *(q.denominator // 3**goal for q in ev.values_of(x)(m, goal)))
+        for x, m in itertools.product(points, range(bits + 1)):
+            longest = max(longest, *(q.denominator // 3**goal for q in ev.values_of(x)(m, goal)))
         for x, y in itertools.combinations(points, 2):
             expected = oracles.evaluate_metric_reference(ev, x, y, bits, goal)
             assert ns.evaluate_metric(ev, x, y, bits) == expected, (bits, x, y)
-    assert longest > 1  # some digit strings run past the goal (at 0..2 bits on the table)
+    assert longest > 1  # some digit strings run past the goal
