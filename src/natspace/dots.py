@@ -94,8 +94,8 @@ class Seq(Dot):
     syms: Tup[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "syms", tuple(int(s) for s in self.syms))
-        if any(s < 0 for s in self.syms):
+        object.__setattr__(self, "syms", tuple(map(int, self.syms)))
+        if self.syms and min(self.syms) < 0:
             raise ValueError("Seq symbols must be naturals")
 
     def __len__(self) -> int:
@@ -263,11 +263,13 @@ def interval_row(dots) -> Optional[Tup[Tup[Dot, ...], range, range, int]]:
     one integer row (dots, los, his, den), dots[j] being [los[j]/den,
     his[j]/den]; else None.  Neighbours touch, so a run covers a segment."""
     dots = tuple(dots)
-    if not dots or any(type(d) not in (DyadicInterval, NaryInterval) for d in dots) or len(
-        {(type(d), getattr(d, "base", 2), d.m, d.n - j) for j, d in enumerate(dots)}
-    ) > 1:
+    d0 = dots[0] if dots else None
+    if type(d0) not in (DyadicInterval, NaryInterval) or any(  # d0's kind, base and m
+        type(d) is not type(d0) or d.n != d0.n + j or d.m != d0.m
+        or getattr(d, "base", 2) != getattr(d0, "base", 2) for j, d in enumerate(dots)
+    ):
         return None
-    lo, hi, den = int_endpoints(dots[0])
+    lo, hi, den = int_endpoints(d0)
     return dots, range(lo, lo + len(dots)), range(hi, hi + len(dots)), den
 
 

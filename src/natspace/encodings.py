@@ -180,10 +180,11 @@ class CoverTrails:
         self._up: Dict[Dot, Tuple[Dot, ...]] = {}
 
     def _parents(self, d: Dot) -> Tuple[Dot, ...]:
-        if d not in self._up:
-            top = self.space.max_dot
-            self._up[d] = tuple(p for p in self.space.predecessors(d) if p != top)
-        return self._up[d]
+        up = self._up.get(d)
+        if up is None:
+            up, top = tuple(self.space.predecessors(d)), self.space.max_dot
+            self._up[d] = up = tuple(p for p in up if p != top) if top in up else up
+        return up
 
     def __iter__(self) -> Iterator[Trail]:
         if self.a == self.space.max_dot:
@@ -346,6 +347,7 @@ class BaireEncoding:
     inverse: Morphism
     _levels: Dict[Tuple[int, Dot], spaces.Lazy] = field(default_factory=dict)
     _h_cache: Dict[Seq, Dot] = field(default_factory=dict)
+    _inv_cache: Dict[Tuple[Dot, ...], Tuple[Seq, Dot]] = field(default_factory=dict)
     _lock: threading.RLock = field(default_factory=threading.RLock)
 
     # e-grades ------------------------------------------------------------------
@@ -382,42 +384,53 @@ class BaireEncoding:
                 yield v
 
     def level_index(self, n: int, a: Dot, v: Dot) -> int:
-        """The g_a-index of a qualifying dot v (inverse of level_member)."""
-        return next(k for k in itertools.count() if self.level_member(n, a, k) == v)
+        """The g_a-index of a qualifying dot v (inverse of level_member): its
+        place among the level's drawn dots, drawn on until v appears."""
+        drawn = self._levels[(n, a)].items if (n, a) in self._levels else []
+        k = len(drawn)  # drawn dots only grow, so the first k stay
+        if v in drawn[:k]:
+            return drawn.index(v)
+        while self.level_member(n, a, k) != v:
+            k += 1
+        return k
 
     def h(self, b: Seq) -> Dot:
         """The forward dot map: digits pick cone members level by level."""
         with self._lock:
-            if b in self._h_cache:
-                return self._h_cache[b]
-        if not b.syms:
-            out = self.space.max_dot
-        else:
-            a = self.h(Seq(b.syms[:-1]))
-            out = self.level_member(len(b.syms), a, b.syms[-1])
-        with self._lock:
-            self._h_cache[b] = out
+            out = self._h_cache.get(b)
+        if out is None:
+            s = b.syms
+            out = self.level_member(len(s), self.h(Seq(s[:-1])), s[-1]) if s else self.space.max_dot
+            with self._lock:
+                self._h_cache[b] = out
         return out
 
     def h_inverse_trail(self, t: Trail) -> Seq:
         """Minimal-index subsequence extraction: at level n pick the first
         trail dot of e-grade >= n, index >= n, strictly refining the current
-        image."""
+        image.  Like h, a call resumes from the cached (sequence, image) of
+        t less its last dot: each prefix hit precedes the last dot, so stays
+        the first, and where the prefix stopped no prefix dot qualifies, so
+        only the last dot is tried there.  Only a call that returns caches."""
         items = t.items
-        syms: List[int] = []
-        a = self.space.max_dot
+        with self._lock:
+            state = self._inv_cache.get(items)
+            if state:
+                return state[0]
+            state = self._inv_cache.get(items[:-1])
+        seq, a = state or (Seq(()), self.space.max_dot)
+        syms, scan = list(seq.syms), items[-1:] if state else items
         while True:
             n = len(syms) + 1
-            hit = next((
-                x for x in items
-                if self.space.strictly_refines(x, a)
-                and self.space.index_of(x) >= n
-                and self.has_e_grade(x, n)
-            ), None)
+            hit = next((x for x in scan if self.space.strictly_refines(x, a)
+                        and self.space.index_of(x) >= n and self.has_e_grade(x, n)), None)
             if hit is None:
-                return Seq(tuple(syms))
+                break
             syms.append(self.level_index(n, a, hit))
-            a = hit
+            a, scan = hit, items
+        with self._lock:
+            state = self._inv_cache[items] = (Seq(tuple(syms)), a)
+        return state[0]
 
 
 def baire_encode(space: Space) -> BaireEncoding:

@@ -754,3 +754,44 @@ def normalized_dots_reference(p) -> Iterator:
         prev = next(c for c in frontier if prev is None or space.refines(c, prev))
         yield prev
         budget = p.steps_for_grade(g + 1)
+
+
+# ---------------------------------------------------------------------------
+# The Baire inverse from the empty trail, level indices by a linear scan, and
+# grid rows by a set of per-dot consistency tuples.
+
+
+def level_index_reference(enc, n: int, a, v) -> int:
+    """The g_a-index of v: level_member(n, a, k) asked for k = 0, 1, ...
+    until it gives v (an exhausted level raises there)."""
+    return next(k for k in itertools.count() if enc.level_member(n, a, k) == v)
+
+
+def h_inverse_trail_reference(enc, t) -> Tuple[int, ...]:
+    """The symbols of the Baire inverse of the trail t, every level from the
+    empty trail: at level n the first trail dot of index >= n and e-grade
+    >= n that strictly refines the current image, indexed by
+    level_index_reference."""
+    space, syms, a = enc.space, [], enc.space.max_dot
+    while True:
+        n = len(syms) + 1
+        hit = next((
+            x for x in t.items
+            if space.strictly_refines(x, a) and space.index_of(x) >= n and enc.has_e_grade(x, n)
+        ), None)
+        if hit is None:
+            return tuple(syms)
+        syms.append(level_index_reference(enc, n, a, hit))
+        a = hit
+
+
+def interval_row_reference(dots, grid_types, int_endpoints):
+    """interval_row by its set form: the dots are one row when each is of
+    grid_types and (type, base, m, n - j) is one tuple for all dots j."""
+    dots = tuple(dots)
+    if not dots or any(type(d) not in grid_types for d in dots) or len(
+        {(type(d), getattr(d, "base", 2), d.m, d.n - j) for j, d in enumerate(dots)}
+    ) > 1:
+        return None
+    lo, hi, den = int_endpoints(dots[0])
+    return dots, range(lo, lo + len(dots)), range(hi, hi + len(dots)), den

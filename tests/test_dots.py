@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import natspace as ns
 import oracles
@@ -21,9 +21,12 @@ from natspace.dots import (
     endpoints,
     grid_ancestors,
     grid_neighbours,
+    int_endpoints,
     interval_contains,
+    interval_row,
     interval_gap,
     intervals_apart,
+    is_interval,
     meeting_segment,
     merged_segments,
     nary_seq,
@@ -198,6 +201,71 @@ def test_interval_relations_reject_non_interval_dots():
 def test_nary_endpoints():
     assert endpoints(NaryInterval(3, 1, 1)) == (F(1, 3), F(2, 3))
     assert endpoints(NaryInterval(10, 25, 2)) == (F(25, 100), F(26, 100))
+
+
+def test_seq_construction_coerces_and_rejects_negatives():
+    assert Seq([True, 2.0, "3"]).syms == (1, 2, 3)
+    assert Seq(iter([1, 2])).syms == (1, 2)
+    assert Seq(()).syms == ()
+    with pytest.raises(ValueError) as err:
+        Seq((0, -1))
+    assert str(err.value) == "Seq symbols must be naturals"
+
+
+def _row_reference(dots):
+    return oracles.interval_row_reference(dots, (D, NaryInterval), int_endpoints)
+
+
+def _grid_dot(kind, n, m):
+    return D(n, m) if kind == 0 else NaryInterval(kind, n, m)
+
+
+@st.composite
+def _near_rows(draw):
+    """A grid row (dyadic, or n-ary of base 2..4) of 1..8 dots, maybe
+    shuffled, gapped, or with one dot of another kind, base, exponent or
+    no grid at all put in."""
+    kind, n0, m = draw(st.integers(0, 4).filter(lambda b: b != 1)), draw(
+        st.integers(-8, 8)), draw(st.integers(0, 4))
+    dots = [_grid_dot(kind, n0 + j, m) for j in range(draw(st.integers(1, 8)))]
+    change = draw(st.sampled_from(["none", "shuffle", "gap", "swap"]))
+    if change == "shuffle":
+        dots = draw(st.permutations(dots))
+    elif change == "gap" and len(dots) > 2:
+        del dots[draw(st.integers(1, len(dots) - 2))]
+    elif change == "swap":
+        j = draw(st.integers(0, len(dots) - 1))
+        d = dots[j]
+        dots[j] = draw(st.sampled_from([
+            _grid_dot(0 if kind else 2, d.n, d.m), _grid_dot(kind or 2, d.n, d.m),
+            _grid_dot(kind, d.n, d.m + 1), _grid_dot(3 if kind == 4 else 4, d.n, d.m),
+            Isolated(1), RatInterval(F(d.n, 7), F(d.n + 1, 7)), MAX,
+        ]))
+    return dots
+
+
+@given(_near_rows())
+@example([NaryInterval(2, 0, 1), NaryInterval(3, 1, 1)])  # mixed base
+@example([D(0, 1), NaryInterval(2, 1, 1)])  # mixed kind
+@example([D(0, 2), D(1, 3)])  # mixed exponent
+@example([D(0, 2), D(2, 2)])  # gapped
+@example([D(1, 2), D(0, 2)])  # shuffled
+def test_interval_row_matches_the_set_form(dots):
+    assert interval_row(dots) == _row_reference(dots)
+    assert interval_row(iter(dots)) == _row_reference(dots)
+
+
+def test_interval_row_matches_the_set_form_on_unit_levels(ext01):
+    assert interval_row(()) is None is _row_reference(())
+    rows = 0
+    for g in range(10):
+        level = ext01.level(g)
+        grid = [c for c in level if is_interval(c) and c != ext01.max_dot]
+        for dots in (level, grid, grid[::-1], grid[1:], grid[:1] + grid[2:]):
+            row = interval_row(dots)
+            assert row == _row_reference(dots), g
+            rows += row is not None
+    assert rows == 19  # level 0 (the root alone), then grid and grid[1:] at g >= 1
 
 
 def test_seq_extends():

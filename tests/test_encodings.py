@@ -8,6 +8,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import natspace as ns
 from natspace import encodings, spaces
@@ -205,6 +206,86 @@ def test_baire_encode_round_trip_t3(t3):
         p = ns.apply_point(enc.forward, x)
         z = ns.apply_point(enc.inverse, p)
         assert not isinstance(ns.point_apart(x, z, 12), ns.Apart)
+
+
+def _chain_trail(k):
+    """A strict trail of the chain space T<k>: one digit's dots at increasing
+    lengths, the root (length 0) maybe first."""
+    return st.tuples(
+        st.integers(0, k - 1), st.sets(st.integers(0, 10), max_size=6)
+    ).map(lambda xl: Trail(tuple(Seq((xl[0],) * n) for n in sorted(xl[1]))))
+
+
+@st.composite
+def _trail_calls(draw, k):
+    """Calls of h_inverse_trail in a random order: prefixes of a few trails,
+    each maybe walked growing first, then any prefix again (repeated,
+    shortened or of an unrelated trail)."""
+    trails = draw(st.lists(_chain_trail(k), min_size=1, max_size=3))
+    prefixes = [Trail(t.items[:n]) for t in trails for n in range(len(t.items) + 1)]
+    calls = []
+    for t in trails:
+        if draw(st.booleans()):
+            calls += [Trail(t.items[:n]) for n in range(len(t.items) + 1)]
+    return calls + draw(st.lists(st.sampled_from(prefixes), min_size=1, max_size=12))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_h_inverse_trail_matches_the_from_scratch_loop(k, data):
+    space = ns.std_space(f"T{k}")
+    enc = ns.baire_encode(space)
+    for t in data.draw(_trail_calls(k)):
+        expected = oracles.h_inverse_trail_reference(ns.baire_encode(space), t)
+        assert enc.h_inverse_trail(t).syms == expected, t
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_level_index_matches_the_linear_scan(k, data):
+    space = ns.std_space(f"T{k}")
+    enc = ns.baire_encode(space)
+    a = data.draw(st.sampled_from([space.max_dot] + [Seq((x,) * n) for x in range(k) for n in (1, 2)]))
+    n = len(a.syms) + data.draw(st.integers(1, 2))
+    members = [ns.baire_encode(space).level_member(n, a, j) for j in range(6)]
+    for j in data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=8)):
+        assert enc.level_index(n, a, members[j]) == j
+        assert enc.level_index(n, a, members[j]) == oracles.level_index_reference(
+            ns.baire_encode(space), n, a, members[j])
+
+
+def test_an_exhausted_level_index_keeps_its_defect_text(t3, monkeypatch):
+    monkeypatch.setattr(encodings, "LEVEL_SCAN_BUDGET", 20)
+    not_in_level = Seq((0,) * 30)  # past the scan
+    errors = []
+    for index in (ns.baire_encode(t3).level_index,
+                  functools.partial(oracles.level_index_reference, ns.baire_encode(t3))):
+        with pytest.raises(ns.EncodingDefect) as err:
+            index(1, t3.max_dot, not_in_level)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] and "needed member" in errors[0]
+
+
+def test_an_inverse_call_that_raises_caches_nothing(t3, monkeypatch):
+    # <0>*12 is the 9th member (index 8) of level 3 under <0,0,0,0>, enumerated
+    # at 34: past a scan budget of 30, while levels 1 and 2 stay inside it
+    t = Trail((Seq((0,) * 3), Seq((0,) * 4), Seq((0,) * 12)))
+    prefix = Trail(t.items[:2])
+    enc = ns.baire_encode(t3)
+    monkeypatch.setattr(encodings, "LEVEL_SCAN_BUDGET", 30)
+    texts = []
+    for _ in range(2):  # a partial state cached by the first call would answer the second
+        with pytest.raises(ns.EncodingDefect) as err:
+            enc.h_inverse_trail(t)
+        texts.append(str(err.value))
+    assert texts[0] == texts[1] and "level 3 under <0,0,0,0>" in texts[0]
+    monkeypatch.undo()  # the budget back: the prefix's levels are whole
+    assert enc.h_inverse_trail(prefix).syms == oracles.h_inverse_trail_reference(
+        ns.baire_encode(t3), prefix) == (6, 1)
+    assert ns.baire_encode(t3).h_inverse_trail(t).syms == oracles.h_inverse_trail_reference(
+        ns.baire_encode(t3), t) == (6, 1, 8)
 
 
 def test_baire_encode_forward_is_surjective_on_dots(t3):
