@@ -29,7 +29,6 @@ from .morphisms import (
     arith,
     cantor_function,
     line_call,
-    pair_point,
 )
 from .points import (
     Point,
@@ -176,11 +175,10 @@ def compile_expression(node: tuple) -> Point:
         return apply_point(arith(kind), compile_expression(node[1]))
     if kind == "sub":
         rhs = apply_point(arith("neg"), compile_expression(node[2]))
-        return apply_point(arith("add"), pair_point(compile_expression(node[1]), rhs))
+        return apply_point(arith("add"), compile_expression(node[1]), rhs)
     if kind in ("add", "mul", "min", "max"):
         lhs = compile_expression(node[1])
-        rhs = compile_expression(node[2])
-        return apply_point(arith(kind), pair_point(lhs, rhs))
+        return apply_point(arith(kind), lhs, compile_expression(node[2]))
     raise CliSemanticError(f"unknown expression node {kind!r}")
 
 
@@ -277,7 +275,7 @@ def _cmd_eval(args, out) -> int:
         raise CliSemanticError(f"--bits must be in 1..{EVAL_MAX_BITS}")
     try:
         # every operation deepens the stack of parsing and compiling, and
-        # that of each dot pull by one frame (unary) or three (binary)
+        # that of each dot pull by one frame (unary) or two (binary)
         lo, hi = eval_expression_bounds(args.expr, args.bits)
     except RecursionError:
         raise CliParseError("expression nested too deeply")

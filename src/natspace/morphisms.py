@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .dots import (
     MAX,
@@ -93,9 +93,17 @@ def _liveness_at(f: Morphism, p: Point) -> Callable[[int], int]:
     return f.liveness if f.dynamic_liveness is None else f.dynamic_liveness(p)
 
 
-def apply_point(f: Morphism, p: Point) -> Point:
+def apply_point(f: Morphism, p: Point, r: Optional[Point] = None) -> Point:
     """The image point: maps the stream dot by dot (refinement kind) or maps
-    growing strict trails of the stream (trail kind)."""
+    growing strict trails of the stream (trail kind).  Given r, a refinement
+    f maps pair_dots(p, r) as pair_point(p, r) would give it, with no Point
+    between: that Point's check cannot fail (see pair_dots)."""
+    if r is not None:  # only a dynamic liveness reads a pair Point; budget g + 1, plus one
+        live = f.liveness if f.dynamic_liveness is None else f.dynamic_liveness(pair_point(p, r))
+        return Point(
+            f.target, lambda: map(f.map, pair_dots(p, r)), steps_for_grade=lambda g: live(g) + 2,
+            name=f"{f.tag or 'f'}(({p.name},{r.name}))",
+        )
     liveness = _liveness_at(f, p)
 
     if f.kind == REFINEMENT:
@@ -351,14 +359,18 @@ def arith(op: str, q: Optional[Fraction] = None) -> Morphism:
     )
 
 
+def pair_dots(p: Point, r: Point) -> Iterator[Dot]:
+    """The zipped successor-normalized streams of two sigma_R points.  Each
+    coordinate is a dot of its operand's checked stream or an ancestor of one
+    under the dot before, so each pair refines the one before."""
+    return map(TupleDot, zip(normalized_dots(p), normalized_dots(r)))
+
+
 def pair_point(p: Point, r: Point) -> Point:
-    """The sigma-product point of two sigma_R points, whose coordinates are
-    their successor-normalized streams, zipped with no Point around either:
-    a Point costs one frame of stack per dot pull, zip and map none."""
+    """The sigma-product point on pair_dots(p, r).  apply_point(f, p, r) maps that
+    stream with no Point: a Point costs a frame of stack per dot pull, zip none."""
     return Point(
-        sigma_rr(),
-        lambda: map(TupleDot, zip(normalized_dots(p), normalized_dots(r))),
-        steps_for_grade=lambda g: g + 1,
+        sigma_rr(), lambda: pair_dots(p, r), steps_for_grade=lambda g: g + 1,
         name=f"({p.name},{r.name})",
     )
 

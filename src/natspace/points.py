@@ -19,6 +19,7 @@ from .dots import Dot, DyadicInterval, endpoints
 from .spaces import Space, SpaceDefect, std_space
 
 STRICTNESS_BOUND = 4  # declared liveness contract for shipped constructors
+_END = object()  # next()'s default: the stream is exhausted
 
 
 class PointDefect(Exception):
@@ -62,7 +63,12 @@ class Point:
                 if self._error is not None:  # the first traceback, so it does not grow
                     raise self._error.with_traceback(self._traceback)
                 try:
-                    d = next(self._iter)
+                    d = next(self._iter, _END)
+                    if d is _END:
+                        raise PointDefect(
+                            f"point {self.name or '<anon>'}: stream exhausted at "
+                            f"index {len(items)} (requested {k})"
+                        )
                     if items and not self.space.refines(d, items[-1]):
                         raise PointDefect(
                             f"point {self.name or '<anon>'}: dot {d!r} does not refine "
@@ -75,11 +81,6 @@ class Point:
                                 f"point {self.name or '<anon>'}: no strict refinement within "
                                 f"{self._bound} steps at prefix length {len(items) + 1}"
                             )
-                except StopIteration:
-                    raise PointDefect(
-                        f"point {self.name or '<anon>'}: stream exhausted at "
-                        f"index {len(items)} (requested {k})"
-                    ) from None
                 except Exception as exc:  # the stream or its check failed: keep the error
                     self._error, self._traceback = exc, exc.__traceback__
                     raise
@@ -87,8 +88,9 @@ class Point:
             return items[k]
 
     def prefix(self, k: int) -> Tuple[Dot, ...]:
-        self.dot(k - 1)
-        return tuple(self.items[:k])
+        if k > 0:
+            self.dot(k - 1)
+        return tuple(self.items[: max(k, 0)])
 
     def __repr__(self) -> str:
         return f"Point({self.space.name}, {self.name or '...'})"

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspace as ns
+from natspace.cli import compile_expression, parse_expression
 from natspace.dots import DyadicInterval as D, Seq, Trail, TupleDot, endpoints
 from natspace.morphisms import TRAIL
 
@@ -208,11 +210,16 @@ def test_compose_carries_dynamic_liveness(exponent):
     product_dot = ns.approximate(ns.apply_point(ns.arith("mul"), p), 30)
     negated = ns.approximate(ns.apply_point(ns.compose(ns.arith("neg"), ns.arith("mul")), p), 30)
     assert negated == D(-product_dot.n - 2, product_dot.m)
+    # the two-operand form reads the same liveness off a pair point of its own
+    assert ns.approximate(ns.apply_point(ns.arith("mul"), big, big), 30) == product_dot
+    neg_mul = ns.compose(ns.arith("neg"), ns.arith("mul"))
+    assert ns.approximate(ns.apply_point(neg_mul, big, big), 30) == negated
 
 
 def test_an_operand_stream_defect_keeps_its_text():
-    """A user point whose stream jumps at its third dot: an image point and
-    a pair point raise the PointDefect text of reading the operand alone."""
+    """A user point whose stream jumps at its third dot: an image point, of
+    a pair point or of two operands, raises the PointDefect text of reading
+    the operand alone."""
 
     def bad():
         return ns.Point(ns.std_space("sigma_R"), lambda: [D(0, 0), D(0, 1), D(7, 2)], name="bad")
@@ -226,7 +233,46 @@ def test_an_operand_stream_defect_keeps_its_text():
     assert alone == f"point bad: dot {D(7, 2)!r} does not refine previous {D(0, 1)!r}"
     good = ns.rational_to_point(F(1, 3))
     assert text(ns.apply_point(ns.arith("add"), ns.pair_point(bad(), good))) == alone
+    assert text(ns.apply_point(ns.arith("add"), bad(), good)) == alone
+    assert text(ns.apply_point(ns.arith("mul"), good, bad())) == alone
     assert text(ns.apply_point(ns.arith("neg"), bad())) == alone
+
+
+def _compile_on_pair_points(node: tuple) -> ns.Point:
+    """compile_expression with every binary op applied to a pair_point."""
+    kind = node[0]
+    if kind == "rat":
+        return ns.rational_to_point(node[1])
+    if kind in ("neg", "abs"):
+        return ns.apply_point(ns.arith(kind), _compile_on_pair_points(node[1]))
+    lhs, rhs = _compile_on_pair_points(node[1]), _compile_on_pair_points(node[2])
+    if kind == "sub":
+        kind, rhs = "add", ns.apply_point(ns.arith("neg"), rhs)
+    return ns.apply_point(ns.arith(kind), ns.pair_point(lhs, rhs))
+
+
+def _assert_same_point(ours: ns.Point, theirs: ns.Point) -> None:
+    assert ours.name == theirs.name
+    assert [ours.steps_for_grade(g) for g in range(41)] == [
+        theirs.steps_for_grade(g) for g in range(41)
+    ]
+    assert [ours.dot(k) for k in range(60)] == [theirs.dot(k) for k in range(60)]
+
+
+@given(st.sampled_from(["add", "mul", "min", "max"]), rationals, rationals)
+@settings(max_examples=40, deadline=None)
+def test_two_operands_map_their_pair_stream(op, a, b):
+    # each side on fresh points, so neither reads the other's drawn dots
+    ours = ns.apply_point(ns.arith(op), ns.rational_to_point(a), ns.rational_to_point(b))
+    pair = ns.pair_point(ns.rational_to_point(a), ns.rational_to_point(b))
+    _assert_same_point(ours, ns.apply_point(ns.arith(op), pair))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_a_compiled_tree_maps_pair_streams_as_pair_points_would(seed):
+    tree = parse_expression(oracles.random_expression(random.Random(seed), depth=3)[0])
+    _assert_same_point(compile_expression(tree), _compile_on_pair_points(tree))
 
 
 def test_compose_lifts_trails_into_a_trail_morphism():

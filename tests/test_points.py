@@ -110,6 +110,40 @@ def test_exhausted_stream_is_a_defect(sigmaR):
         ns.approximate(p, 12)
 
 
+def test_an_exhausted_stream_stays_exhausted(sigmaR):
+    """A stream that goes on after its StopIteration: the point keeps the
+    end it reported, so a later read past it replays the first text and
+    draws nothing (it used to resume the stream)."""
+    stream = [D(0, 1), D(0, 2), None, D(0, 3), D(0, 4), D(0, 5), D(0, 6)]
+
+    class Resuming:
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            d = stream.pop(0)
+            if d is None:
+                raise StopIteration
+            return d
+
+    p = ns.Point(sigmaR, Resuming, name="r")
+    for k in (4, 4, 2):
+        with pytest.raises(PointDefect) as defect:
+            p.dot(k)
+        assert str(defect.value) == "point r: stream exhausted at index 2 (requested 4)"
+    assert p.items == [D(0, 1), D(0, 2)] and len(stream) == 4
+
+
+def test_an_empty_prefix_draws_nothing(sigmaR):
+    # prefix(0) read dot(-1): an IndexError on a fresh point, the last dot
+    # on a drawn one (and prefix(-1) then all dots but the last)
+    drawn = []
+    p = ns.Point(sigmaR, lambda: (drawn.append(m) or D(0, m) for m in itertools.count(0)))
+    assert p.prefix(0) == p.prefix(-1) == () and drawn == []
+    assert p.prefix(3) == (D(0, 0), D(0, 1), D(0, 2))
+    assert p.prefix(0) == p.prefix(-2) == () and drawn == [0, 1, 2]
+
+
 @st.composite
 def _streams(draw):
     """A finite sigma_R stream, its strictness bound b, and its one defect
@@ -244,8 +278,11 @@ def test_linecall_names_where_a_short_stream_ends(tmp_path, capsys):
         lambda: ns.canonical_point(ns.std_space("sigma_[0,1]"), D(0, 2)),
         lambda: ns.apply_point(ns.arith("neg"), ns.rational_to_point(F(1, 3))),
         lambda: ns.pair_point(ns.rational_to_point(F(1, 3)), ns.rational_to_point(F(2, 5))),
+        lambda: ns.apply_point(
+            ns.arith("mul"), ns.rational_to_point(F(1, 3)), ns.rational_to_point(F(2, 5))
+        ),
     ],
-    ids=["rational", "canonical", "apply", "pair"],
+    ids=["rational", "canonical", "apply", "pair", "apply-pair"],
 )
 def test_a_point_is_freed_by_reference_count(make):
     # no stream holds its own Point, so MetricEvaluator's per-point tables
