@@ -96,8 +96,8 @@ def _liveness_at(f: Morphism, p: Point) -> Callable[[int], int]:
 def apply_point(f: Morphism, p: Point, r: Optional[Point] = None) -> Point:
     """The image point: maps the stream dot by dot (refinement kind) or maps
     growing strict trails of the stream (trail kind).  Given r, a refinement
-    f maps pair_dots(p, r) as pair_point(p, r) would give it, with no Point
-    between: that Point's check cannot fail (see pair_dots)."""
+    f maps pair_dots(p, r), the stream of pair_point(p, r), with no Point
+    between, as that Point's check cannot fail (see pair_dots)."""
     if r is not None:  # only a dynamic liveness reads a pair Point; budget g + 1, plus one
         live = f.liveness if f.dynamic_liveness is None else f.dynamic_liveness(pair_point(p, r))
         return Point(
