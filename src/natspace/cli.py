@@ -247,7 +247,9 @@ def _read_dots(space, objs, where: str) -> Tuple[Dot, ...]:
         except (AttributeError, TypeError):
             ok = False
         if not ok:
-            raise CliSemanticError(f"{where}: {d!r} is not a dot of {space.name}")
+            with _parsing(where):  # a dot nested too deeply to print, too
+                message = f"{where}: {d!r} is not a dot of {space.name}"
+            raise CliSemanticError(message)
     return dots
 
 

@@ -451,6 +451,18 @@ def test_deeply_nested_json_parse_error(tmp_path, capsys, argv):
     assert code == 1 and "parse error" in err and "Traceback" not in err
 
 
+def test_a_dot_too_deep_to_print_is_a_parse_error(tmp_path, capsys):
+    # a nested tuple dot that reads, fails the check, and is too deep to print
+    path = tmp_path / "deep.json"
+    codes = set()
+    for depth in range(100, 800, 10):
+        path.write_text('{"kind":"tuple","items":[' * depth + '{"kind":"max"}' + "]}" * depth)
+        code, _, err = run(capsys, "linecall", str(path), "--threshold-exp", "0")
+        assert code in (1, 2) and "Traceback" not in err, depth
+        codes.add(code)
+    assert codes == {1, 2}
+
+
 def test_linecall_threshold_cap(capsys):
     cap = str(LINE_CALL_MAX_EXPONENT)
     start = time.perf_counter()
