@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -460,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("expr")
     sp.add_argument("--bits", type=int, default=20)
     common(sp)
+    sp._negative_number_matcher = re.compile("")  # like "-1", a dash word naming no option is expr
 
     sp = sub.add_parser("cantor", help="Cantor function on a ternary digit string")
     sp.add_argument("digits")

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from . import spaces
@@ -16,7 +15,6 @@ from .morphisms import REFINEMENT, TRAIL, Morphism, MorphismDefect
 from .spaces import (
     Space,
     SpaceDefect,
-    SpraidInfo,
     Successors,
     baire_rank,
     baire_unrank,
@@ -108,7 +106,8 @@ def _trail_tree(
         refines,
         Trail(()),
         enum,
-        SpraidInfo(len, successors, predecessors, finitely_branching),
+        grade=len, successors=successors, predecessors=predecessors,
+        finitely_branching=finitely_branching,
     )
 
 
@@ -232,7 +231,7 @@ def unglue(space: Space) -> Space:
     """The unglued twin: dots are immediate-successor trails from grade 1, so
     every non-max dot has exactly one predecessor (a tree).  Apartness is
     last-dot apartness; grade is preserved."""
-    if space.spraid_info is None:
+    if not space.graded:
         raise SpaceDefect(f"{space.name}: unglue needs spraid structure")
 
     def successors(t: Dot) -> Successors:
@@ -250,7 +249,7 @@ def unglue(space: Space) -> Space:
         lambda t: None,
         successors,
         options,
-        space.spraid_info.finitely_branching,
+        space.finitely_branching,
     )
 
 
@@ -331,24 +330,31 @@ def compress_sigmaR(f: Morphism) -> Morphism:
 # The Baire encoding
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BaireEncoding:
     """The spread presentation of an enumerated space: a pullback spread over
-    Baire sequences, the surjective forward morphism h, and the trail inverse.
+    Baire sequences with the apartness of the h-images, the surjective
+    refinement morphism forward (h) and the trail morphism inverse; the
+    round trip is never apart on points.
 
     Its levels are cut by e-grades: with the apart pairs of the space indexed
     from 1 (index 0 is the implicit sentinel pair, which every dot chooses),
     a dot d has e-grade >= n iff d chooses, i.e. is apart from one side of,
-    every pair of index below n."""
+    every pair of index below n.  One lock guards the three caches."""
 
-    space: Space
-    spread: Space
-    forward: Morphism
-    inverse: Morphism
-    _levels: Dict[Tuple[int, Dot], spaces.Lazy] = field(default_factory=dict)
-    _h_cache: Dict[Seq, Dot] = field(default_factory=dict)
-    _inv_cache: Dict[Tuple[Dot, ...], Tuple[Seq, Dot]] = field(default_factory=dict)
-    _lock: threading.RLock = field(default_factory=threading.RLock)
+    def __init__(self, space: Space):
+        self.space = space
+        self.spread = prefix_tree(
+            f"spread({space.name})", lambda x, y: space.apart(self.h(x), self.h(y)),
+            seq_extensions, baire_rank, baire_unrank, False,
+        )
+        self.forward = Morphism(REFINEMENT, self.spread, space, self.h, lambda g: 2 * g + 8,
+                                tag=f"h[{space.name}]")
+        self.inverse = Morphism(TRAIL, space, self.spread, self.h_inverse_trail, lambda g: g + 4,
+                                tag=f"h_inv[{space.name}]")
+        self._levels: Dict[Tuple[int, Dot], spaces.Lazy] = {}
+        self._h_cache: Dict[Seq, Dot] = {}
+        self._inv_cache: Dict[Tuple[Dot, ...], Tuple[Seq, Dot]] = {}
+        self._lock = threading.RLock()
 
     # e-grades ------------------------------------------------------------------
 
@@ -434,31 +440,8 @@ class BaireEncoding:
 
 
 def baire_encode(space: Space) -> BaireEncoding:
-    """Present an enumerated space as a spread over Baire sequences: the
-    pullback spread carries the apartness of the h-images; h is a surjective
-    refinement morphism and the inverse is a trail morphism; the round trip
-    is never apart on points."""
-
-    def apart(x: Dot, y: Dot) -> bool:
-        return space.apart(enc.h(x), enc.h(y))  # enc is bound below
-
-    spread = prefix_tree(
-        f"spread({space.name})", apart, seq_extensions, baire_rank, baire_unrank, False
-    )
-    enc = BaireEncoding(
-        space=space,
-        spread=spread,
-        forward=None,  # filled below
-        inverse=None,
-    )
-    enc.forward = Morphism(
-        REFINEMENT, spread, space, enc.h, lambda g: 2 * g + 8, tag=f"h[{space.name}]"
-    )
-    enc.inverse = Morphism(
-        TRAIL, space, spread, enc.h_inverse_trail, lambda g: g + 4,
-        tag=f"h_inv[{space.name}]",
-    )
-    return enc
+    """Present an enumerated space as a spread over Baire sequences."""
+    return BaireEncoding(space)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +459,7 @@ def cantor_surjection(fann: Space) -> Morphism:
     blocks commit to the canonical filler walk (always the first successor).
     Partial blocks lag (the image stays one grade coarser until the block
     completes)."""
-    if fann.spraid_info is None or not fann.spraid_info.finitely_branching:
+    if not fann.finitely_branching:
         raise MorphismDefect(f"{fann.name}: cantor_surjection needs a fann")
     cantor = std_space("cantor")
 

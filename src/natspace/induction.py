@@ -138,7 +138,7 @@ def bar_contains(bar: GeneticBar, d: Dot) -> bool:
 def genetic_uniform(space: Space, a: Dot, n: int) -> GeneticBar:
     """The full-split bar of depth n under a: flatten is every refinement of
     a that is n grades deeper."""
-    if space.spraid_info is None:
+    if not space.graded:
         raise SpaceDefect(f"{space.name}: bars need spraid structure")
     if n < 0:
         raise ValueError("depth must be >= 0")
@@ -175,7 +175,7 @@ def finite_subcover(fann: Space, cover: Cover) -> Tuple[Dot, ...]:
     witness bar (each flattened witness dot refines its selected element)."""
     if cover.witness is None or cover.dots is None:
         raise BarDefect("finite_subcover needs a finite cover with a bar witness")
-    if fann.spraid_info is None or not fann.spraid_info.finitely_branching:
+    if not fann.finitely_branching:
         raise BarDefect(f"{fann.name}: finite subcovers need a fann")
     chosen: Dict[Dot, None] = {}  # an ordered set
     for d in flatten(cover.witness):
@@ -266,7 +266,7 @@ def separation_bar(space: Space, a: Dot, b: Dot) -> GeneticBar:
     chooses through one of its own dots; so every branch reaches a leaf,
     and by bar induction the choosing dots form a bar.  The rule asks the
     space for its apartness and successors only."""
-    if space.spraid_info is None:
+    if not space.graded:
         raise SpaceDefect(f"{space.name}: bars need spraid structure")
     if not space.apart(a, b):
         raise BarDefect(f"{space.name}: {a!r} and {b!r} are not apart")

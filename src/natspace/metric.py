@@ -37,7 +37,7 @@ from .dots import (
     seq_dot,
 )
 from .points import Point, successor_normalize
-from .spaces import Lazy, Space, SpaceDefect, SpraidInfo, Successors, seq_interval
+from .spaces import Lazy, Space, SpaceDefect, Successors, seq_interval
 
 MAX_LEVEL_GRADE = 9  # the deepest level an evaluator's separators split at
 DIGIT_CAP = 4  # ternary digits read per separator term
@@ -53,13 +53,13 @@ class MetricDefect(Exception):
 
 def star_dots(space: Space, d: Dot) -> Tuple[Dot, ...]:
     """All same-grade dots touching d (including d itself)."""
-    if space.spraid_info is None:
+    if not space.graded:
         raise SpaceDefect(f"{space.name}: stars need a graded space")
     if d == space.max_dot or space.is_isolated(d):
         # an isolated point's chain has one dot per grade and touches nothing else
         return (d,)
     cands = grid_neighbours(d)
-    if cands is None and space.spraid_info.finitely_branching:
+    if cands is None and space.finitely_branching:
         return tuple(e for e in space.level(space.grade(d)) if space.touch(d, e))
     if cands is None:
         raise SpaceDefect(f"{space.name}: no star rule for {d!r}")
@@ -217,7 +217,7 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
     """The fan of dots near the point x: level n holds the grade-n dots
     touching x's grade-n dot, plus one filler refinement under each
     dead-end member so every branch stays infinite."""
-    if space.spraid_info is None:
+    if not space.graded:
         raise SpaceDefect(f"{space.name}: subfans need a graded space")
     xn = successor_normalize(x)
     levels: List[Tuple[Dot, ...]] = [(space.max_dot,)]
@@ -259,7 +259,8 @@ def subfan_Wx(space: Space, x: Point, depth: int) -> Space:
         space._refines,
         space.max_dot,
         lambda: itertools.chain.from_iterable(levels),
-        SpraidInfo(space.grade, successors, predecessors, True),
+        grade=space.grade, successors=successors, predecessors=predecessors,
+        finitely_branching=True,
         width=space._width,
         is_isolated=space.is_isolated,
     )
@@ -295,7 +296,7 @@ class UrysohnFunction:
     spread asks membership one (dot, zone) pair at a time (_SpreadZones)."""
 
     def __init__(self, space: Space, a: Dot, b: Dot):
-        if space.spraid_info is None:
+        if not space.graded:
             raise MetricDefect("zone systems need a graded space")
         if not space.apart(a, b):
             raise MetricDefect("zone endpoints must be apart")
@@ -344,7 +345,7 @@ class _FanZones(UrysohnFunction):
     dot by dot.  The groups give the alive zones and the neighbours of step n+1."""
 
     def __init__(self, fann: Space, a: Dot, b: Dot, max_level_grade: int):
-        if fann.spraid_info is None or not fann.spraid_info.finitely_branching:
+        if not fann.finitely_branching:
             raise MetricDefect("zone systems need a finitely branching space")
         super().__init__(fann, a, b)
         if self.M < 1:
@@ -616,7 +617,7 @@ class MetricEvaluator:
     splits levels down to MAX_LEVEL_GRADE."""
 
     def __init__(self, space: Space):
-        if space.spraid_info is None or not space.spraid_info.finitely_branching:
+        if not space.finitely_branching:
             raise MetricDefect("the metric needs a finitely branching space")
         self.space = space
         self._pairs = Lazy(lambda: _pair_stream(space))

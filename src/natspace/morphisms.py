@@ -219,7 +219,7 @@ def check_morphism(f: Morphism, depth: int) -> Report:
                     f"{imgs[i]!r} !<= {imgs[j]!r}"
                 )
     # law (iii), spot check: image streams of sampled canonical points refine
-    if f.kind == REFINEMENT and f.source.spraid_info is not None:
+    if f.kind == REFINEMENT and f.source.graded:
         later = (d for d in map(f.source.enumerate_dot, range(1, depth)) if d != f.source.max_dot)
         for a in [f.source.max_dot, *itertools.islice(later, 1)]:  # the root and the next dot
             try:  # the image point checks that its stream refines as it is drawn

@@ -121,7 +121,7 @@ class Yes:
 
 def approximate(p: Point, grade: int) -> Dot:
     """First stream dot with grade >= requested grade (consumes the stream)."""
-    if p.space.spraid_info is None:
+    if not p.space.graded:
         raise SpaceDefect(f"{p.space.name}: approximate needs a graded space")
     grade_of = p.space.grade
     max_steps = p.steps_for_grade(grade)
@@ -222,7 +222,7 @@ def normalized_dots(p: Point) -> Iterator[Dot]:
 
 def successor_normalize(p: Point) -> Point:
     """The equivalent successor point: grade(result_k) = k for every k."""
-    if p.space.spraid_info is None:
+    if not p.space.graded:
         raise SpaceDefect(f"{p.space.name}: successor_normalize needs grades")
     return Point(
         p.space,

@@ -105,20 +105,6 @@ class Successors:
         return tuple(self.more(k) for k in range(count))
 
 
-@dataclass(frozen=True)
-class SpraidInfo:
-    """A space's graded structure.  Level g holds the successors of level
-    g - 1's dots, in order and each once, from (max_dot,).  A space may give
-    it in closed form as level(g), the same tuple: a grid level's row of n,
-    or an extension's inner level and iso(g).  Only Space.level reads it."""
-
-    grade: Callable[[Dot], int]
-    successors: Callable[[Dot], Successors]
-    predecessors: Callable[[Dot], Tuple[Dot, ...]]
-    finitely_branching: bool
-    level: Optional[Callable[[int], Tuple[Dot, ...]]] = None
-
-
 class Space:
     """A pre-natural space descriptor.
 
@@ -130,6 +116,10 @@ class Space:
     kind, a field out of range).  Only this class reads the hooks: index_of
     and strict_refinements answer from them where they can, and scan the
     enumeration below SCAN_BUDGET where they cannot.
+
+    A graded space binds its grade and successors hooks as attributes.
+    Level g holds the successors of level g - 1's dots, in order and each
+    once, from (max_dot,); a space may state it in closed form as level(g).
 
     Immutable after construction except for its caches, so shareable: the
     enumeration, apart-pair and level-set streams draw under their Lazy's
@@ -143,7 +133,11 @@ class Space:
         refines: Callable[[Dot, Dot], bool],
         max_dot: Dot,
         enum_factory: Optional[Callable[[], Iterator[Dot]]] = None,
-        spraid_info: Optional[SpraidInfo] = None,
+        grade: Optional[Callable[[Dot], int]] = None,
+        successors: Optional[Callable[[Dot], Successors]] = None,
+        predecessors: Optional[Callable[[Dot], Tuple[Dot, ...]]] = None,
+        finitely_branching: bool = False,
+        level: Optional[Callable[[int], Tuple[Dot, ...]]] = None,
         width: Optional[Callable[[Dot], Fraction]] = None,
         is_isolated: Optional[Callable[[Dot], bool]] = None,
         rank: Optional[Callable[[Dot], Optional[int]]] = None,
@@ -157,7 +151,11 @@ class Space:
         self.max_dot = max_dot
         self.rank = rank
         self.unrank = unrank
-        self.spraid_info = spraid_info
+        self.graded = grade is not None
+        if self.graded:  # read as attributes: a hot read is one call
+            self.grade, self.successors = grade, successors
+        self._predecessors = predecessors
+        self.finitely_branching = finitely_branching
         self._width = width
         self.is_isolated = is_isolated or (lambda d: False)
         if enum_factory is not None:
@@ -166,7 +164,8 @@ class Space:
             self._indexed = 0  # enumeration indices below this are in _index_cache
             self._lock = threading.RLock()
         self._pairs = Lazy(self._apart_pairs)
-        self._levels = Lazy(self._level_sets)
+        closed = None if level is None else lambda: map(level, itertools.count())  # never ends
+        self._levels = Lazy(closed or self._level_sets)
 
     # -- relations ---------------------------------------------------------
 
@@ -229,7 +228,7 @@ class Space:
         scan for the others starts just past that rank (at index 0 on other
         spaces) and stops at SCAN_BUDGET."""
         start = 0
-        if self.rank is not None and self.spraid_info is not None:
+        if self.rank is not None and self.graded:
             succs = self.successors(d)
             if not succs.unbounded:
                 start = min(map(self.rank, succs.dots))
@@ -254,30 +253,24 @@ class Space:
 
     # -- graded structure ----------------------------------------------------
 
-    def grade(self, d: Dot) -> int:
-        if self.spraid_info is None:
-            raise SpaceDefect(f"{self.name}: no grade structure")
-        return self.spraid_info.grade(d)
+    def grade(self, d: Dot) -> int:  # a graded space binds its own
+        raise SpaceDefect(f"{self.name}: no grade structure")
 
-    def successors(self, d: Dot) -> Successors:
-        if self.spraid_info is None:
-            raise SpaceDefect(f"{self.name}: no successor structure")
-        return self.spraid_info.successors(d)
+    def successors(self, d: Dot) -> Successors:  # a graded space binds its own
+        raise SpaceDefect(f"{self.name}: no successor structure")
 
     def predecessors(self, d: Dot) -> Tuple[Dot, ...]:
-        if self.spraid_info is None:
+        if self._predecessors is None:
             raise SpaceDefect(f"{self.name}: no predecessor structure")
-        return self.spraid_info.predecessors(d)
+        return self._predecessors(d)
 
     def level(self, g: int) -> Tuple[Dot, ...]:
         """All grade-g dots of a finitely branching graded space."""
-        if self.spraid_info is None or not self.spraid_info.finitely_branching:
+        if not self.finitely_branching:
             raise SpaceDefect(f"{self.name}: level sets need a finitely branching space")
         return self._levels[g]
 
     def _level_sets(self) -> Iterator[Tuple[Dot, ...]]:
-        if self.spraid_info.level is not None:  # a closed form: this never ends
-            yield from map(self.spraid_info.level, itertools.count())
         out: Tuple[Dot, ...] = (self.max_dot,)
         while True:
             yield out
@@ -470,7 +463,8 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
         _interval_apart,
         _interval_refines,
         MAX if line else dot(0, m0),
-        spraid_info=SpraidInfo(grade, successors, predecessors, not line, None if line else level),
+        grade=grade, successors=successors, predecessors=predecessors,
+        finitely_branching=not line, level=None if line else level,
         width=width,
         rank=rank,
         unrank=unrank,
@@ -508,7 +502,8 @@ def prefix_tree(
         apart,
         Seq.extends,
         Seq(()),
-        spraid_info=SpraidInfo(len, successors, _seq_parent, finitely_branching),
+        grade=len, successors=successors, predecessors=_seq_parent,
+        finitely_branching=finitely_branching,
         rank=rank,
         unrank=unrank,
         **space_args,
@@ -730,9 +725,8 @@ def product(factors) -> Space:
     and apartness is the existence of an apart coordinate pair."""
     factors = list(factors)
     n = len(factors)
-    for f in factors:
-        if f.spraid_info is None:
-            raise ValueError("sigma product needs graded factors")
+    if not all(f.graded for f in factors):
+        raise ValueError("sigma product needs graded factors")
 
     def apart(a: Dot, b: Dot) -> bool:
         return any(
@@ -755,32 +749,24 @@ def product(factors) -> Space:
 
     def succs(d: Dot) -> Successors:
         per = [factors[i].successors(d.items[i]) for i in range(n)]
-        if any(s.unbounded for s in per):
+        free = sum(s.unbounded for s in per)
+        combos = tuple(itertools.product(*(s.dots for s in per if not s.unbounded)))
+        if not free:
+            return Successors(tuple(map(TupleDot, combos)))
 
-            def more(k: int) -> Dot:
-                # diagonal over the per-coordinate successor indices
-                idxs = _tuple_unrank(k, n)
-                return TupleDot(
-                    tuple(
-                        per[i].more(idxs[i]) if per[i].unbounded else per[i].dots[
-                            idxs[i] % len(per[i].dots)
-                        ]
-                        for i in range(n)
-                    )
-                )
+        def more(k: int) -> Dot:
+            # each finite combination in turn, under the diagonal over the
+            # unbounded coordinates' successor indices
+            q, r = divmod(k, len(combos))
+            idxs, fixed = iter(_tuple_unrank(q, free)), iter(combos[r])
+            return TupleDot(tuple(s.more(next(idxs)) if s.unbounded else next(fixed) for s in per))
 
-            return Successors(more=more)
-        return Successors(
-            tuple(TupleDot(c) for c in itertools.product(*(s.dots for s in per)))
-        )
+        return Successors(more=more)
 
     def preds(d: Dot) -> Tuple[Dot, ...]:
         per = [factors[i].predecessors(d.items[i]) for i in range(n)]
         return tuple(TupleDot(c) for c in itertools.product(*per))
 
-    info = SpraidInfo(
-        grade, succs, preds, all(f.spraid_info.finitely_branching for f in factors)
-    )
     width = None
     if all(f.interval_like for f in factors):
         width = lambda d: max(factors[i].width(d.items[i]) for i in range(n))  # noqa: E731
@@ -804,7 +790,8 @@ def product(factors) -> Space:
         refines,
         max_dot,
         enum,
-        info,
+        grade=grade, successors=succs, predecessors=preds,
+        finitely_branching=all(f.finitely_branching for f in factors),
         width=width,
     )
 
@@ -945,7 +932,7 @@ def metric_to_spread(oracle: Callable[[int, int, Fraction, Fraction], str]) -> S
             for s in range(t + 1):
                 yield Ball(t - s, s)
 
-    return Space("metric_spread", apart, refines, MAX, enum, None)
+    return Space("metric_spread", apart, refines, MAX, enum)
 
 
 # ---------------------------------------------------------------------------
@@ -956,9 +943,8 @@ def metric_to_spread(oracle: Callable[[int, int, Fraction, Fraction], str]) -> S
 def extend_with_isolated_point(space: Space) -> Space:
     """Add the chain iso(1) > iso(2) > ... under the maximal dot, apart from
     every non-maximal original dot; grades are preserved, grd(iso(k)) = k."""
-    if space.spraid_info is None:
+    if not space.graded:
         raise ValueError("isolated-point extension needs a graded space")
-    inner = space.spraid_info
     max_dot = space.max_dot
 
     def apart(a: Dot, b: Dot) -> bool:
@@ -982,12 +968,12 @@ def extend_with_isolated_point(space: Space) -> Space:
         return space.refines(b, a)
 
     def grade(d: Dot) -> int:
-        return d.k if isinstance(d, Isolated) else inner.grade(d)
+        return d.k if isinstance(d, Isolated) else space.grade(d)
 
     def succs(d: Dot) -> Successors:
         if isinstance(d, Isolated):
             return Successors((Isolated(d.k + 1),))
-        s = inner.successors(d)
+        s = space.successors(d)
         if d == max_dot:
             if s.unbounded:
                 return Successors(more=lambda k: Isolated(1) if k == 0 else s.more(k - 1))
@@ -997,7 +983,7 @@ def extend_with_isolated_point(space: Space) -> Space:
     def preds(d: Dot) -> Tuple[Dot, ...]:
         if isinstance(d, Isolated):
             return (max_dot,) if d.k == 1 else (Isolated(d.k - 1),)
-        return inner.predecessors(d)
+        return space._predecessors(d)  # the inner hook: one Space.predecessors call per dot
 
     # the order interleaves: inner dot r at 2r, iso(k) at 2k - 1
     if space.rank is not None:
@@ -1032,7 +1018,8 @@ def extend_with_isolated_point(space: Space) -> Space:
         apart,
         refines,
         max_dot,
-        spraid_info=SpraidInfo(grade, succs, preds, inner.finitely_branching, level),
+        grade=grade, successors=succs, predecessors=preds,
+        finitely_branching=space.finitely_branching, level=level,
         width=space._width,
         is_isolated=is_isolated,
         **order,

@@ -106,6 +106,17 @@ def test_eval_reads_decimal_digits_of_any_script(capsys):
     assert code == 0 and lo <= 4 <= hi
 
 
+@pytest.mark.parametrize("expr, value", [("-(1)", -1), ("--1", 1), ("-1", -1), ("-(1)+2", 1)])
+def test_eval_reads_an_expression_that_starts_with_a_dash(capsys, expr, value):
+    answers = {run(capsys, "eval", *argv) for argv in (
+        ("--bits", "8", expr), (expr, "--bits", "8"), ("--bits", "8", "--", expr),
+    )}
+    assert len(answers) == 1
+    code, out, err = answers.pop()
+    lo, hi = (F(line.split()[1]) for line in out.splitlines())
+    assert code == 0 and err == "" and lo <= value <= hi and hi - lo <= F(1, 2**7)
+
+
 def test_cantor_frozen_example(capsys):
     code, out, _ = run(capsys, "cantor", "02", "--depth", "2")
     assert code == 0

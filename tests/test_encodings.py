@@ -105,6 +105,16 @@ def test_trail_successor_scan_has_a_budget(sigma01, monkeypatch):
         more(1)
 
 
+@pytest.mark.parametrize("build", [ns.trail_space, ns.unglue])
+def test_trail_trees_grade_by_length_and_drop_the_last_dot(build, sigmaR):
+    space = build(sigmaR)
+    chain = (D(0, 0), D(1, 1), D(2, 2))
+    for n in range(len(chain) + 1):
+        t = Trail(chain[:n])
+        assert space.grade(t) == n
+        assert space.predecessors(t) == ((Trail(chain[:n - 1]),) if n else ())
+
+
 def test_trail_space_axioms(sigma01):
     # trail enumeration is combinatorial; a shallow prefix suffices here
     assert ns.validate_space(ns.trail_space(sigma01), 12).ok
@@ -195,6 +205,15 @@ def test_compress_sigmaR_brackets_rationals(sigmaR):
         img = ns.apply_point(g, p)
         lo, hi = endpoints(ns.approximate(img, 10))
         assert lo <= q <= hi
+
+
+def test_compress_sigmaR_carries_dynamic_liveness(sigmaR):
+    f = dataclasses.replace(ns.id_str(sigmaR), dynamic_liveness=lambda p: lambda g: g + 5)
+    g = ns.compress_sigmaR(f)
+    p = ns.rational_to_point(F(1, 3))
+    assert g.dynamic_liveness(p)(3) == 10  # f's liveness two grades deeper
+    lo, hi = endpoints(ns.approximate(ns.apply_point(g, p), 10))
+    assert lo <= F(1, 3) <= hi
 
 
 def test_baire_encode_round_trip_t3(t3):

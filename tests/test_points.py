@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import natspace as ns
 from natspace import spaces
 from natspace.cli import compile_expression, main, parse_expression
-from natspace.dots import DyadicInterval as D, dot_to_json
+from natspace.dots import DyadicInterval as D, Seq, Trail, dot_to_json
 from natspace.points import PointDefect, normalized_dots
 
 import oracles
@@ -380,3 +380,14 @@ def test_concurrent_readers_get_the_single_threaded_stream(ext01):
     alone = [fresh.enumerate_dot(i) for i in range(2001)]
     rat = spaces._STD_BUILDERS["R_rat"]()
     assert _read_together(lambda: [rat.enumerate_dot(i) for i in range(2001)]) == [alone] * 4
+
+    # one Baire encoding: its level, forward and inverse caches fill from four threads
+    words = [Seq(syms) for syms in itertools.product(range(3), repeat=3)]
+    trails = [Trail(tuple(Seq((x,) * n) for n in range(1, m))) for x in range(3) for m in range(8)]
+
+    def encode(enc):
+        return [enc.h(w) for w in words] + [enc.h_inverse_trail(t) for t in trails]
+
+    alone = encode(ns.baire_encode(spaces._STD_BUILDERS["T3"]()))
+    enc = ns.baire_encode(spaces._STD_BUILDERS["T3"]())
+    assert _read_together(lambda: encode(enc)) == [alone] * 4

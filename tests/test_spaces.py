@@ -8,7 +8,7 @@ import pytest
 
 import natspace as ns
 from natspace import encodings, spaces
-from natspace.dots import Ball, DyadicInterval as D, Isolated, MAX, Seq, Trail
+from natspace.dots import Ball, DyadicInterval as D, Isolated, MAX, Seq, Trail, TupleDot
 from natspace.spaces import (
     _STD_BUILDERS, _compositions, _tuple_unrank, baire_rank, baire_unrank,
 )
@@ -120,7 +120,7 @@ def _catalogue_digest(space, count=2000):
         if i:
             prev = space.enumerate_dot(i - 1)
             row += [str(space.apart(d, prev)), str(space.refines(d, prev))]
-        if space.spraid_info is not None:
+        if space.graded:
             row += [
                 str(space.grade(d)),
                 repr(space.successors(d).prefix(3)[:3]),
@@ -199,6 +199,38 @@ def test_tuple_orders_match_the_linear_walk(n):
         assert list(_compositions(total, n)) == list(oracles.compositions_listed(total, n))
     walk = itertools.islice(oracles.diagonal_tuples(n), 5000)
     assert [_tuple_unrank(k, n) for k in range(5000)] == list(walk)
+
+
+def test_product_successors_list_each_successor_once(sigmaR, sigma01, baire):
+    """A mixed product steps through its finite coordinates' combinations
+    under the diagonal of its unbounded ones; the pure orders are frozen."""
+    mixed = ns.product((sigma01, baire))
+    listed = mixed.successors(mixed.max_dot).prefix(60)
+    assert len(set(listed)) == 60
+    assert listed[:4] == tuple(
+        TupleDot((D(n, 2), Seq((k,)))) for k, n in ((0, 0), (0, 1), (0, 2), (1, 0))
+    )
+    square = ns.product((sigmaR, sigmaR))
+    unbounded = ((0, 0), (0, 1), (1, 0), (0, -1), (1, 1), (-1, 0), (0, 2), (1, -1), (-1, 1), (2, 0))
+    assert square.successors(square.max_dot).prefix(10) == tuple(
+        TupleDot((D(a, 0), D(b, 0))) for a, b in unbounded
+    )
+    finite = square.successors(TupleDot((D(0, 0), D(-1, 0)))).dots
+    assert finite == tuple(TupleDot((D(a, 1), D(b, 1))) for a in (0, 1, 2) for b in (-2, -1, 0))
+
+
+def test_an_ungraded_space_names_the_structure_it_lacks():
+    rat = ns.std_space("R_rat")
+    d = rat.enumerate_dot(1)
+    for read, text in (
+        (lambda: rat.grade(d), "R_rat: no grade structure"),
+        (lambda: rat.successors(d), "R_rat: no successor structure"),
+        (lambda: rat.predecessors(d), "R_rat: no predecessor structure"),
+        (lambda: rat.level(1), "R_rat: level sets need a finitely branching space"),
+    ):
+        with pytest.raises(ns.SpaceDefect) as raised:
+            read()
+        assert str(raised.value) == text
 
 
 def _trail_past_the_scan_budget():
