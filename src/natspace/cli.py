@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from .dots import (
     Dot, Seq, dot_from_json, dot_to_json, endpoints, int_endpoints, meeting_segment,
-    merged_segments,
+    merged_segments, rational_text,
 )
 from .induction import BarDefect, Cover, GeneticBar, bar_from_json, finite_subcover
 from .metric import DIGIT_CAP, MetricDefect, MetricEvaluator, evaluate_metric, metric_digit_goal
@@ -97,6 +97,16 @@ def _tokenize(text: str) -> List[str]:
 _BINARY = {"+": ("add", 0), "-": ("sub", 0), "*": ("mul", 1)}  # operator -> (node, precedence)
 
 
+def _integer(digits: str) -> int:
+    """A decimal literal at any length: past Python's int-from-str digit
+    limit it is read in halves."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
+
+
 class _Parser:
     def __init__(self, tokens: List[str]):
         self.toks = tokens
@@ -150,14 +160,16 @@ class _Parser:
             self.take(")")
             return (tok, *args)
         if tok is not None and tok.isdecimal():
-            num = int(self.take())
+            num = _integer(self.take())
             if self.peek() == "/":
                 self.take()
                 den_tok = self.take()
-                if not den_tok.isdecimal() or int(den_tok) == 0:
+                if not den_tok.isdecimal() or _integer(den_tok) == 0:
                     raise CliParseError("denominator must be a positive integer")
-                return ("rat", Fraction(num, int(den_tok)))
+                return ("rat", Fraction(num, _integer(den_tok)))
             return ("rat", Fraction(num))
+        if tok is None:
+            raise CliParseError("unexpected end of expression")
         raise CliParseError(f"unexpected token {tok!r}")
 
 
@@ -202,8 +214,13 @@ def _emit(fmt: str, payload: dict, text_lines: List[str], out) -> None:
             out.write(line + "\n")
 
 
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+def _json_int(path: str, digits: str) -> int:
+    """An integer of a JSON file: one past Python's int-from-str digit limit
+    is a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise CliParseError(f"{path}: an integer of {len(digits)} digits is too long to read")
 
 
 def _resolve_space(name: str):
@@ -216,11 +233,12 @@ def _resolve_space(name: str):
 
 
 def _read_json(path: str):
+    read_int = functools.partial(_json_int, path)
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_int=read_int)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=read_int)
     except (json.JSONDecodeError, RecursionError) as exc:  # syntax, or nested too deeply
         raise CliParseError(f"{path}: {exc}")
     except OSError as exc:
@@ -284,8 +302,8 @@ def _cmd_eval(args, out) -> int:
         raise CliParseError("expression nested too deeply")
     _emit(
         args.format,
-        {"lo": _frac(lo), "hi": _frac(hi)},
-        [f"lo {_frac(lo)}", f"hi {_frac(hi)}"],
+        {"lo": rational_text(lo), "hi": rational_text(hi)},
+        [f"lo {rational_text(lo)}", f"hi {rational_text(hi)}"],
         out,
     )
     return 0
@@ -304,8 +322,8 @@ def _cmd_cantor(args, out) -> int:
     lo, hi = seq_interval(image, 2)
     _emit(
         args.format,
-        {"image": text, "lo": _frac(lo), "hi": _frac(hi)},
-        [f"image {text}", f"lo {_frac(lo)}", f"hi {_frac(hi)}"],
+        {"image": text, "lo": rational_text(lo), "hi": rational_text(hi)},
+        [f"image {text}", f"lo {rational_text(lo)}", f"hi {rational_text(hi)}"],
         out,
     )
     return 0
@@ -327,7 +345,8 @@ def _cmd_linecall(args, out) -> int:
         except OSError as exc:
             raise CliSemanticError(str(exc))
         with fh as lines, _parsing(args.input):
-            objs = [json.loads(line) for line in lines if line.strip()]
+            read_int = functools.partial(_json_int, args.input)
+            objs = [json.loads(line, parse_int=read_int) for line in lines if line.strip()]
         dots = _read_dots(space, objs, args.input)
         if not dots:
             raise CliSemanticError("empty measurement stream")
@@ -401,8 +420,8 @@ def _cmd_metric(args, out) -> int:
                 "m": m,
                 "a": dot_to_json(a),
                 "b": dot_to_json(b),
-                "fx": [_frac(fx[0]), _frac(fx[1])],
-                "fy": [_frac(fy[0]), _frac(fy[1])],
+                "fx": [rational_text(fx[0]), rational_text(fx[1])],
+                "fy": [rational_text(fy[0]), rational_text(fy[1])],
             }
         )
     lines = [
@@ -411,11 +430,11 @@ def _cmd_metric(args, out) -> int:
         f"fx=[{r['fx'][0]},{r['fx'][1]}] fy=[{r['fy'][0]},{r['fy'][1]}]"
         for r in rows
     ]
-    lines.append(f"lo {_frac(lo)}")
-    lines.append(f"hi {_frac(hi)}")
+    lines.append(f"lo {rational_text(lo)}")
+    lines.append(f"hi {rational_text(hi)}")
     _emit(
         args.format,
-        {"terms": rows, "lo": _frac(lo), "hi": _frac(hi)},
+        {"terms": rows, "lo": rational_text(lo), "hi": rational_text(hi)},
         lines,
         out,
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from . import spaces
@@ -165,18 +166,29 @@ def id_str(space: Space) -> Morphism:
 # ---------------------------------------------------------------------------
 
 
+# per space: dot -> its predecessors other than the max dot, for the dots
+# some CoverTrails walk reached; an entry dies with its space
+_PARENTS: "weakref.WeakKeyDictionary[Space, Dict[Dot, Tuple[Dot, ...]]]" = weakref.WeakKeyDictionary()
+
+
 class CoverTrails:
     """The immediate-successor trails from a grade-1 dot down to a (the
     distinct unglued copies of a), read off the predecessor DAG above a
     without listing them: iteration walks the DAG depth first and yields
     the trails in order of their predecessor choices, last step first (the
     first trail takes the first predecessor at every step); len counts the
-    trails level by level without building any."""
+    trails level by level without building any.
+
+    Every CoverTrails of one space shares that space's predecessor map in
+    _PARENTS, so the walks of neighbouring dots climb through ancestors
+    once.  An entry depends only on the space and dies with it; the map
+    holds only dots that some walk reached; threads that race on a dot
+    store equal values."""
 
     def __init__(self, space: Space, a: Dot):
         self.space = space
         self.a = a
-        self._up: Dict[Dot, Tuple[Dot, ...]] = {}
+        self._up = _PARENTS.setdefault(space, {})
 
     def _parents(self, d: Dot) -> Tuple[Dot, ...]:
         up = self._up.get(d)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import spaces
-from .dots import Dot, DyadicInterval, endpoints
+from .dots import Dot, DyadicInterval, endpoints, rational_text
 from .spaces import Space, SpaceDefect, std_space
 
 STRICTNESS_BOUND = 4  # declared liveness contract for shipped constructors
@@ -250,7 +250,7 @@ def rational_to_point(q: Fraction) -> Point:
         gen,
         steps_for_grade=lambda g: g + 1,
         strictness_bound=STRICTNESS_BOUND,
-        name=f"rat({q})",
+        name=f"rat({rational_text(q)})",
     )
 
 

@@ -91,6 +91,60 @@ def test_eval_parse_error_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("expr", ["", "1+", "-", "2*", "abs(", "(", "min(1,", "(1"])
+def test_an_expression_that_ends_early_says_so(capsys, expr):
+    assert run(capsys, "eval", "--", expr) == (1, "", "parse error: unexpected end of expression\n")
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Python's int/str conversion without its digit limit, for the test's
+    own reading and for the answer printed without it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("cantor", "0" * 20_000), None),
+    (("eval", "--bits", "10000", "--", "7" * 2000), "7" * 2000),
+    (("eval", "--", "7" * 5000), "7" * 5000),
+], ids=["cantor-20000-zeros", "eval-10000-bits", "eval-5000-digit-literal"])
+def test_answers_print_past_the_int_string_digit_limit(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    with _no_int_digit_limit():
+        assert run(capsys, *argv) == (code, out, err)  # the digits are the plain str()
+        lo, hi = (F(line.split()[1]) for line in out.splitlines()[-2:])
+        if value is None:  # the Cantor function maps 0^n to [0, 2^-n]
+            assert (lo, hi) == (0, F(1, 2**20_000))
+        else:
+            assert lo <= int(value) <= hi
+
+
+def _long_integer_dot():
+    return '{"kind": "dyadic", "n": %s, "m": 2}' % ("1" * 5000)
+
+
+@pytest.mark.parametrize("command", ["metric", "subcover", "linecall"])
+def test_a_file_integer_too_long_to_read_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "long.json"
+    if command == "metric":
+        path.write_text(f"[{_long_integer_dot()}]")
+        argv = ("metric", "sigma_R", str(path), str(path))
+    elif command == "subcover":
+        path.write_text('{"space": "sigma_R", "cover": [%s]}' % _long_integer_dot())
+        argv = ("subcover", str(path))
+    else:
+        path.write_text(_long_integer_dot() + "\n")
+        argv = ("linecall", str(path))
+    assert run(capsys, *argv) == (
+        1, "", f"parse error: {path}: an integer of 5000 digits is too long to read\n")
+
+
 @pytest.mark.parametrize("expr", ["²", "1/²", "1+²", "1²"])
 def test_eval_non_decimal_digits_parse_error(capsys, expr):
     # str.isdigit accepts a superscript two, which int() rejects

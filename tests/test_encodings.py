@@ -2,9 +2,11 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import time
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -157,6 +159,39 @@ def test_cover_trails_match_the_recursive_listing(sigmaR, sigma01):
             trails = ns.cover_trails(sigma01, a)
             assert [t.items for t in trails] == _listed(sigma01, a), a
             assert len(trails) == len(_listed(sigma01, a)), a
+
+
+def _walks(space, dots):
+    """Each dot's unglued copies and their count, walked on one space in
+    the given order."""
+    return [([t.items for t in ns.cover_trails(space, a)], len(ns.cover_trails(space, a)))
+            for a in dots]
+
+
+@pytest.mark.parametrize("name", ["sigma_R", "sigma_[0,1]"])
+def test_cover_trails_share_one_predecessor_map_per_space(name):
+    space = spaces._STD_BUILDERS[name]()  # its map starts empty
+    if name == "sigma_R":
+        dots = [D(n, m) for m in range(13) for n in range(-9, 10)] + [space.max_dot]
+    else:
+        dots = [a for g in range(9) for a in space.level(g)]
+    listed = [(_listed(space, a), len(_listed(space, a))) for a in dots]
+    assert _walks(space, dots) == listed
+    assert space in encodings._PARENTS
+    # a second pass in the other order reads the map the first pass filled
+    assert _walks(space, dots[::-1]) == listed[::-1]
+
+
+def test_a_dropped_space_takes_its_predecessor_map_along():
+    space = spaces._STD_BUILDERS["sigma_R"]()
+    assert len(ns.cover_trails(space, D(5, 9))) == len(_listed(space, D(5, 9)))
+    assert space in encodings._PARENTS
+    gc.collect()  # only this space is dropped below
+    entries, gone = len(encodings._PARENTS), weakref.ref(space)
+    del space
+    gc.collect()
+    assert gone() is None
+    assert len(encodings._PARENTS) == entries - 1
 
 
 def _unmarked(f):

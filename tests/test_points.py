@@ -391,3 +391,14 @@ def test_concurrent_readers_get_the_single_threaded_stream(ext01):
     alone = encode(ns.baire_encode(spaces._STD_BUILDERS["T3"]()))
     enc = ns.baire_encode(spaces._STD_BUILDERS["T3"]())
     assert _read_together(lambda: encode(enc)) == [alone] * 4
+
+    # one sigma_R: its unglued copies share one predecessor map, filled from four threads
+    dots = [D(n, m) for m in range(1, 12) for n in range(-5, 6)]
+
+    def walk(space):
+        return [([t.items for t in ns.cover_trails(space, a)], len(ns.cover_trails(space, a)))
+                for a in dots]
+
+    alone = walk(spaces._STD_BUILDERS["sigma_R"]())
+    sigma_r = spaces._STD_BUILDERS["sigma_R"]()
+    assert _read_together(lambda: walk(sigma_r)) == [alone] * 4

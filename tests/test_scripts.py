@@ -1,5 +1,6 @@
 """The demo scripts run to completion against the public API."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -28,3 +29,51 @@ def test_demo_runs(script, first_line):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first_line
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_alternate_which_side_runs_first():
+    order = _bench_pairs().pair_order
+    assert [order(k) for k in range(4)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent"),
+    ]
+
+
+def _run(qps, rss, digest="d1", failed=0):
+    return {"metrics": {"throughput_qps": qps, "peak_rss_mb": rss},
+            "correct": not failed, "failed": failed, "digest": digest}
+
+
+def test_bench_pairs_summary_of_fabricated_runs():
+    bp = _bench_pairs()
+    pairs = [{"parent": _run(q, 20.0), "change": _run(c, r)}
+             for q, c, r in ((100, 120, 21.0), (104, 118, 19.0), (96, 90, 20.0),
+                             (102, 125, 20.0), (98, 121, 22.0))]
+    summary = bp.summarize(pairs, {"throughput_qps": "higher", "peak_rss_mb": "lower"})
+    assert summary["pairs"] == 5 and summary["all_runs_correct"]
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["answer_sha256"] == {"parent": ["d1"], "change": ["d1"]}
+    qps = summary["metrics"]["throughput_qps"]
+    assert qps["parent"] == {"q1": 98, "median": 100, "q3": 102, "runs": [100, 104, 96, 102, 98]}
+    assert qps["change"]["median"] == 120
+    assert qps["change_over_parent_median"] == 1.2
+    assert qps["parent_iqr_over_median"] == 0.04
+    assert (qps["change_better_pairs"], qps["change_worse_pairs"]) == (4, 1)
+    rss = summary["metrics"]["peak_rss_mb"]  # lower is better; a tie is neither
+    assert (rss["change_better_pairs"], rss["change_worse_pairs"]) == (1, 2)
+
+
+def test_bench_pairs_refuse_a_pair_whose_answers_differ():
+    bp = _bench_pairs()
+    bp.check_pair(0, {"parent": _run(1, 1), "change": _run(2, 2)})
+    with pytest.raises(ValueError, match="pair 3: answer digests differ"):
+        bp.check_pair(3, {"parent": _run(1, 1), "change": _run(1, 1, digest="d2")})
+    failed = [{"parent": _run(1, 1), "change": _run(1, 1, failed=2)}] * 2
+    summary = bp.summarize(failed, {"throughput_qps": "higher"})
+    assert not summary["all_runs_correct"] and summary["failed"] == {"parent": 0, "change": 4}
