@@ -39,11 +39,12 @@ def compile_fresh(checkout: Path) -> None:
                    cwd=checkout, check=True, stdout=subprocess.DEVNULL)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced bench/run.py run: its metric values, failures and answer digest."""
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One untraced bench/run.py run at its default length: its metric
+    values, failures and answer digest."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     last = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -104,7 +105,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             pairs = []
             for k in range(args.pairs):
-                runs = {side: run_once(checkouts[side], workload, args.seed, args.seconds)
+                runs = {side: run_once(checkouts[side], workload, args.seed)
                         for side in pair_order(k)}
                 check_pair(k, runs)
                 pairs.append(runs)

@@ -15,6 +15,7 @@ import functools
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -97,16 +98,6 @@ def _tokenize(text: str) -> List[str]:
 _BINARY = {"+": ("add", 0), "-": ("sub", 0), "*": ("mul", 1)}  # operator -> (node, precedence)
 
 
-def _integer(digits: str) -> int:
-    """A decimal literal at any length: past Python's int-from-str digit
-    limit it is read in halves."""
-    try:
-        return int(digits)
-    except ValueError:
-        k = len(digits) // 2
-        return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
-
-
 class _Parser:
     def __init__(self, tokens: List[str]):
         self.toks = tokens
@@ -159,14 +150,15 @@ class _Parser:
                 args.append(self.expr())
             self.take(")")
             return (tok, *args)
-        if tok is not None and tok.isdecimal():
-            num = _integer(self.take())
+        if tok is not None and tok.isdecimal():  # Decimal reads past int()'s digit limit
+            num = int(Decimal(self.take()))
             if self.peek() == "/":
                 self.take()
                 den_tok = self.take()
-                if not den_tok.isdecimal() or _integer(den_tok) == 0:
+                den = int(Decimal(den_tok)) if den_tok.isdecimal() else 0
+                if den == 0:
                     raise CliParseError("denominator must be a positive integer")
-                return ("rat", Fraction(num, _integer(den_tok)))
+                return ("rat", Fraction(num, den))
             return ("rat", Fraction(num))
         if tok is None:
             raise CliParseError("unexpected end of expression")
@@ -215,8 +207,7 @@ def _emit(fmt: str, payload: dict, text_lines: List[str], out) -> None:
 
 
 def _json_int(path: str, digits: str) -> int:
-    """An integer of a JSON file: one past Python's int-from-str digit limit
-    is a parse error."""
+    """An integer of a JSON file; one past int()'s digit limit is a parse error."""
     try:
         return int(digits)
     except ValueError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import partial
 from fractions import Fraction
 from typing import List, Optional, Tuple as Tup
@@ -358,21 +359,11 @@ def nary_seq(d: NaryInterval) -> Seq:
 # ---------------------------------------------------------------------------
 
 
-def _decimal(n: int) -> str:
-    """str(n) at any length: past Python's int-to-str digit limit n is
-    printed in halves."""
-    try:
-        return str(n)
-    except ValueError:
-        k = n.bit_length() * 3 // 20  # about half of n's digits
-        high, low = divmod(abs(n), 10**k)
-        return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(k)
-
-
 def rational_text(q: Fraction) -> str:
-    """str(q), "n/d" or "n", at any length."""
-    num = _decimal(q.numerator)
-    return f"{num}/{_decimal(q.denominator)}" if q.denominator != 1 else num
+    """str(q), "n/d" or "n", at any length: Decimal prints an integer past
+    Python's int-to-str digit limit."""
+    num = str(Decimal(q.numerator))
+    return f"{num}/{Decimal(q.denominator)}" if q.denominator != 1 else num
 
 
 def _frac_str(q: Fraction) -> str:

@@ -166,8 +166,7 @@ def id_str(space: Space) -> Morphism:
 # ---------------------------------------------------------------------------
 
 
-# per space: dot -> its predecessors other than the max dot, for the dots
-# some CoverTrails walk reached; an entry dies with its space
+# per space: dot -> its predecessors but the max dot (see CoverTrails)
 _PARENTS: "weakref.WeakKeyDictionary[Space, Dict[Dot, Tuple[Dot, ...]]]" = weakref.WeakKeyDictionary()
 
 
