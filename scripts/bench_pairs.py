@@ -13,6 +13,11 @@ exit 1.  Progress goes to stderr; stdout is one JSON object, workload ->
 summary: per end-to-end metric the parent's and the change's runs with
 their inclusive quartiles, the ratio of the medians, the parent's IQR over
 its median, and the pairs in which the change is better or worse.
+
+With --trace, each workload's pairs are followed by one `bench/run.py
+--trace 1` run in each checkout, and the summary gains layer_counts: every
+count metric with the parent's and the change's value, those that differ
+first.
 """
 
 from __future__ import annotations
@@ -39,25 +44,26 @@ def compile_fresh(checkout: Path) -> None:
                    cwd=checkout, check=True, stdout=subprocess.DEVNULL)
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced bench/run.py run at its default length: its metric
-    values, failures and answer digest."""
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One bench/run.py run at its default length: its metric values (with
+    trace 1, the count metrics only), failures and answer digest."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--trace", "0"],
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     last = json.loads(proc.stdout.strip().splitlines()[-1])
-    results = checkout / "bench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    results = checkout / "bench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     return {
-        "metrics": {name: m["value"] for name, m in last["metrics"].items()},
+        "metrics": {name: m["value"] for name, m in last["metrics"].items()
+                    if not trace or m["unit"] == "count"},
         "correct": last["correct"],
         "failed": last["failed"],
         "digest": json.loads(results.read_text())["digest"]["sha256"],
     }
 
 
-def check_pair(k: int, runs: Dict[str, dict]) -> None:
+def check_pair(k, runs: Dict[str, dict]) -> None:
     if runs["parent"]["digest"] != runs["change"]["digest"]:
         raise ValueError(f"pair {k}: answer digests differ: parent "
                          f"{runs['parent']['digest']}, change {runs['change']['digest']}")
@@ -98,6 +104,15 @@ def summarize(pairs: List[Dict[str, dict]], better: Dict[str, str]) -> dict:
     return out
 
 
+def layer_counts(traced: Dict[str, dict]) -> List[dict]:
+    """The count metrics of a traced run per side as {name, parent, change}
+    rows, the counts that differ first, each group by name."""
+    parent, change = (traced[s]["metrics"] for s in SIDES)
+    rows = [{"name": name, "parent": parent.get(name), "change": change.get(name)}
+            for name in sorted(parent.keys() | change.keys())]
+    return sorted(rows, key=lambda row: row["parent"] == row["change"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -105,6 +120,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--trace", action="store_true",
+                        help="add one traced run per side and workload (layer_counts)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -125,6 +142,11 @@ def main(argv=None) -> int:
                 qps = {s: round(runs[s]["metrics"]["throughput_qps"], 1) for s in SIDES}
                 print(f"{workload} pair {k}: throughput_qps {qps}", file=sys.stderr)
             summary[workload] = summarize(pairs, better)
+            if args.trace:
+                traced = {side: run_once(checkouts[side], workload, args.seed, trace=1)
+                          for side in SIDES}
+                check_pair("traced", traced)
+                summary[workload]["layer_counts"] = layer_counts(traced)
     except (ValueError, subprocess.CalledProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -320,12 +320,28 @@ def _cmd_cantor(args, out) -> int:
     return 0
 
 
+def _read_rational(text: str) -> Fraction:
+    """Fraction(text) at any length: Fraction checks the form with each run of
+    digits cut to one digit, and Decimal, with no digit limit, reads the value."""
+    try:
+        Fraction(re.sub(r"\d+", "1", text))
+        num, _, den = text.strip().partition("/")
+        num, den = Decimal(num), Decimal(den or 1)
+    except ValueError:
+        return Fraction(text)  # raises on the text as it always has
+    except ArithmeticError:  # an exponent past Decimal's range
+        raise ValueError("exponent out of range") from None
+    if not den:
+        raise ValueError("zero denominator")
+    return Fraction(num) / Fraction(den)
+
+
 def _cmd_linecall(args, out) -> int:
     space = std_space("sigma_R")
     if args.synthetic is not None:
         try:
-            stream = rational_to_point(Fraction(args.synthetic))
-        except (ValueError, ZeroDivisionError) as exc:
+            stream = rational_to_point(_read_rational(args.synthetic))
+        except ValueError as exc:
             raise CliParseError(f"bad synthetic value: {exc}")
     else:
         try:

@@ -450,9 +450,19 @@ class BaireEncoding:
         return state[0]
 
 
+_ENCODE_LOCK = threading.Lock()
+
+
 def baire_encode(space: Space) -> BaireEncoding:
-    """Present an enumerated space as a spread over Baire sequences."""
-    return BaireEncoding(space)
+    """The space's one spread presentation over Baire sequences, built on the
+    first call: its level, forward and inverse caches fill across calls and
+    die with the space, which holds it (a cycle the collector frees).  The
+    caches of a cached std_space grow for the life of the process, as
+    _PARENTS does.  BaireEncoding(space) builds a fresh encoding."""
+    with _ENCODE_LOCK:
+        if "_baire_encoding" not in vars(space):
+            space._baire_encoding = BaireEncoding(space)
+        return space._baire_encoding
 
 
 # ---------------------------------------------------------------------------

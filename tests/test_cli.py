@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -188,6 +189,42 @@ def test_linecall_synthetic_verdicts(capsys):
         code, out, _ = run(capsys, "linecall", f"--synthetic={value}")
         assert code == 0
         assert out.strip() == expected
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("7" * 5000, "IN"),
+    ("-" + "7" * 5000, "OUT"),
+    ("0." + "0" * 5000 + "1", "LET"),
+    ("1" + "0" * 5000 + "/" + "3" * 5000, "IN"),  # 3.000...3
+], ids=["integer", "negative", "decimal", "slashed"])
+def test_linecall_reads_a_synthetic_value_of_any_length(capsys, value, expected):
+    assert run(capsys, "linecall", f"--synthetic={value}") == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("value, text", [
+    ("1/0", "zero denominator"),
+    ("-3/0_0", "zero denominator"),
+    ("1e99999999999999999999", "exponent out of range"),
+    ("1/3x", "Invalid literal for Fraction: '1/3x'"),
+])
+def test_linecall_names_what_is_wrong_with_a_synthetic_value(capsys, value, text):
+    assert run(capsys, "linecall", f"--synthetic={value}") == (
+        1, "", f"parse error: bad synthetic value: {text}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789٣._eE+-/ d", max_size=12).filter(
+    lambda text: not re.search(r"e[-+]?\d{3}", text, re.IGNORECASE)))  # exponents below 100
+def test_a_synthetic_value_reads_as_fraction_reads_it(text):
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        expected = "zero denominator" if isinstance(exc, ZeroDivisionError) else str(exc)
+    try:
+        got = cli._read_rational(text)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 def test_linecall_stream_file(tmp_path, capsys):

@@ -289,9 +289,9 @@ def _trail_calls(draw, k):
 @given(data=st.data())
 def test_h_inverse_trail_matches_the_from_scratch_loop(k, data):
     space = ns.std_space(f"T{k}")
-    enc = ns.baire_encode(space)
+    enc = ns.BaireEncoding(space)  # fresh, as is the oracle's: neither reads the shared caches
     for t in data.draw(_trail_calls(k)):
-        expected = oracles.h_inverse_trail_reference(ns.baire_encode(space), t)
+        expected = oracles.h_inverse_trail_reference(ns.BaireEncoding(space), t)
         assert enc.h_inverse_trail(t).syms == expected, t
 
 
@@ -300,31 +300,33 @@ def test_h_inverse_trail_matches_the_from_scratch_loop(k, data):
 @given(data=st.data())
 def test_level_index_matches_the_linear_scan(k, data):
     space = ns.std_space(f"T{k}")
-    enc = ns.baire_encode(space)
+    enc = ns.BaireEncoding(space)  # fresh: its levels start undrawn
     tops = [space.max_dot] + [Seq((x,) * n) for x in range(k) for n in (1, 2)]
     a = data.draw(st.sampled_from(tops))
     n = len(a.syms) + data.draw(st.integers(1, 2))
-    members = [ns.baire_encode(space).level_member(n, a, j) for j in range(6)]
+    members = [ns.BaireEncoding(space).level_member(n, a, j) for j in range(6)]
     for j in data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=8)):  # drawn or not yet
         assert enc.level_index(n, a, members[j]) == j == oracles.level_index_reference(
-            ns.baire_encode(space), n, a, members[j])
+            ns.BaireEncoding(space), n, a, members[j])
 
 
-def test_an_exhausted_level_index_keeps_its_defect_text(t3, monkeypatch):
+def test_an_exhausted_level_index_keeps_its_defect_text(monkeypatch):
+    t3 = spaces._STD_BUILDERS["T3"]()  # no level of it drawn under the full budget
     monkeypatch.setattr(encodings, "LEVEL_SCAN_BUDGET", 20)
     not_in_level = Seq((0,) * 30)  # past the scan
     errors = []
     for index in (ns.baire_encode(t3).level_index,
-                  functools.partial(oracles.level_index_reference, ns.baire_encode(t3))):
+                  functools.partial(oracles.level_index_reference, ns.BaireEncoding(t3))):
         with pytest.raises(ns.EncodingDefect) as err:
             index(1, t3.max_dot, not_in_level)
         errors.append(str(err.value))
     assert errors[0] == errors[1] and "needed member" in errors[0]
 
 
-def test_an_inverse_call_that_raises_caches_nothing(t3, monkeypatch):
+def test_an_inverse_call_that_raises_caches_nothing(monkeypatch):
     # <0>*12 is the 9th member (index 8) of level 3 under <0,0,0,0>, enumerated
     # at 34: past a scan budget of 30, while levels 1 and 2 stay inside it
+    t3 = spaces._STD_BUILDERS["T3"]()  # no level of it drawn under the full budget
     t = Trail((Seq((0,) * 3), Seq((0,) * 4), Seq((0,) * 12)))
     prefix = Trail(t.items[:2])
     enc = ns.baire_encode(t3)
@@ -336,10 +338,27 @@ def test_an_inverse_call_that_raises_caches_nothing(t3, monkeypatch):
         texts.append(str(err.value))
     assert texts[0] == texts[1] and "level 3 under <0,0,0,0>" in texts[0]
     monkeypatch.undo()  # the budget back: the prefix's levels are whole
+    # fresh encodings for the whole trail: enc's level 3 was scanned to its end under 30
     assert enc.h_inverse_trail(prefix).syms == oracles.h_inverse_trail_reference(
-        ns.baire_encode(t3), prefix) == (6, 1)
-    assert ns.baire_encode(t3).h_inverse_trail(t).syms == oracles.h_inverse_trail_reference(
-        ns.baire_encode(t3), t) == (6, 1, 8)
+        ns.BaireEncoding(t3), prefix) == (6, 1)
+    assert ns.BaireEncoding(t3).h_inverse_trail(t).syms == oracles.h_inverse_trail_reference(
+        ns.BaireEncoding(t3), t) == (6, 1, 8)
+
+
+def test_baire_encode_returns_the_one_encoding_of_its_space(t3):
+    assert ns.baire_encode(t3) is ns.baire_encode(t3)
+    assert ns.BaireEncoding(t3) is not ns.baire_encode(t3)
+    assert ns.baire_encode(spaces._STD_BUILDERS["T3"]()) is not ns.baire_encode(t3)
+
+
+def test_a_dropped_space_takes_its_baire_encoding_along():
+    space = spaces._STD_BUILDERS["T3"]()
+    enc = ns.baire_encode(space)
+    enc.h(Seq((1, 0)))  # fills its level and forward caches
+    gone = weakref.ref(enc)
+    del space, enc
+    gc.collect()
+    assert gone() is None
 
 
 def test_baire_encode_forward_is_surjective_on_dots(t3):

@@ -389,8 +389,10 @@ def test_concurrent_readers_get_the_single_threaded_stream(ext01):
         return [enc.h(w) for w in words] + [enc.h_inverse_trail(t) for t in trails]
 
     alone = encode(ns.baire_encode(spaces._STD_BUILDERS["T3"]()))
-    enc = ns.baire_encode(spaces._STD_BUILDERS["T3"]())
-    assert _read_together(lambda: encode(enc)) == [alone] * 4
+    t3 = spaces._STD_BUILDERS["T3"]()
+    shared = _read_together(lambda: ns.baire_encode(t3))  # the one encoding of a fresh space
+    assert all(enc is ns.baire_encode(t3) for enc in shared)
+    assert _read_together(lambda: encode(ns.baire_encode(t3))) == [alone] * 4
 
     # one sigma_R: its unglued copies share one predecessor map, filled from four threads
     dots = [D(n, m) for m in range(1, 12) for n in range(-5, 6)]

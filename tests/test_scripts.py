@@ -69,6 +69,17 @@ def test_bench_pairs_summary_of_fabricated_runs():
     assert (rss["change_better_pairs"], rss["change_worse_pairs"]) == (1, 2)
 
 
+def test_bench_pairs_layer_counts_list_the_counts_that_differ_first():
+    traced = {"parent": {"metrics": {"b.calls": 5, "a.calls": 1008, "c.calls": 7, "z.pulls": 2}},
+              "change": {"metrics": {"b.calls": 5, "a.calls": 365, "c.calls": 7, "z.pulls": 3}}}
+    assert _bench_pairs().layer_counts(traced) == [
+        {"name": "a.calls", "parent": 1008, "change": 365},
+        {"name": "z.pulls", "parent": 2, "change": 3},
+        {"name": "b.calls", "parent": 5, "change": 5},
+        {"name": "c.calls", "parent": 7, "change": 7},
+    ]
+
+
 def test_bench_pairs_refuse_a_pair_whose_answers_differ():
     bp = _bench_pairs()
     bp.check_pair(0, {"parent": _run(1, 1), "change": _run(2, 2)})
