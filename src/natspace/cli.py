@@ -15,13 +15,12 @@ import functools
 import json
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .dots import (
     Dot, Seq, dot_from_json, dot_to_json, endpoints, int_endpoints, meeting_segment,
-    merged_segments, rational_text,
+    merged_segments, rational_text, read_rational,
 )
 from .induction import BarDefect, Cover, GeneticBar, bar_from_json, finite_subcover
 from .metric import DIGIT_CAP, MetricDefect, MetricEvaluator, evaluate_metric, metric_digit_goal
@@ -150,16 +149,15 @@ class _Parser:
                 args.append(self.expr())
             self.take(")")
             return (tok, *args)
-        if tok is not None and tok.isdecimal():  # Decimal reads past int()'s digit limit
-            num = int(Decimal(self.take()))
+        if tok is not None and tok.isdecimal():
+            text = self.take()
             if self.peek() == "/":
                 self.take()
-                den_tok = self.take()
-                den = int(Decimal(den_tok)) if den_tok.isdecimal() else 0
-                if den == 0:
+                den = self.take()
+                if not den.isdecimal() or not read_rational(den):
                     raise CliParseError("denominator must be a positive integer")
-                return ("rat", Fraction(num, den))
-            return ("rat", Fraction(num))
+                text += "/" + den
+            return ("rat", read_rational(text))
         if tok is None:
             raise CliParseError("unexpected end of expression")
         raise CliParseError(f"unexpected token {tok!r}")
@@ -242,7 +240,7 @@ def _parsing(where: str):
     the wrong type or value, or nesting too deep to read, is a parse error."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CliParseError(f"{where}: {type(exc).__name__}: {exc}")
 
 
@@ -320,27 +318,11 @@ def _cmd_cantor(args, out) -> int:
     return 0
 
 
-def _read_rational(text: str) -> Fraction:
-    """Fraction(text) at any length: Fraction checks the form with each run of
-    digits cut to one digit, and Decimal, with no digit limit, reads the value."""
-    try:
-        Fraction(re.sub(r"\d+", "1", text))
-        num, _, den = text.strip().partition("/")
-        num, den = Decimal(num), Decimal(den or 1)
-    except ValueError:
-        return Fraction(text)  # raises on the text as it always has
-    except ArithmeticError:  # an exponent past Decimal's range
-        raise ValueError("exponent out of range") from None
-    if not den:
-        raise ValueError("zero denominator")
-    return Fraction(num) / Fraction(den)
-
-
 def _cmd_linecall(args, out) -> int:
     space = std_space("sigma_R")
     if args.synthetic is not None:
         try:
-            stream = rational_to_point(_read_rational(args.synthetic))
+            stream = rational_to_point(read_rational(args.synthetic))
         except ValueError as exc:
             raise CliParseError(f"bad synthetic value: {exc}")
     else:

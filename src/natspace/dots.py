@@ -11,6 +11,7 @@ dot identity).
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
@@ -359,15 +360,28 @@ def nary_seq(d: NaryInterval) -> Seq:
 # ---------------------------------------------------------------------------
 
 
-def rational_text(q: Fraction) -> str:
-    """str(q), "n/d" or "n", at any length: Decimal prints an integer past
-    Python's int-to-str digit limit."""
+def rational_text(q: Fraction, slash: bool = False) -> str:
+    """str(q), "n/d" or "n" ("n/d" always with slash), at any length: Decimal
+    prints an integer past Python's int-to-str digit limit."""
     num = str(Decimal(q.numerator))
-    return f"{num}/{Decimal(q.denominator)}" if q.denominator != 1 else num
+    return f"{num}/{Decimal(q.denominator)}" if slash or q.denominator != 1 else num
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def read_rational(text: str) -> Fraction:
+    """Fraction(text) at any length: Fraction checks the form with each run of
+    digits cut to one digit, and Decimal, with no digit limit, reads the value.
+    Every bad text raises ValueError, a zero denominator too."""
+    try:
+        Fraction(re.sub(r"\d+", "1", text))
+        num, _, den = text.strip().partition("/")
+        (n, d), (dn, dd) = Decimal(num).as_integer_ratio(), Decimal(den or 1).as_integer_ratio()
+    except ValueError:
+        return Fraction(text)  # raises on the text as it always has
+    except ArithmeticError:  # an exponent past Decimal's range
+        raise ValueError("exponent out of range") from None
+    if not dn:
+        raise ValueError("zero denominator")
+    return Fraction(n * dd, d * dn)
 
 
 def dot_to_json(d: Dot) -> dict:
@@ -377,7 +391,8 @@ def dot_to_json(d: Dot) -> dict:
     if isinstance(d, DyadicInterval):
         return {"kind": "dyadic", "n": d.n, "m": d.m}
     if isinstance(d, RatInterval):
-        return {"kind": "rat", "lo": _frac_str(d.lo), "hi": _frac_str(d.hi)}
+        return {"kind": "rat", "lo": rational_text(d.lo, slash=True),
+                "hi": rational_text(d.hi, slash=True)}
     if isinstance(d, NaryInterval):
         return {"kind": "nary", "base": d.base, "n": d.n, "m": d.m}
     if isinstance(d, Seq):
@@ -408,7 +423,7 @@ def dot_from_json(obj: dict) -> Dot:
     if kind == "dyadic":
         return DyadicInterval(_json(obj["n"], int), _json(obj["m"], int))
     if kind == "rat":
-        return RatInterval(Fraction(_json(obj["lo"], str)), Fraction(_json(obj["hi"], str)))
+        return RatInterval(*(read_rational(_json(obj[end], str)) for end in ("lo", "hi")))
     if kind == "nary":
         return NaryInterval(_json(obj["base"], int), _json(obj["n"], int), _json(obj["m"], int))
     if kind == "seq":

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from . import spaces
@@ -166,10 +165,6 @@ def id_str(space: Space) -> Morphism:
 # ---------------------------------------------------------------------------
 
 
-# per space: dot -> its predecessors but the max dot (see CoverTrails)
-_PARENTS: "weakref.WeakKeyDictionary[Space, Dict[Dot, Tuple[Dot, ...]]]" = weakref.WeakKeyDictionary()
-
-
 class CoverTrails:
     """The immediate-successor trails from a grade-1 dot down to a (the
     distinct unglued copies of a), read off the predecessor DAG above a
@@ -178,16 +173,16 @@ class CoverTrails:
     first trail takes the first predecessor at every step); len counts the
     trails level by level without building any.
 
-    Every CoverTrails of one space shares that space's predecessor map in
-    _PARENTS, so the walks of neighbouring dots climb through ancestors
-    once.  An entry depends only on the space and dies with it; the map
-    holds only dots that some walk reached; threads that race on a dot
-    store equal values."""
+    Every CoverTrails of one space shares that space's predecessor map, kept
+    on the space as space.derived(CoverTrails, dict) (dot -> its predecessors
+    but the max dot), so the walks of neighbouring dots climb through
+    ancestors once.  The map holds only dots that some walk reached; threads
+    that race on a dot store equal values."""
 
     def __init__(self, space: Space, a: Dot):
         self.space = space
         self.a = a
-        self._up = _PARENTS.setdefault(space, {})
+        self._up = space.derived(CoverTrails, dict)
 
     def _parents(self, d: Dot) -> Tuple[Dot, ...]:
         up = self._up.get(d)
@@ -365,6 +360,7 @@ class BaireEncoding:
         self._levels: Dict[Tuple[int, Dot], spaces.Lazy] = {}
         self._h_cache: Dict[Seq, Dot] = {}
         self._inv_cache: Dict[Tuple[Dot, ...], Tuple[Seq, Dot]] = {}
+        self._pairs = spaces.Lazy(self._apart_pairs)
         self._lock = threading.RLock()
 
     # e-grades ------------------------------------------------------------------
@@ -372,8 +368,16 @@ class BaireEncoding:
     def chooses(self, d: Dot, i: int) -> bool:
         if i == 0:
             return True
-        x, y = self.space.apart_pair(i - 1)
+        x, y = self._pairs[i - 1]
         return self.space.apart(d, x) or self.space.apart(d, y)
+
+    def _apart_pairs(self) -> Iterator[Tuple[Dot, Dot]]:
+        """The apart dot pairs, diagonally over the dot enumeration."""
+        for j in itertools.count(1):
+            ej = self.space.enumerate_dot(j)
+            for ei in map(self.space.enumerate_dot, range(j)):
+                if self.space._apart(ei, ej):  # the raw hook, as subfan_Wx reads it
+                    yield (ei, ej)
 
     def has_e_grade(self, d: Dot, n: int) -> bool:
         return all(self.chooses(d, i) for i in range(1, n))
@@ -450,19 +454,13 @@ class BaireEncoding:
         return state[0]
 
 
-_ENCODE_LOCK = threading.Lock()
-
-
 def baire_encode(space: Space) -> BaireEncoding:
-    """The space's one spread presentation over Baire sequences, built on the
-    first call: its level, forward and inverse caches fill across calls and
-    die with the space, which holds it (a cycle the collector frees).  The
-    caches of a cached std_space grow for the life of the process, as
-    _PARENTS does.  BaireEncoding(space) builds a fresh encoding."""
-    with _ENCODE_LOCK:
-        if "_baire_encoding" not in vars(space):
-            space._baire_encoding = BaireEncoding(space)
-        return space._baire_encoding
+    """The space's one spread presentation over Baire sequences, kept on the
+    space by space.derived: its level, forward and inverse caches fill across
+    calls and die with the space.  The caches of a cached std_space grow for
+    the life of the process, as its predecessor map does.
+    BaireEncoding(space) builds a fresh encoding."""
+    return space.derived(BaireEncoding, lambda: BaireEncoding(space))
 
 
 # ---------------------------------------------------------------------------

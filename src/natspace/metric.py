@@ -172,15 +172,11 @@ class _TouchSet:
         return _TouchSet(self.space, (c for c in rest if self.touches(c)), row, runs)
 
 
-# per space: grade -> _level_row(space, grade); an entry dies with its space
-_LEVEL_ROWS: "weakref.WeakKeyDictionary[Space, Dict[int, tuple]]" = weakref.WeakKeyDictionary()
-
-
 def _level_row(space: Space, g: int) -> Tuple[Optional[tuple], Tuple[Dot, ...]]:
     """(row, rest): level g's interval dots as one dots.interval_row and
     its other dots in level order, or (None, level) when they are no row.
     The root is never a row: rest dots may touch it, which no segment shows."""
-    rows = _LEVEL_ROWS.setdefault(space, {})
+    rows = space.derived(_level_row, dict)
     if g not in rows:
         level = space.level(g)
         row = interval_row(c for c in level if is_interval(c) and c != space.max_dot)

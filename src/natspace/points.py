@@ -41,11 +41,11 @@ class Point:
         dots: Callable[[], Iterable[Dot]],
         steps_for_grade: Optional[Callable[[int], int]] = None,
         strictness_bound: Optional[int] = None,
-        name: str = "",
+        name: Union[str, Callable[[], str]] = "",
     ):
         self.space = space
         self.steps_for_grade = steps_for_grade or (lambda g: STRICTNESS_BOUND * (g + 1) + 16)
-        self.name = name
+        self._name = name
         self.items: List[Dot] = []
         self._iter = iter(dots())
         self._error: Optional[Exception] = None
@@ -53,6 +53,12 @@ class Point:
         self._bound = strictness_bound
         self._repeats = 0  # how many dots in a row equal the one before
         self._lock = threading.RLock()
+
+    @property
+    def name(self) -> str:  # a name given as a function is written on its first read
+        if callable(self._name):
+            self._name = self._name()
+        return self._name
 
     def dot(self, k: int) -> Dot:
         items = self.items
@@ -250,7 +256,7 @@ def rational_to_point(q: Fraction) -> Point:
         gen,
         steps_for_grade=lambda g: g + 1,
         strictness_bound=STRICTNESS_BOUND,
-        name=f"rat({rational_text(q)})",
+        name=lambda: f"rat({rational_text(q)})",  # a line call never reads it
     )
 
 

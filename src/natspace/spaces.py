@@ -46,6 +46,7 @@ class SpaceDefect(Exception):
 
 
 SCAN_BUDGET = 500_000  # enumerated dots one search for a dot may scan
+_DERIVED_LOCK = threading.RLock()  # Space.derived's builds, reentrant: one may read another
 
 
 class Lazy:
@@ -122,8 +123,9 @@ class Space:
     once, from (max_dot,); a space may state it in closed form as level(g).
 
     Immutable after construction except for its caches, so shareable: the
-    enumeration, apart-pair and level-set streams draw under their Lazy's
-    lock, and the index scan runs under the space's own lock.
+    enumeration and level-set streams draw under their Lazy's lock, and the
+    index scan runs under the space's own lock.  Data that other modules
+    derive from a space is kept on it through derived, so it dies with it.
     """
 
     def __init__(
@@ -163,7 +165,7 @@ class Space:
             self._index_cache: dict = {}
             self._indexed = 0  # enumeration indices below this are in _index_cache
             self._lock = threading.RLock()
-        self._pairs = Lazy(self._apart_pairs)
+        self._derived: dict = {}
         closed = None if level is None else lambda: map(level, itertools.count())  # never ends
         self._levels = Lazy(closed or self._level_sets)
 
@@ -239,17 +241,15 @@ class Space:
             if self.strictly_refines(e, d):
                 yield e
 
-    def apart_pair(self, idx: int) -> Tuple[Dot, Dot]:
-        """The idx-th apart dot pair (diagonal over the dot enumeration)."""
-        return self._pairs[idx]
-
-    def _apart_pairs(self) -> Iterator[Tuple[Dot, Dot]]:
-        for j in itertools.count(1):
-            ej = self.enumerate_dot(j)
-            for i in range(j):
-                ei = self.enumerate_dot(i)
-                if self._apart(ei, ej):
-                    yield (ei, ej)
+    def derived(self, key, build: Callable[[], object]):
+        """The value of build() that key names, built once under one lock and
+        kept on the space, so it dies with the space: the one place for data
+        derived from a space (one that holds it makes a cycle gc frees)."""
+        if key not in self._derived:
+            with _DERIVED_LOCK:
+                if key not in self._derived:
+                    self._derived[key] = build()
+        return self._derived[key]
 
     # -- graded structure ----------------------------------------------------
 

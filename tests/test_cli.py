@@ -23,7 +23,7 @@ from natspace.cli import (
     eval_expression_bounds, main, parse_expression,
 )
 from natspace.dots import (
-    DyadicInterval as D, NaryInterval, RatInterval, Seq, dot_to_json, endpoints,
+    DyadicInterval as D, NaryInterval, RatInterval, Seq, dot_to_json, endpoints, read_rational,
 )
 from natspace.morphisms import LINE_CALL_MAX_EXPONENT
 
@@ -146,6 +146,26 @@ def test_a_file_integer_too_long_to_read_is_a_parse_error(tmp_path, capsys, comm
         1, "", f"parse error: {path}: an integer of 5000 digits is too long to read\n")
 
 
+@pytest.mark.parametrize("digits", [1, 5000])
+def test_a_rat_endpoint_reads_at_any_length(tmp_path, capsys, digits):
+    # R_rat has no grades, so a file that reads gets this answer
+    path = tmp_path / "rat.json"
+    path.write_text('[{"kind": "rat", "lo": "0", "hi": "%s"}]' % ("7" * digits))
+    assert run(capsys, "metric", "R_rat", str(path), str(path)) == (
+        2, "", "error: R_rat: no grade structure\n")
+
+
+@pytest.mark.parametrize("hi, text", [
+    ("1/0", "zero denominator"),
+    ("1e99999999999999999999", "exponent out of range"),  # Fraction(str) builds 10**exp
+])
+def test_a_bad_rat_endpoint_is_a_parse_error(tmp_path, capsys, hi, text):
+    path = tmp_path / "rat.json"
+    path.write_text('[{"kind": "rat", "lo": "0", "hi": "%s"}]' % hi)
+    assert run(capsys, "metric", "R_rat", str(path), str(path)) == (
+        1, "", f"parse error: {path}: ValueError: {text}\n")
+
+
 @pytest.mark.parametrize("expr", ["²", "1/²", "1+²", "1²"])
 def test_eval_non_decimal_digits_parse_error(capsys, expr):
     # str.isdigit accepts a superscript two, which int() rejects
@@ -221,7 +241,7 @@ def test_a_synthetic_value_reads_as_fraction_reads_it(text):
     except (ValueError, ZeroDivisionError) as exc:
         expected = "zero denominator" if isinstance(exc, ZeroDivisionError) else str(exc)
     try:
-        got = cli._read_rational(text)
+        got = read_rational(text)
     except ValueError as exc:
         got = str(exc)
     assert got == expected

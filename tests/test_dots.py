@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import natspace as ns
 import oracles
@@ -286,7 +286,29 @@ def test_seq_extends():
         TupleDot((D(0, 1), Seq((1,)))),
         ns.RatInterval(F(1, 3), F(2, 3)),
         ns.Trail((Seq(()), Seq((1,)))),
+        ns.RatInterval(F(-(10**6000) + 1, 7), F(10**5999, 10**6000 - 1)),  # past int/str's limit
     ],
 )
 def test_json_round_trip(dot):
     assert dot_from_json(dot_to_json(dot)) == dot
+
+
+def _long_integers(low):
+    """Integers from low up of 1 to 6,000 digits: the length k is drawn
+    first, about half the time past int/str's 4,300-digit limit, then a
+    k-digit integer (a one-digit one from low)."""
+    lengths = st.integers(1, 6000) | st.integers(4301, 6000)
+    return lengths.flatmap(lambda k: st.integers(10 ** (k - 1) if k > 1 else low, 10**k - 1))
+
+
+long_rationals = st.builds(
+    F, st.tuples(st.booleans(), _long_integers(0)).map(lambda s: -s[1] if s[0] else s[1]),
+    _long_integers(1),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(long_rationals, min_size=2, max_size=2, unique=True).map(sorted))
+def test_a_rat_dot_round_trips_at_any_length(ends):
+    d = RatInterval(*ends)
+    assert dot_from_json(dot_to_json(d)) == d

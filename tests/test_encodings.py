@@ -177,21 +177,25 @@ def test_cover_trails_share_one_predecessor_map_per_space(name):
         dots = [a for g in range(9) for a in space.level(g)]
     listed = [(_listed(space, a), len(_listed(space, a))) for a in dots]
     assert _walks(space, dots) == listed
-    assert space in encodings._PARENTS
+    assert space.derived(encodings.CoverTrails, dict)  # the space's map, filled
     # a second pass in the other order reads the map the first pass filled
     assert _walks(space, dots[::-1]) == listed[::-1]
 
 
+class _Map(dict):
+    """A dict that a weak reference can watch."""
+
+
 def test_a_dropped_space_takes_its_predecessor_map_along():
     space = spaces._STD_BUILDERS["sigma_R"]()
+    up = space.derived(encodings.CoverTrails, _Map)  # the map the walk below fills
     assert len(ns.cover_trails(space, D(5, 9))) == len(_listed(space, D(5, 9)))
-    assert space in encodings._PARENTS
-    gc.collect()  # only this space is dropped below
-    entries, gone = len(encodings._PARENTS), weakref.ref(space)
-    del space
+    assert up
+    gone, gone_map = weakref.ref(space), weakref.ref(up)
+    del space, up
     gc.collect()
     assert gone() is None
-    assert len(encodings._PARENTS) == entries - 1
+    assert gone_map() is None
 
 
 def _unmarked(f):

@@ -7,7 +7,10 @@ through endpoints, width, interval_gap, grid_ancestors and grid_neighbours,
 so the layouts are stated once; metric.py reads no grid field (n, m, base)
 at all.  metric.py and induction.py never name Isolated: they ask a space
 through is_isolated, touch and apart, so the isolated-point rules stay with
-the extension."""
+the extension.  Only dots.py names Decimal: rationals are read and written
+there, through read_rational and rational_text.  No module keeps a
+WeakKeyDictionary of its own: data derived from a space is kept on the
+space through Space.derived, so it dies with the space."""
 
 import ast
 from pathlib import Path
@@ -60,3 +63,26 @@ def test_never_names_isolated(module):
         or isinstance(node, ast.Attribute) and node.attr == "Isolated"
     ]
     assert names == []
+
+
+def _names(node) -> set:
+    """Every name, attribute and imported name under node."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_only_dots_names_decimal():
+    named = [path.name for path in sorted(_PACKAGE.glob("*.py"))
+             if "Decimal" in _names(ast.parse(path.read_text()))]
+    assert named == ["dots.py"]
+
+
+def test_no_module_keeps_a_weak_key_dictionary():
+    kept = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        and "WeakKeyDictionary" in _names(node.value)
+    ]
+    assert kept == []

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import natspace as ns
 from natspace.dots import DyadicInterval as D, Isolated, Seq, grid_ancestors, interval_row
 from natspace.metric import (
-    _CONE_A, _CONE_B, DIGIT_CAP, MAX_LEVEL_GRADE, MetricDefect, _LEVEL_ROWS, _level_row, _shift,
+    _CONE_A, _CONE_B, DIGIT_CAP, MAX_LEVEL_GRADE, MetricDefect, _level_row, _shift,
     _TouchSet,
 )
 
@@ -350,7 +350,7 @@ def test_fan_zones_mix_row_levels_with_levels_taken_dot_by_dot(no_rows):
     levels of a fresh sigma_[0,1]^+ are marked as no row)."""
     space = ns.extend_with_isolated_point(ns.std_space("sigma_[0,1]"))
     for g in no_rows:
-        _LEVEL_ROWS.setdefault(space, {})[g] = (None, space.level(g))
+        space.derived(_level_row, dict)[g] = (None, space.level(g))
     for a, b in [(D(0, 3), D(6, 3)), (Isolated(2), D(2, 3)), (D(0, 4), D(9, 4))]:
         f, ref = _fan_and_reference(space, a, b, 7)
         assert len(f.t) > 2

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspace as ns
-from natspace import spaces
+from natspace import points, spaces
 from natspace.cli import compile_expression, main, parse_expression
 from natspace.dots import DyadicInterval as D, Seq, Trail, dot_to_json
 from natspace.points import PointDefect, normalized_dots
@@ -37,6 +37,20 @@ def test_zero_starts_at_the_centered_unit_dot():
     p = ns.rational_to_point(F(0))
     assert p.dot(0) in (ns.MAX, D(-1, 0))
     assert ns.approximate(p, 1) == D(-1, 0)  # [-1,1], the m=0 centered dot
+
+
+@pytest.mark.parametrize("q, name", [
+    (F(1, 3), "rat(1/3)"), (F(-7), "rat(-7)"), (F(10**5000, 3), f"rat(1{'0' * 5000}/3)"),
+], ids=["1/3", "-7", "5001 digits"])
+def test_a_rational_point_writes_its_name_when_it_is_read(monkeypatch, q, name):
+    def refuse(*_):
+        raise AssertionError("the name was written before it was read")
+
+    monkeypatch.setattr(points, "rational_text", refuse)
+    p = ns.rational_to_point(q)
+    assert ns.line_call(p, 8) == ("IN" if q > 0 else "OUT")
+    monkeypatch.undo()
+    assert p.name == name
 
 
 @given(
