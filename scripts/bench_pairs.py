@@ -12,7 +12,8 @@ A pair whose two runs give different answer digests stops the script with
 exit 1.  Progress goes to stderr; stdout is one JSON object, workload ->
 summary: per end-to-end metric the parent's and the change's runs with
 their inclusive quartiles, the ratio of the medians, the parent's IQR over
-its median, and the pairs in which the change is better or worse.
+its median, the pairs in which the change is better or worse, and a
+verdict (see `verdict`), which stderr lists too.
 
 With --trace, each workload's pairs are followed by one `bench/run.py
 --trace 1` run in each checkout, and the summary gains layer_counts: every
@@ -104,6 +105,20 @@ def summarize(pairs: List[Dict[str, dict]], better: Dict[str, str]) -> dict:
     return out
 
 
+def verdict(metric: dict, direction: str, bound: float) -> str:
+    """A metric summary's verdict: "gain" when the change is better in at
+    least 9 of 10 pairs and its median beats the parent's by more than the
+    parent's IQR, "worse" when its median is worse than the parent's by more
+    than bound (a fraction of the parent's median, as BENCHMARK.json gives
+    it), and "within" otherwise."""
+    parent, change = metric["parent"], metric["change"]
+    gap = (change["median"] - parent["median"]) * (1 if direction == "higher" else -1)
+    if (10 * metric["change_better_pairs"] >= 9 * len(parent["runs"])
+            and gap > parent["q3"] - parent["q1"]):
+        return "gain"
+    return "worse" if -gap > bound * abs(parent["median"]) else "within"
+
+
 def layer_counts(traced: Dict[str, dict]) -> List[dict]:
     """The count metrics of a traced run per side as {name, parent, change}
     rows, the counts that differ first, each group by name."""
@@ -128,6 +143,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     for checkout in checkouts.values():
         compile_fresh(checkout)
     summary = {}
@@ -142,6 +158,9 @@ def main(argv=None) -> int:
                 qps = {s: round(runs[s]["metrics"]["throughput_qps"], 1) for s in SIDES}
                 print(f"{workload} pair {k}: throughput_qps {qps}", file=sys.stderr)
             summary[workload] = summarize(pairs, better)
+            for name, metric in summary[workload]["metrics"].items():
+                metric["verdict"] = verdict(metric, better[name], bounds[name])
+                print(f"{workload} {name}: {metric['verdict']}", file=sys.stderr)
             if args.trace:
                 traced = {side: run_once(checkouts[side], workload, args.seed, trace=1)
                           for side in SIDES}

@@ -221,14 +221,16 @@ def _resolve_space(name: str):
         raise CliSemanticError(str(exc))
 
 
-def _read_json(path: str):
+def _read_json(path: str, lines: bool = False):
+    """The value of a JSON file ("-": stdin), or with lines that of each nonblank line."""
     read_int = functools.partial(_json_int, path)
     try:
-        if path == "-":
-            return json.load(sys.stdin, parse_int=read_int)
-        with open(path, "r", encoding="utf-8") as fh:
+        with (contextlib.nullcontext(sys.stdin) if path == "-"
+              else open(path, encoding="utf-8")) as fh:
+            if lines:
+                return [json.loads(line, parse_int=read_int) for line in fh if line.strip()]
             return json.load(fh, parse_int=read_int)
-    except (json.JSONDecodeError, RecursionError) as exc:  # syntax, or nested too deeply
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliParseError(f"{path}: {exc}")
     except OSError as exc:
         raise CliSemanticError(str(exc))
@@ -326,17 +328,7 @@ def _cmd_linecall(args, out) -> int:
         except ValueError as exc:
             raise CliParseError(f"bad synthetic value: {exc}")
     else:
-        try:
-            if args.input == "-":
-                fh = contextlib.nullcontext(sys.stdin)
-            else:
-                fh = open(args.input, "r", encoding="utf-8")
-        except OSError as exc:
-            raise CliSemanticError(str(exc))
-        with fh as lines, _parsing(args.input):
-            read_int = functools.partial(_json_int, args.input)
-            objs = [json.loads(line, parse_int=read_int) for line in lines if line.strip()]
-        dots = _read_dots(space, objs, args.input)
+        dots = _read_dots(space, _read_json(args.input, lines=True), args.input)
         if not dots:
             raise CliSemanticError("empty measurement stream")
         stream = point_from_prefix(space, dots, name="measurements")

@@ -370,14 +370,17 @@ def rational_text(q: Fraction, slash: bool = False) -> str:
 def read_rational(text: str) -> Fraction:
     """Fraction(text) at any length: Fraction checks the form with each run of
     digits cut to one digit, and Decimal, with no digit limit, reads the value.
-    Every bad text raises ValueError, a zero denominator too."""
+    Every bad text raises ValueError, a zero denominator too, and an exponent
+    past 10**6 (in Decimal's terms), whose power of ten takes seconds to build."""
     try:
         Fraction(re.sub(r"\d+", "1", text))
         num, _, den = text.strip().partition("/")
-        (n, d), (dn, dd) = Decimal(num).as_integer_ratio(), Decimal(den or 1).as_integer_ratio()
+        if abs((x := Decimal(num)).as_tuple().exponent) > 10**6:  # a denominator has none
+            raise ArithmeticError
+        (n, d), (dn, dd) = x.as_integer_ratio(), Decimal(den or 1).as_integer_ratio()
     except ValueError:
         return Fraction(text)  # raises on the text as it always has
-    except ArithmeticError:  # an exponent past Decimal's range
+    except ArithmeticError:  # an exponent past the cap or past Decimal's range
         raise ValueError("exponent out of range") from None
     if not dn:
         raise ValueError("zero denominator")

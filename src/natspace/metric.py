@@ -309,19 +309,25 @@ class UrysohnFunction:
         depth budget cut off."""
         return tuple(self.pending_set)
 
+    def adds_digit(self, held: int, grade: Optional[int] = None) -> bool:
+        """Whether a dot of that grade (by default, any later dot) may read past held digits."""
+        return True
+
     def value_bounds(self, x: Point, digit_goal: int) -> Tuple[Fraction, Fraction]:
-        """Sound rational bounds on the realized value at the point x,
-        walking the stream until digit_goal ternary digits are available or
-        x's dots reach the grade that many digits need (fewer digits widen
-        the bounds)."""
+        """Sound rational bounds on the realized value at the point x, walking
+        the stream until digit_goal ternary digits are available, x's dots
+        reach the grade that many digits need, or no later dot can add a digit
+        (fewer digits widen the bounds); a dot that cannot add one is skipped."""
         needed = self.grade_for_digits(digit_goal)
         best = Seq(())
         for k in range(x.steps_for_grade(needed) + 2):
+            if not self.adds_digit(len(best)):
+                break
             d = x.dot(k)
-            got = self.digits(d)
-            if len(got.syms) > len(best.syms):
+            g = self.space.grade(d)
+            if self.adds_digit(len(best), g) and len(got := self.digits(d)) > len(best):
                 best = got
-            if len(best.syms) >= digit_goal or self.space.grade(d) >= needed:
+            if len(best) >= digit_goal or g >= needed:
                 break
         return seq_interval(best, 3)
 
@@ -402,9 +408,10 @@ class _FanZones(UrysohnFunction):
     # -- level construction --------------------------------------------------
 
     def ensure_level(self, n: int) -> None:
-        with self._lock:
-            while len(self.t) <= n and not self.exhausted:
-                self._build_next()
+        if len(self.t) <= n and not self.exhausted:  # _build_next stores a step before t names it
+            with self._lock:
+                while len(self.t) <= n and not self.exhausted:
+                    self._build_next()
 
     def _build_next(self) -> None:
         n = len(self.t) - 1
@@ -450,6 +457,12 @@ class _FanZones(UrysohnFunction):
                 break
             i += tuple(hits)
         return Seq(i)
+
+    def adds_digit(self, held: int, grade: Optional[int] = None) -> bool:
+        """No dot once held digits fill the steps of an exhausted system, for no
+        digit string is longer; no dot of grade at most t[held], whose walk stops there."""
+        spent = self.exhausted and held == len(self.t) - 1
+        return not spent and (grade is None or grade > self.t[held])
 
     def grade_for_digits(self, k: int) -> int:
         self.ensure_level(k)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -85,6 +87,30 @@ def random_bar(space, root, max_depth: int, seed: int) -> GeneticBar:
         return Split(d, lambda s, k=k: node(s, k - 1))
 
     return GeneticBar(space, node(root, max_depth))
+
+
+def read_together(read, threads: int = 4) -> list:
+    """What each thread gets from read(), the threads started together and
+    switched often so that their draws from a shared stream interleave."""
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def run(t):
+        barrier.wait(timeout=60)
+        results[t] = read()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -700,7 +700,8 @@ class FanZonesReference:
 
 
 # ---------------------------------------------------------------------------
-# Loops the package replaced: the metric series summed as Fractions, grid
+# Loops the package replaced: the metric series summed as Fractions, a
+# separator's value read off every dot up to the grade its digits need, grid
 # levels by successor expansion, and successor normalization that asks every
 # grade's budget and walks to an ancestor at every grade.
 
@@ -723,6 +724,22 @@ def evaluate_metric_reference(
         hi += w * dhi
     hi += Fraction(2, 2**terms)  # remaining terms are at most sum 2^-m
     return (lo, hi)
+
+
+def value_bounds_reference(f, x, digit_goal: int) -> Tuple[Fraction, Fraction]:
+    """A separator f's bracket at the point x by the full read: every dot of x
+    up to the grade digit_goal digits need (or until the goal is met) is
+    asked for its digits, and the longest digit string is kept."""
+    needed = f.grade_for_digits(digit_goal)
+    best: Tuple[int, ...] = ()
+    for k in range(x.steps_for_grade(needed) + 2):
+        d = x.dot(k)
+        got = f.digits(d).syms
+        if len(got) > len(best):
+            best = got
+        if len(best) >= digit_goal or f.space.grade(d) >= needed:
+            break
+    return digit_interval(best, 3)
 
 
 def level_reference(space, g: int) -> Tuple:

@@ -166,6 +166,30 @@ def test_a_bad_rat_endpoint_is_a_parse_error(tmp_path, capsys, hi, text):
         1, "", f"parse error: {path}: ValueError: {text}\n")
 
 
+@pytest.mark.parametrize("entry", ["synthetic", "rat endpoint", "eval literal"])
+def test_an_exponent_past_the_cap_is_refused_at_once(tmp_path, capsys, entry):
+    # 10**(10**7) took 9.3 s to build; the eval grammar reads no exponent at all
+    path = tmp_path / "rat.json"
+    path.write_text('[{"kind": "rat", "lo": "0", "hi": "1e10000000"}]')
+    argv, expected = {
+        "synthetic": (("linecall", "--synthetic=1e10000000"),
+                      "parse error: bad synthetic value: exponent out of range\n"),
+        "rat endpoint": (("metric", "R_rat", str(path), str(path)),
+                         f"parse error: {path}: ValueError: exponent out of range\n"),
+        "eval literal": (("eval", "--", "1e10000000"), "parse error: unknown function 'e'\n"),
+    }[entry]
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (1, "", expected)
+    assert time.perf_counter() - start < 1
+
+
+def test_an_exponent_at_the_cap_reads():
+    assert read_rational("1e1000000") == 10**1000000
+    for text in ("1e1000001", "-1e-1000001", "0e1000001", "0.1e-1000000"):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            read_rational(text)
+
+
 @pytest.mark.parametrize("expr", ["²", "1/²", "1+²", "1²"])
 def test_eval_non_decimal_digits_parse_error(capsys, expr):
     # str.isdigit accepts a superscript two, which int() rejects
@@ -309,6 +333,21 @@ def test_metric_table(tmp_path, capsys):
     assert F(payload["lo"]) <= F(payload["hi"])
 
 
+@pytest.mark.parametrize("length", [10, 13, 29])
+def test_metric_point_files_need_only_the_dots_their_terms_read(tmp_path, capsys, length):
+    # test_metric_table's points at 4 bits: every term's read stops by dot 10,
+    # where the separators run out of zone steps; the full read at 13 dots
+    # asked for a 14th dot (exit 3, "stream exhausted at index 13")
+    files = []
+    for name, dots in (("x", [D(0, 1)] + [D(0, m) for m in range(2, 30)]),
+                       ("y", [D(0, 1)] + [D(2**m - 2, m) for m in range(2, 30)])):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps([dot_to_json(d) for d in dots[:length]]))
+    code, out, err = run(capsys, "metric", "sigma_[0,1]^+", *map(str, files), "--bits", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == ["lo 17/27", "hi 1043/1296"]
+
+
 def test_validate_ok(capsys):
     code, out, _ = run(capsys, "validate", "sigma_R", "--depth", "30")
     assert code == 0
@@ -343,6 +382,26 @@ def test_the_shared_parser_keeps_no_state(capsys, monkeypatch):
     assert [code for code, _, _ in shared] == [1, 0, 0, 0]
     assert shared[2][1].startswith("lo ") and parsed[1]["format"] == "text"
     assert "bits" not in parsed[2] and "depth" not in parsed[1]
+
+
+def test_linecall_reads_its_file_as_the_other_commands_do(tmp_path, capsys):
+    # one reader: a JSON syntax error names no exception type, and a file
+    # that is no UTF-8 is a parse error, for linecall, metric and subcover
+    bad, latin = tmp_path / "bad.json", tmp_path / "latin.json"
+    bad.write_text('{"kind": \n')
+    latin.write_bytes(b"\xff[]")
+    for path, text in ((bad, "Expecting value: line 2 column 1 (char 10)"),
+                       (latin, "'utf-8' codec can't decode byte 0xff in position 0: "
+                               "invalid start byte")):
+        for argv in (("linecall", str(path)), ("metric", "sigma_R", str(path), str(path)),
+                     ("subcover", str(path))):
+            assert run(capsys, *argv) == (1, "", f"parse error: {path}: {text}\n"), argv
+
+
+def test_linecall_reads_stdin_line_by_line(capsys, monkeypatch):
+    lines = [json.dumps(dot_to_json(D(-1, m))) for m in range(0, 10)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n\n".join(lines) + "\n"))
+    assert run(capsys, "linecall") == (0, "LET\n", "")
 
 
 def test_linecall_missing_file_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Star finiteness, splitting depths, Urysohn separators, the metric."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -9,11 +10,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import natspace as ns
-from natspace.dots import DyadicInterval as D, Isolated, Seq, grid_ancestors, interval_row
+from natspace.dots import (
+    DyadicInterval as D, Isolated, NaryInterval, Seq, grid_ancestors, interval_row,
+)
 from natspace.metric import (
     _CONE_A, _CONE_B, DIGIT_CAP, MAX_LEVEL_GRADE, MetricDefect, _level_row, _shift,
     _TouchSet,
 )
+
+from conftest import read_together
 
 import oracles
 
@@ -244,17 +249,109 @@ def ext01_starts(draw):
     return D(draw(st.integers(0, 2 ** (g + 1) - 2)), g + 1)
 
 
-@settings(max_examples=15, deadline=None)
-@given(ext01_starts(), ext01_starts(), ext01_starts())
-def test_metric_brackets_are_a_pseudometric(metric_ev, a, b, c):
-    x, y, z = (ns.canonical_point(metric_ev.space, d) for d in (a, b, c))
+@st.composite
+def nary01_starts(draw, base):
+    """A dot of [0,1]_bin^+ (base 2) or [0,1]_ter^+ (base 3) of grade at most
+    6, iso(g) or the n-ary dot (n, g): a point of grade 8 or more builds zone
+    levels for seconds."""
+    g = draw(st.integers(0, 6))
+    if g and draw(st.booleans()):
+        return Isolated(g)
+    return NaryInterval(base, draw(st.integers(0, base**g - 1)), g)
+
+
+@functools.cache
+def _extended(name):
+    """The space name^+, one per test session, so its level rows are built once."""
+    return ns.extend_with_isolated_point(ns.std_space(name))
+
+
+@functools.cache
+def _shared_evaluator(name):
+    """One evaluator of name^+ across examples, so its separators are built once."""
+    return ns.MetricEvaluator(_extended(name))
+
+
+def _assert_metric_laws(ev, starts):
+    x, y, z = (ns.canonical_point(ev.space, d) for d in starts)
 
     def d(p, q):
-        return ns.evaluate_metric(metric_ev, p, q, 4)
+        lo, hi = ns.evaluate_metric(ev, p, q, 4)
+        assert lo <= hi
+        return lo, hi
 
     assert d(x, y) == d(y, x)
     assert d(x, x)[0] == 0
     assert d(x, z)[0] <= d(x, y)[1] + d(y, z)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ext01_starts(), ext01_starts(), ext01_starts())
+def test_metric_brackets_are_a_pseudometric(metric_ev, a, b, c):
+    _assert_metric_laws(metric_ev, (a, b, c))
+
+
+@pytest.mark.parametrize("name, base", [("[0,1]_bin", 2), ("[0,1]_ter", 3)])
+def test_metric_brackets_are_a_pseudometric_on_the_nary_unit_intervals(name, base):
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*[nary01_starts(base)] * 3))
+    def laws(starts):
+        _assert_metric_laws(_shared_evaluator(name), starts)
+
+    laws()
+
+
+# ---------------------------------------------------------------------------
+# A separator's value: the read stops once no later dot can add a digit.
+
+
+def _grid_starts(name):
+    """Canonical point starts of name^+: ext01_starts on sigma_[0,1]^+, and
+    nary01_starts on [0,1]_bin^+ and [0,1]_ter^+."""
+    return ext01_starts() if name == "sigma_[0,1]" else nary01_starts(2 if "bin" in name else 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["sigma_[0,1]", "[0,1]_bin", "[0,1]_ter"]), st.data())
+def test_value_bounds_matches_the_full_read(name, data):
+    """On fresh evaluators, value_bounds gives the bracket of the loop that
+    asks every dot up to the grade the digits need."""
+    space = _extended(name)
+    start = data.draw(_grid_starts(name), label="start")
+    m, goal = data.draw(st.integers(0, 7), label="m"), data.draw(st.integers(1, 4), label="goal")
+    f, g = (ns.MetricEvaluator(space).separator(m) for _ in range(2))
+    x, y = (ns.canonical_point(space, start) for _ in range(2))
+    assert f.value_bounds(x, goal) == oracles.value_bounds_reference(g, y, goal)
+
+
+def test_value_bounds_stops_reading_once_the_steps_run_out(metric_ev, ext01):
+    """Separator 0 of sigma_[0,1]^+ runs out of zone steps below the goal, so
+    its read stops at the dot whose digits exhaust them, well before the
+    grade that four digits need."""
+    f = metric_ev.separator(0)
+    x = ns.canonical_point(ext01, D(0, 3))
+    assert f.value_bounds(x, 4) == oracles.value_bounds_reference(f, x, 4)
+    full = len(x.items)
+    y = ns.canonical_point(ext01, D(0, 3))
+    f.value_bounds(y, 4)
+    assert f.exhausted and len(y.items) < full
+
+
+def test_one_evaluator_read_from_four_threads_gives_the_single_threaded_brackets():
+    """Four threads, each with its own points, read one fresh evaluator: its
+    separators and zone levels are built under their races, and every
+    thread gets the brackets of a single-threaded evaluator."""
+    bases = {"sigma_[0,1]": [D(0, 3), D(5, 4), D(6, 3), Isolated(2), Isolated(4)],
+             "[0,1]_ter": [NaryInterval(3, 0, 2), NaryInterval(3, 4, 2), Isolated(3)]}
+    for name, starts in bases.items():
+        space = _extended(name)
+
+        def table(ev):
+            points = [ns.canonical_point(space, d) for d in starts]
+            return [ns.evaluate_metric(ev, x, y, 6) for x, y in itertools.combinations(points, 2)]
+
+        alone, shared = table(ns.MetricEvaluator(space)), ns.MetricEvaluator(space)
+        assert read_together(lambda: table(shared)) == [alone] * 4
 
 
 # ---------------------------------------------------------------------------

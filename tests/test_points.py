@@ -4,8 +4,6 @@ import gc
 import itertools
 import json
 import random
-import sys
-import threading
 import weakref
 from fractions import Fraction as F
 
@@ -17,6 +15,8 @@ from natspace import points, spaces
 from natspace.cli import compile_expression, main, parse_expression
 from natspace.dots import DyadicInterval as D, Seq, Trail, dot_to_json
 from natspace.points import PointDefect, normalized_dots
+
+from conftest import read_together
 
 import oracles
 
@@ -361,39 +361,15 @@ def test_point_in_dot(sigma01):
     assert isinstance(ns.point_in_dot(p, D(0, 2), 8), ns.Yes)
 
 
-def _read_together(read, threads=4):
-    """What each thread gets from read(), the threads started together and
-    switched often so that their draws from a shared stream interleave."""
-    barrier = threading.Barrier(threads)
-    results = [None] * threads
-
-    def run(t):
-        barrier.wait(timeout=60)
-        results[t] = read()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=run, args=(t,)) for t in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    return results
-
-
 def test_concurrent_readers_get_the_single_threaded_stream(ext01):
     alone = list(ns.canonical_point(ext01, D(0, 3)).prefix(201))
     shared = ns.canonical_point(ext01, D(0, 3))
-    assert _read_together(lambda: [shared.dot(k) for k in range(201)]) == [alone] * 4
+    assert read_together(lambda: [shared.dot(k) for k in range(201)]) == [alone] * 4
 
     fresh = spaces._STD_BUILDERS["R_rat"]()
     alone = [fresh.enumerate_dot(i) for i in range(2001)]
     rat = spaces._STD_BUILDERS["R_rat"]()
-    assert _read_together(lambda: [rat.enumerate_dot(i) for i in range(2001)]) == [alone] * 4
+    assert read_together(lambda: [rat.enumerate_dot(i) for i in range(2001)]) == [alone] * 4
 
     # one Baire encoding: its level, forward and inverse caches fill from four threads
     words = [Seq(syms) for syms in itertools.product(range(3), repeat=3)]
@@ -404,9 +380,9 @@ def test_concurrent_readers_get_the_single_threaded_stream(ext01):
 
     alone = encode(ns.baire_encode(spaces._STD_BUILDERS["T3"]()))
     t3 = spaces._STD_BUILDERS["T3"]()
-    shared = _read_together(lambda: ns.baire_encode(t3))  # the one encoding of a fresh space
+    shared = read_together(lambda: ns.baire_encode(t3))  # the one encoding of a fresh space
     assert all(enc is ns.baire_encode(t3) for enc in shared)
-    assert _read_together(lambda: encode(ns.baire_encode(t3))) == [alone] * 4
+    assert read_together(lambda: encode(ns.baire_encode(t3))) == [alone] * 4
 
     # one sigma_R: its unglued copies share one predecessor map, filled from four threads
     dots = [D(n, m) for m in range(1, 12) for n in range(-5, 6)]
@@ -417,4 +393,4 @@ def test_concurrent_readers_get_the_single_threaded_stream(ext01):
 
     alone = walk(spaces._STD_BUILDERS["sigma_R"]())
     sigma_r = spaces._STD_BUILDERS["sigma_R"]()
-    assert _read_together(lambda: walk(sigma_r)) == [alone] * 4
+    assert read_together(lambda: walk(sigma_r)) == [alone] * 4

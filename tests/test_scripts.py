@@ -69,6 +69,36 @@ def test_bench_pairs_summary_of_fabricated_runs():
     assert (rss["change_better_pairs"], rss["change_worse_pairs"]) == (1, 2)
 
 
+def _p90_summary(parent, change):
+    def run(p90):
+        return {"metrics": {"query_p90_s": p90}, "correct": True, "failed": 0, "digest": "d1"}
+
+    pairs = [{"parent": run(p), "change": run(c)} for p, c in zip(parent, change)]
+    return _bench_pairs().summarize(pairs, {"query_p90_s": "lower"})["metrics"]["query_p90_s"]
+
+
+@pytest.mark.parametrize("change, expected", [
+    ([0.55] * 9 + [1.2], "gain"),  # 9 of 10 pairs better, median gap far past the IQR
+    ([0.55] * 8 + [1.2] * 2, "within"),  # 8 of 10 pairs better
+    ([0.97] * 10, "within"),  # better in every pair, but by less than the parent's IQR
+    ([1.2] * 10, "within"),  # 20% worse, under the 25% bound
+    ([1.3] * 10, "worse"),  # 30% worse, past the bound
+], ids=["gain", "8-of-10", "inside-iqr", "worse-in-bound", "worse"])
+def test_bench_pairs_verdicts_on_fabricated_runs(change, expected):
+    parent = [0.96, 0.98, 1.0, 1.02, 1.04] * 2  # median 1.0, IQR 0.04
+    metric = _p90_summary(parent, change)
+    assert _bench_pairs().verdict(metric, "lower", 0.25) == expected
+
+
+def test_bench_pairs_verdict_reads_the_direction():
+    # throughput (higher is better) 35% down: worse; 35% up in every pair: gain
+    down = {"parent": {"q1": 99, "median": 100, "q3": 101, "runs": [100] * 10},
+            "change": {"median": 65}, "change_better_pairs": 0}
+    up = dict(down, change={"median": 135}, change_better_pairs=10)
+    assert _bench_pairs().verdict(down, "higher", 0.25) == "worse"
+    assert _bench_pairs().verdict(up, "higher", 0.25) == "gain"
+
+
 def test_bench_pairs_layer_counts_list_the_counts_that_differ_first():
     traced = {"parent": {"metrics": {"b.calls": 5, "a.calls": 1008, "c.calls": 7, "z.pulls": 2}},
               "change": {"metrics": {"b.calls": 5, "a.calls": 365, "c.calls": 7, "z.pulls": 3}}}
