@@ -108,14 +108,21 @@ def summarize(pairs: List[Dict[str, dict]], better: Dict[str, str]) -> dict:
 def verdict(metric: dict, direction: str, bound: float) -> str:
     """A metric summary's verdict: "gain" when the change is better in at
     least 9 of 10 pairs and its median beats the parent's by more than the
-    parent's IQR, "worse" when its median is worse than the parent's by more
-    than bound (a fraction of the parent's median, as BENCHMARK.json gives
-    it), and "within" otherwise."""
+    parent's IQR; "unresolved" when it is no gain, the parent's IQR exceeds
+    bound (a fraction of the parent's median, as BENCHMARK.json gives it)
+    and some change run reads no better than some parent run, for such a
+    spread cannot tell a change within the bound from one past it; else
+    "worse" when its median is worse than the parent's by more than bound,
+    and "within" otherwise."""
     parent, change = metric["parent"], metric["change"]
-    gap = (change["median"] - parent["median"]) * (1 if direction == "higher" else -1)
+    sign = 1 if direction == "higher" else -1
+    gap = (change["median"] - parent["median"]) * sign
     if (10 * metric["change_better_pairs"] >= 9 * len(parent["runs"])
             and gap > parent["q3"] - parent["q1"]):
         return "gain"
+    if (parent["q3"] - parent["q1"] > bound * abs(parent["median"])
+            and min(sign * v for v in change["runs"]) <= max(sign * v for v in parent["runs"])):
+        return "unresolved"
     return "worse" if -gap > bound * abs(parent["median"]) else "within"
 
 

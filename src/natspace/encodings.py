@@ -114,18 +114,15 @@ def _trail_tree(
 def trail_space(space: Space) -> Space:
     """The space of strict-descent trails: refinement is trail extension,
     apartness is last-dot apartness, the empty trail is maximal."""
-    refinements: Dict[Dot, spaces.Lazy] = {}  # last dot -> its strict refinements
-    lock = threading.Lock()
 
     def _extensions(t: Trail, k: int) -> Dot:
         """The k-th one-step extension of t (underlying enumeration order),
-        drawn from space.strict_refinements (see there for its budget)."""
+        drawn from space.strict_refinements (see there for its budget) and kept on the space."""
         last = _last(space, t)
-        with lock:
-            if last not in refinements:
-                refinements[last] = spaces.Lazy(lambda: space.strict_refinements(last))
+        refinements = space.derived(
+            (trail_space, last), lambda: spaces.Lazy(lambda: space.strict_refinements(last)))
         try:
-            return Trail(t.items + (refinements[last][k],))
+            return Trail(t.items + (refinements[k],))
         except IndexError:
             raise SpaceDefect(
                 f"{space.name}: strict refinement {k} of {last!r} not found in "

@@ -11,9 +11,9 @@ weights 2^-m yields a metric compatible with the apartness topology.
 from __future__ import annotations
 
 import itertools
-import re
 import threading
 import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
@@ -340,11 +340,11 @@ class _FanZones(UrysohnFunction):
     """The zone system on a fann, which classifies each level once.  Step n
     finds a splitting depth N for the level-t[n] dots of each alive zone i's
     two neighbours and splits level N into near-a 0 / middle 1 / near-b 2:
-    part[i] codes each position of level N's row and each dot of its rest
-    (_level_row), and a dot of zone i is in zone i + (s,) when it lies in a
-    dot of code s (_hits).  On rows, zones and cones are runs of positions,
-    found in closed form per run; rest dots and levels that are no row go
-    dot by dot.  The groups give the alive zones and the neighbours of step n+1."""
+    part[i] codes level N's row as a run-length partition and each dot of its
+    rest (_level_row), and a dot of zone i is in zone i + (s,) when it lies in
+    a dot of code s (_hits).  On rows, zones, cones and parts are runs of
+    positions, found in closed form per run; rest dots and levels that are no
+    row go dot by dot.  The groups give the alive zones and the neighbours of step n+1."""
 
     def __init__(self, fann: Space, a: Dot, b: Dot, max_level_grade: int):
         if not fann.finitely_branching:
@@ -355,19 +355,19 @@ class _FanZones(UrysohnFunction):
         self.max_level_grade = max_level_grade
         self.t: List[int] = [self.M]
         self.alive: Dict[int, Tuple[Tuple[int, ...], ...]] = {0: ((),)}
-        # zone -> (level N's row, its codes by row position, {rest dot: code})
+        # zone -> (level N's row, its run starts, a code per run, {rest dot: code})
         self.part: Dict[Tuple[int, ...], tuple] = {}
         self.groups: Dict[Tuple[int, ...], tuple] = {}  # zone -> level t[-1]'s (runs, dots)
         self.exhausted = False
 
     def _hits(self, i: Tuple[int, ...], c: Dot) -> Set[int]:
-        """The s with c in zone i + (s,), for c in zone i: the codes of the row
-        dots containing c, found by index, or of the rest dots c refines."""
+        """The s with c in zone i + (s,), for c in zone i: the codes of the runs
+        holding the row dots that contain c, bisected, or of the rest dots c refines."""
         if i not in self.part:
             return set()
-        row, codes, rest = self.part[i]
+        row, starts, codes, rest = self.part[i]
         if row is not None and (span := row_span(row, c)) is not None:
-            return set(codes[span[0] : span[1]])
+            return set(codes[bisect_right(starts, span[0]) - 1 : bisect_left(starts, span[1])])
         return {s for x, s in rest.items() if x == c or self.space.refines(c, x)}
 
     def _zone_set(self, i, t: int) -> _TouchSet:
@@ -392,12 +392,13 @@ class _FanZones(UrysohnFunction):
             for i, (runs, dots) in groups.items():
                 if i not in self.part:
                     continue
-                prow, codes, _ = self.part[i]
+                prow, starts, codes, _ = self.part[i]
                 if prow is None and runs:  # level N is no row: these dots go one by one
                     dots = [row[0][j] for j0, j1 in runs for j in range(j0, j1)] + list(dots)
                     runs = []
+                ends = starts[1:] + [len(prow[0])] if runs else []
                 for s in range(3):
-                    coded = [m.span() for m in re.finditer(bytes((s,)) + b"+", codes)]
+                    coded = [(j0, j1) for j0, j1, code in zip(starts, ends, codes) if code == s]
                     inside = row_runs(row, row_segments(prow, coded), inside=True) if runs else []
                     child = (_meet(runs, inside), [c for c in dots if s in self._hits(i, c)])
                     if child[0] or child[1]:
@@ -429,13 +430,12 @@ class _FanZones(UrysohnFunction):
                 return
             N = max(N, t + 1)
             row, rest = _level_row(self.space, N)
-            codes, part = bytearray(b"\1") * (len(row[0]) if row else 0), dict.fromkeys(rest, 1)
-            for s, near in ((2, B), (0, A)):  # near a 0, middle 1, near b 2
-                touchers = near.touchers(row, rest)
-                for j0, j1 in touchers.runs:
-                    codes[j0:j1] = bytes((s,)) * (j1 - j0)
-                part.update(dict.fromkeys(touchers.dots, s))
-            parts[i] = (row, codes, part)
+            near = {s: S.touchers(row, rest) for s, S in ((2, B), (0, A))}  # near a 0, near b 2
+            # middle 1 fills the gaps: at and past the splitting depth no position is near both
+            code = {0: 1} | {j1: 1 for S in near.values() for _, j1 in S.runs if j1 < len(row[0])}
+            code |= {j0: s for s, S in near.items() for j0, _ in S.runs}
+            part = dict.fromkeys(rest, 1) | {c: s for s, S in near.items() for c in S.dots}
+            parts[i] = (row, sorted(code), [code[j] for j in sorted(code)], part)
             depths.append(N)
         self.part.update(parts)  # a step's part maps all land, or none
         t_next = max(depths) if depths else t + 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -580,6 +581,29 @@ def cover_trails_listed(predecessors: Callable, top, a) -> List[Tuple]:
     if not preds:
         return [(a,)]
     return [t + (a,) for p in preds for t in cover_trails_listed(predecessors, top, p)]
+
+
+# ---------------------------------------------------------------------------
+# A fan zone's part painted position by position.
+# ---------------------------------------------------------------------------
+
+
+def painted_part(length: int, near_a, near_b) -> bytearray:
+    """A zone's split of a level row of that length as one code per row
+    position: 1 (middle) everywhere, then the runs [j0, j1) near b painted
+    2, then those near a painted 0, so a position near both reads 0."""
+    codes = bytearray(b"\1") * length
+    for s, runs in ((2, near_b), (0, near_a)):
+        for j0, j1 in runs:
+            codes[j0:j1] = bytes((s,)) * (j1 - j0)
+    return codes
+
+
+def painted_runs(codes: bytearray) -> List[Tuple[int, int, int]]:
+    """The maximal runs (j0, j1, code) of painted codes, left to right, each
+    code's found by re.finditer."""
+    found = (m.span() + (s,) for s in range(3) for m in re.finditer(bytes((s,)) + b"+", codes))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

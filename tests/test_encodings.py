@@ -99,8 +99,9 @@ def test_unglue_chain_enumerates_in_polynomial_time(t2):
     assert time.perf_counter() - start < 1.0
 
 
-def test_trail_successor_scan_has_a_budget(sigma01, monkeypatch):
+def test_trail_successor_scan_has_a_budget(monkeypatch):
     monkeypatch.setattr(spaces, "SCAN_BUDGET", 5)
+    sigma01 = spaces._STD_BUILDERS["sigma_[0,1]"]()  # its short scan stays on it
     more = ns.trail_space(sigma01).successors(Trail((D(0, 3),))).more
     assert more(0) == Trail((D(0, 3), D(0, 4)))  # the least-rank successor
     with pytest.raises(ns.SpaceDefect, match="first 5 enumerated dots"):

@@ -11,10 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import natspace as ns
 from natspace.dots import (
-    DyadicInterval as D, Isolated, NaryInterval, Seq, grid_ancestors, interval_row,
+    DyadicInterval as D, Isolated, NaryInterval, Seq, grid_ancestors, interval_row, row_span,
 )
 from natspace.metric import (
-    _CONE_A, _CONE_B, DIGIT_CAP, MAX_LEVEL_GRADE, MetricDefect, _level_row, _shift,
+    _CONE_A, _CONE_B, DIGIT_CAP, MAX_LEVEL_GRADE, MetricDefect, _level_row, _meet, _shift,
     _TouchSet,
 )
 
@@ -215,6 +215,19 @@ def test_metric_self_distance_contract(metric_ev, ext01):
     assert lo == 0
     # the stated width contract holds up to precision 4 (the digit cap)
     assert hi <= F(1, 4)
+
+
+@pytest.mark.parametrize("x, y, bounds", [
+    (Isolated(8), 30, (F(51781, 34992), F(27419, 17496))),
+    (NaryInterval(3, 1, 8), NaryInterval(3, 1, 8), (F(0), F(185, 2916))),
+], ids=["iso8-dot30", "regular-grade-8"])
+def test_ternary_metric_frozen_values(x, y, bounds):
+    """The [0,1]_ter^+ path that no benchmark workload runs: points of grade
+    8, whose separators split every level down to MAX_LEVEL_GRADE."""
+    space = ns.extend_with_isolated_point(ns.std_space("[0,1]_ter"))
+    px, py = (ns.canonical_point(space, space.enumerate_dot(d) if isinstance(d, int) else d)
+              for d in (x, y))
+    assert ns.evaluate_metric(ns.MetricEvaluator(space), px, py, 4) == bounds
 
 
 def test_metric_cache_survives_recycled_point_ids(ext01):
@@ -438,6 +451,37 @@ def test_run_classified_zones_match_the_recursive_rule_on_random_pairs(case):
     space, a, b = case
     f, ref = _fan_and_reference(space, a, b, 6)
     _assert_same_zones(space, f, ref, range(1, 8))
+
+
+@settings(max_examples=12, deadline=None)
+@given(apart_same_grade_pairs())
+def test_zone_parts_are_the_run_length_form_of_the_painted_codes(case):
+    """At every step, zones split down to grade 6: the row runs and dots
+    near a zone's two neighbours are disjoint, its part's partition is the
+    run-length form of the positions painted one by one (oracles), and
+    _hits reads, for every dot of levels 1-7 on the row, the painted codes
+    of the positions that contain it."""
+    space, a, b = case
+    f = ns.urysohn_fan(space, a, b, 6)
+    dots = [c for g in range(1, 8) for c in space.level(g)]
+    for n in itertools.count():
+        t, alive = f.t[n], f.alive[n]
+        near = {i: (f._zone_set(_shift(i, -1), t), f._zone_set(_shift(i, 1), t)) for i in alive}
+        f.ensure_level(n + 1)
+        if len(f.t) <= n + 1:
+            break
+        for i in alive:
+            row, starts, codes, rest = f.part[i]
+            if row is None:
+                continue
+            A, B = (S.touchers(row, tuple(rest)) for S in near[i])
+            assert not _meet(A.runs, B.runs) and not set(A.dots) & set(B.dots)
+            painted = oracles.painted_part(len(row[0]), A.runs, B.runs)
+            ends = starts[1:] + [len(row[0])]
+            assert list(zip(starts, ends, codes)) == oracles.painted_runs(painted)
+            for c in dots:  # a digit walk asks zone i only of dots finer than t
+                if space.grade(c) > t and (span := row_span(row, c)) is not None:
+                    assert f._hits(i, c) == set(painted[span[0] : span[1]]), (i, c)
 
 
 @pytest.mark.parametrize("no_rows", [(1, 3, 5, 7), (4,)], ids=["odd-levels", "level-4"])

@@ -90,6 +90,19 @@ def test_bench_pairs_verdicts_on_fabricated_runs(change, expected):
     assert _bench_pairs().verdict(metric, "lower", 0.25) == expected
 
 
+@pytest.mark.parametrize("change, expected", [
+    ([1.35] * 10, "unresolved"),  # 35% worse, but the parent's own runs spread wider
+    ([1.0] * 10, "unresolved"),  # no change, which such a spread cannot show either
+    ([0.65] * 10, "within"),  # every change run beats every parent run, by less than the IQR
+    ([0.3] * 10, "gain"),  # better in every pair, the median gap past the parent's IQR
+], ids=["worse", "same", "all-runs-better", "gain"])
+def test_bench_pairs_verdicts_past_a_noisy_parent(change, expected):
+    parent = [0.7, 0.8, 1.0, 1.2, 1.3] * 2  # median 1.0, IQR 0.4, past the 15% bound
+    metric = _p90_summary(parent, change)
+    assert metric["parent_iqr_over_median"] > 0.15
+    assert _bench_pairs().verdict(metric, "lower", 0.15) == expected
+
+
 def test_bench_pairs_verdict_reads_the_direction():
     # throughput (higher is better) 35% down: worse; 35% up in every pair: gain
     down = {"parent": {"q1": 99, "median": 100, "q3": 101, "runs": [100] * 10},
