@@ -107,19 +107,20 @@ def summarize(pairs: List[Dict[str, dict]], better: Dict[str, str]) -> dict:
 
 def verdict(metric: dict, direction: str, bound: float) -> str:
     """A metric summary's verdict: "gain" when the change is better in at
-    least 9 of 10 pairs and its median beats the parent's by more than the
-    parent's IQR; "unresolved" when it is no gain, the parent's IQR exceeds
-    bound (a fraction of the parent's median, as BENCHMARK.json gives it)
-    and some change run reads no better than some parent run, for such a
-    spread cannot tell a change within the bound from one past it; else
-    "worse" when its median is worse than the parent's by more than bound,
-    and "within" otherwise."""
+    least 9 of 10 pairs, over 10 pairs or more, and its median beats the
+    parent's by more than the parent's IQR; "unresolved" when it would be
+    a gain but from fewer than 10 pairs, or when it is no gain, the parent's
+    IQR exceeds bound (a fraction of the parent's median, as BENCHMARK.json
+    gives it) and some change run reads no better than some parent run, for
+    such a spread cannot tell a change within the bound from one past it;
+    else "worse" when its median is worse than the parent's by more than
+    bound, and "within" otherwise."""
     parent, change = metric["parent"], metric["change"]
     sign = 1 if direction == "higher" else -1
     gap = (change["median"] - parent["median"]) * sign
-    if (10 * metric["change_better_pairs"] >= 9 * len(parent["runs"])
-            and gap > parent["q3"] - parent["q1"]):
-        return "gain"
+    pairs = len(parent["runs"])
+    if 10 * metric["change_better_pairs"] >= 9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain" if pairs >= 10 else "unresolved"
     if (parent["q3"] - parent["q1"] > bound * abs(parent["median"])
             and min(sign * v for v in change["runs"]) <= max(sign * v for v in parent["runs"])):
         return "unresolved"

@@ -260,17 +260,36 @@ def meeting_segment(segs: Tup[List[int], List[int], int], d: Dot) -> Optional[in
     return i if i < len(his) and los[i] * dd <= hi * den else None
 
 
-def interval_row(dots) -> Optional[Tup[Tup[Dot, ...], range, range, int]]:
+@dataclass(frozen=True, slots=True)
+class GridDots:
+    """count dots of first's grid and exponent from first on, built when indexed."""
+
+    first: Dot
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, j: int) -> Dot:
+        d, n = self.first, self.first.n + range(self.count)[j]  # past the end: IndexError
+        return DyadicInterval(n, d.m) if type(d) is DyadicInterval else NaryInterval(d.base, n, d.m)
+
+
+def interval_row(dots) -> Optional[tuple]:
     """One grid exponent's consecutive dots n0, n0 + 1, ... (a grid level) as
     one integer row (dots, los, his, den), dots[j] being [los[j]/den,
-    his[j]/den]; else None.  Neighbours touch, so a run covers a segment."""
-    dots = tuple(dots)
-    d0 = dots[0] if dots else None
-    if type(d0) not in (DyadicInterval, NaryInterval) or any(  # d0's kind, base and m
-        type(d) is not type(d0) or d.n != d0.n + j or d.m != d0.m
-        or getattr(d, "base", 2) != getattr(d0, "base", 2) for j, d in enumerate(dots)
-    ):
-        return None
+    his[j]/den]; else None.  Neighbours touch, so a run covers a segment.
+    GridDots are such dots as they stand, and their row builds none."""
+    if type(dots) is GridDots:
+        d0 = dots.first
+    else:
+        dots = tuple(dots)
+        d0 = dots[0] if dots else None
+        if type(d0) not in (DyadicInterval, NaryInterval) or any(  # d0's kind, base and m
+            type(d) is not type(d0) or d.n != d0.n + j or d.m != d0.m
+            or getattr(d, "base", 2) != getattr(d0, "base", 2) for j, d in enumerate(dots)
+        ):
+            return None
     lo, hi, den = int_endpoints(d0)
     return dots, range(lo, lo + len(dots)), range(hi, hi + len(dots)), den
 
@@ -312,7 +331,7 @@ def ancestor_span(d: Dot, m: int) -> Optional[Tup[int, int]]:
 def row_span(row, d: Dot) -> Optional[Tup[int, int]]:
     """The run [j0, j1) of the interval_row dots that contain d: its
     ancestor_span at the row's exponent; None off the row's grid."""
-    first = row[0][0]
+    first = row[0][0] if type(row[0]) is tuple else row[0].first
     if type(d) is not type(first) or getattr(d, "base", 2) != getattr(first, "base", 2):
         return None
     lo, hi = ancestor_span(d, first.m)

@@ -24,17 +24,14 @@ from .dots import (
     Seq,
     endpoints,
     grid_neighbours,
-    int_endpoints,
     interval_contains,
     interval_row,
     is_interval,
     meeting_segment,
     merged_segments,
-    nary_seq,
     row_runs,
     row_segments,
     row_span,
-    seq_dot,
 )
 from .points import Point, successor_normalize
 from .spaces import Lazy, Space, SpaceDefect, Successors, seq_interval
@@ -146,8 +143,11 @@ class _TouchSet:
             row_segments(row, runs) if runs else merged_segments(filter(is_interval, self.dots))
         )
         self.other = tuple(d for d in self.dots if not is_interval(d))
-        sample = self.dots + ((row[0][runs[0][0]],) if runs else ())  # a dot of each grade held
-        self.grade = max(map(space.grade, sample), default=0)
+
+    @property
+    def grade(self) -> int:  # the largest grade held; a row's dots share one grade
+        sample = self.dots + ((self.row[0][self.runs[0][0]],) if self.runs else ())
+        return max(map(self.space.grade, sample), default=0)
 
     def __bool__(self) -> bool:
         return bool(self.runs or self.dots)
@@ -174,9 +174,12 @@ class _TouchSet:
 
 def _level_row(space: Space, g: int) -> Tuple[Optional[tuple], Tuple[Dot, ...]]:
     """(row, rest): level g's interval dots as one dots.interval_row and
-    its other dots in level order, or (None, level) when they are no row.
-    The root is never a row: rest dots may touch it, which no segment shows."""
+    its other dots in level order, or (None, level) when they are no row
+    (g >= 1: the space's level_row if it has one).  The root is never a row:
+    rest dots may touch it, which no segment shows."""
     rows = space.derived(_level_row, dict)
+    if g not in rows and g and space.level_row is not None:
+        rows[g] = space.level_row(g)
     if g not in rows:
         level = space.level(g)
         row = interval_row(c for c in level if is_interval(c) and c != space.max_dot)
@@ -272,12 +275,13 @@ _CONE_B = 3
 def _shift(i: Tuple[int, ...], step: int):
     """The zone index step places after i (-1: the predecessor, +1: the
     successor) in the lexicographic order of its level, or the cone beyond
-    the level's first or last index."""
-    there = grid_neighbours(seq_dot(Seq(i), 3))[1 + step]
-    lo, hi, den = int_endpoints(there)
-    if lo < 0 or hi > den:  # past [0, 1]
+    the level's first or last index: i's ternary value plus step."""
+    k = len(i)
+    while k and i[k - 1] == 1 + step:  # a trailing 2 carries, a trailing 0 borrows
+        k -= 1
+    if not k:  # past [0, 1]
         return _CONE_A if step < 0 else _CONE_B
-    return nary_seq(there).syms
+    return i[: k - 1] + (i[k - 1] + step,) + (1 - step,) * (len(i) - k)
 
 
 class UrysohnFunction:
@@ -344,7 +348,8 @@ class _FanZones(UrysohnFunction):
     rest (_level_row), and a dot of zone i is in zone i + (s,) when it lies in
     a dot of code s (_hits).  On rows, zones, cones and parts are runs of
     positions, found in closed form per run; rest dots and levels that are no
-    row go dot by dot.  The groups give the alive zones and the neighbours of step n+1."""
+    row go dot by dot; grid rows (Space's level_row) and zone shifts are closed
+    forms.  The groups give the alive zones and the neighbours of step n+1."""
 
     def __init__(self, fann: Space, a: Dot, b: Dot, max_level_grade: int):
         if not fann.finitely_branching:

@@ -24,6 +24,7 @@ from .dots import (
     Ball,
     Dot,
     DyadicInterval,
+    GridDots,
     Isolated,
     MaxDot,
     NaryInterval,
@@ -33,6 +34,7 @@ from .dots import (
     endpoints,
     grid_ancestors,
     interval_contains,
+    interval_row,
     intervals_apart,
     nary_seq,
     seq_dot,
@@ -120,7 +122,9 @@ class Space:
 
     A graded space binds its grade and successors hooks as attributes.
     Level g holds the successors of level g - 1's dots, in order and each
-    once, from (max_dot,); a space may state it in closed form as level(g).
+    once, from (max_dot,); a space may state it in closed form as level(g),
+    and for g >= 1 as level_row(g): the dots.interval_row of its interval dots
+    as GridDots, which builds none, and its other dots in level order.
 
     Immutable after construction except for its caches, so shareable: the
     enumeration and level-set streams draw under their Lazy's lock, and the
@@ -144,6 +148,7 @@ class Space:
         is_isolated: Optional[Callable[[Dot], bool]] = None,
         rank: Optional[Callable[[Dot], Optional[int]]] = None,
         unrank: Optional[Callable[[int], Dot]] = None,
+        level_row: Optional[Callable[[int], tuple]] = None,
     ):
         if (rank is None) != (unrank is None) or (rank is None) == (enum_factory is None):
             raise ValueError("a space needs either enum_factory or both rank and unrank")
@@ -153,6 +158,7 @@ class Space:
         self.max_dot = max_dot
         self.rank = rank
         self.unrank = unrank
+        self.level_row = level_row
         self.graded = grade is not None
         if self.graded:  # read as attributes: a hot read is one call
             self.grade, self.successors = grade, successors
@@ -468,6 +474,8 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
         width=width,
         rank=rank,
         unrank=unrank,
+        level_row=None if line else (
+            lambda g: (interval_row(GridDots(dot(0, m0 + g), base ** (m0 + g) - spill)), ())),
     )
 
 
@@ -1013,6 +1021,10 @@ def extend_with_isolated_point(space: Space) -> Space:
     def level(g: int) -> Tuple[Dot, ...]:
         return space.level(g) + (Isolated(g),) if g else (max_dot,)
 
+    def level_row(g: int) -> tuple:
+        row, rest = space.level_row(g)
+        return row, rest + (Isolated(g),)
+
     return Space(
         space.name + "^+",
         apart,
@@ -1022,5 +1034,6 @@ def extend_with_isolated_point(space: Space) -> Space:
         finitely_branching=space.finitely_branching, level=level,
         width=space._width,
         is_isolated=is_isolated,
+        level_row=None if space.level_row is None else level_row,
         **order,
     )

@@ -836,3 +836,12 @@ def interval_row_reference(dots, grid_types, int_endpoints):
         return None
     lo, hi, den = int_endpoints(dots[0])
     return dots, range(lo, lo + len(dots)), range(hi, hi + len(dots)), den
+
+
+def level_row_reference(space, g: int, is_interval, row_of) -> Tuple:
+    """A level's (row, rest) derived from level(g), as the metric reads a
+    level: row_of (an interval_row) over its interval dots but the root, and
+    its other dots in level order; (None, level) when they are no row."""
+    level = space.level(g)
+    row = row_of([c for c in level if is_interval(c) and c != space.max_dot])
+    return (row, tuple(c for c in level if not is_interval(c))) if row is not None else (None, level)

@@ -11,12 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import natspace as ns
 from natspace.dots import (
-    DyadicInterval as D, Isolated, NaryInterval, Seq, grid_ancestors, interval_row, row_span,
+    DyadicInterval as D, GridDots, Isolated, NaryInterval, Seq, grid_ancestors, int_endpoints,
+    interval_row, is_interval, row_span,
 )
 from natspace.metric import (
     _CONE_A, _CONE_B, DIGIT_CAP, MAX_LEVEL_GRADE, MetricDefect, _level_row, _meet, _shift,
     _TouchSet,
 )
+from natspace.spaces import _STD_BUILDERS
 
 from conftest import read_together
 
@@ -496,6 +498,30 @@ def test_fan_zones_mix_row_levels_with_levels_taken_dot_by_dot(no_rows):
         f, ref = _fan_and_reference(space, a, b, 7)
         assert len(f.t) > 2
         _assert_same_zones(space, f, ref, range(1, 8))
+
+
+@pytest.mark.parametrize("extend", [False, True], ids=["grid", "grid^+"])
+@pytest.mark.parametrize("name", ["sigma_[0,1]", "[0,1]_bin", "[0,1]_ter"])
+def test_hooked_level_rows_match_the_level_derivation(name, extend):
+    """Levels 1-9 of a fresh unit-interval grid (and its isolated-point
+    extension): the level_row hook's (row, rest), materialized, is the
+    derivation from level(g) (level 0, the root, has no row), the metric
+    reads the hook's row, and row_span reads both rows alike."""
+    space = _STD_BUILDERS[name]()
+    space = ns.extend_with_isolated_point(space) if extend else space
+    row_of = functools.partial(
+        oracles.interval_row_reference, grid_types=(D, NaryInterval), int_endpoints=int_endpoints)
+    probes = [c for g in range(1, 6) for c in space.level(g)] + [
+        NaryInterval(5, 1, 2), D(1, 2) if name != "sigma_[0,1]" else NaryInterval(2, 1, 2)]
+    assert _level_row(space, 0) == oracles.level_row_reference(space, 0, is_interval, row_of)
+    for g in range(1, 10):
+        row, rest = space.level_row(g)
+        ref_row, ref_rest = oracles.level_row_reference(space, g, is_interval, row_of)
+        assert rest == ref_rest, (g, rest)
+        assert (tuple(row[0]), *row[1:]) == ref_row, g
+        assert type(_level_row(space, g)[0][0]) is GridDots  # the metric reads the hook
+        assert len(row[0]) == len(ref_row[0]) and row[0][-1] == ref_row[0][-1]
+        assert [row_span(row, c) for c in probes] == [row_span(ref_row, c) for c in probes], g
 
 
 @st.composite

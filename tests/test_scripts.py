@@ -103,6 +103,17 @@ def test_bench_pairs_verdicts_past_a_noisy_parent(change, expected):
     assert _bench_pairs().verdict(metric, "lower", 0.15) == expected
 
 
+@pytest.mark.parametrize("change, expected", [
+    ([0.55] * 3, "unresolved"),  # better in 3 of 3 pairs by far: a gain needs 10 pairs
+    ([0.99] * 3, "within"),  # better in every pair, but by less than the parent's IQR
+    ([1.3] * 3, "worse"),  # 30% worse, past the bound
+    ([1.2] * 3, "within"),  # 20% worse, under the 25% bound
+], ids=["gain-like", "inside-iqr", "worse", "worse-in-bound"])
+def test_bench_pairs_verdicts_from_three_pairs(change, expected):
+    metric = _p90_summary([0.98, 1.0, 1.02], change)  # median 1.0, IQR 0.02
+    assert _bench_pairs().verdict(metric, "lower", 0.25) == expected
+
+
 def test_bench_pairs_verdict_reads_the_direction():
     # throughput (higher is better) 35% down: worse; 35% up in every pair: gain
     down = {"parent": {"q1": 99, "median": 100, "q3": 101, "runs": [100] * 10},
