@@ -1,5 +1,6 @@
 """Basic dot types: endpoints, apartness, refinement, JSON round trips."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -291,6 +292,52 @@ def test_seq_extends():
 )
 def test_json_round_trip(dot):
     assert dot_from_json(dot_to_json(dot)) == dot
+
+
+_WIRE_FORMS = [  # one dot of each kind and its JSON object, keys in order
+    (MAX, [("kind", "max")]),
+    (RatInterval(F(-1, 3), F(2)), [("kind", "rat"), ("lo", "-1/3"), ("hi", "2/1")]),
+    (D(-3, 2), [("kind", "dyadic"), ("n", -3), ("m", 2)]),
+    (NaryInterval(3, 4, 2), [("kind", "nary"), ("base", 3), ("n", 4), ("m", 2)]),
+    (Seq((0, 2, 1)), [("kind", "seq"), ("syms", [0, 2, 1])]),
+    (TupleDot((D(0, 1), Seq((1,)))),
+     [("kind", "tuple"), ("items", [{"kind": "dyadic", "n": 0, "m": 1}, {"kind": "seq", "syms": [1]}])]),
+    (Ball(7, 3), [("kind", "ball"), ("i", 7), ("s", 3)]),
+    (ns.Trail((Seq(()), Seq((1,)))),
+     [("kind", "trail"), ("items", [{"kind": "seq", "syms": []}, {"kind": "seq", "syms": [1]}])]),
+    (Isolated(4), [("kind", "iso"), ("k", 4)]),
+]
+
+
+@pytest.mark.parametrize("dot, form", _WIRE_FORMS, ids=lambda v: type(v).__name__)
+def test_json_wire_form_is_pinned(dot, form):
+    obj = dot_to_json(dot)
+    assert json.dumps(obj) == json.dumps(dict(form))  # nested objects' key order too
+    assert dot_from_json(obj) == dot
+
+
+def test_every_dot_class_has_a_json_kind():
+    # the classes slots=True replaced may linger among the subclasses: compare names
+    assert {c.__name__ for c in ns.Dot.__subclasses__()} == {type(d).__name__ for d, _ in _WIRE_FORMS}
+
+
+@pytest.mark.parametrize(
+    "obj, error, text",
+    [
+        ({"kind": "foo"}, ValueError, "unknown dot kind 'foo'"),
+        ({"kind": [1]}, ValueError, "unknown dot kind [1]"),
+        ({"kind": True}, ValueError, "unknown dot kind True"),
+        ({"kind": "nary", "base": 3, "n": 1}, KeyError, "'m'"),
+        ({"kind": "dyadic", "n": True, "m": 1}, TypeError, "expected a JSON int, found True"),
+        ({"kind": "rat", "lo": 0, "hi": "1/2"}, TypeError, "expected a JSON str, found 0"),
+        ({"kind": "seq", "syms": "01"}, TypeError, "expected a JSON list, found '01'"),
+        ([1], TypeError, "list indices must be integers or slices, not str"),
+    ],
+)
+def test_malformed_json_dots_raise_pinned_errors(obj, error, text):
+    with pytest.raises(error) as info:
+        dot_from_json(obj)
+    assert str(info.value) == text
 
 
 def _long_integers(low):
