@@ -196,11 +196,13 @@ def eval_expression_bounds(text: str, bits: int) -> Tuple[Fraction, Fraction]:
 # Output helpers.
 
 
-def _emit(fmt: str, payload: dict, text_lines: List[str], out) -> None:
+def _emit(fmt: str, payload: dict, out, text_lines: Optional[List[str]] = None) -> None:
+    """The payload as one JSON line, or as text_lines (by default one
+    "key value" line per payload field)."""
     if fmt == "json":
         out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        for line in text_lines:
+        for line in text_lines or [f"{key} {value}" for key, value in payload.items()]:
             out.write(line + "\n")
 
 
@@ -291,12 +293,7 @@ def _cmd_eval(args, out) -> int:
         lo, hi = eval_expression_bounds(args.expr, args.bits)
     except RecursionError:
         raise CliParseError("expression nested too deeply")
-    _emit(
-        args.format,
-        {"lo": rational_text(lo), "hi": rational_text(hi)},
-        [f"lo {rational_text(lo)}", f"hi {rational_text(hi)}"],
-        out,
-    )
+    _emit(args.format, {"lo": rational_text(lo), "hi": rational_text(hi)}, out)
     return 0
 
 
@@ -311,12 +308,7 @@ def _cmd_cantor(args, out) -> int:
     image = cantor_function().map(src)
     text = "".join(str(s) for s in image.syms)
     lo, hi = seq_interval(image, 2)
-    _emit(
-        args.format,
-        {"image": text, "lo": rational_text(lo), "hi": rational_text(hi)},
-        [f"image {text}", f"lo {rational_text(lo)}", f"hi {rational_text(hi)}"],
-        out,
-    )
+    _emit(args.format, {"image": text, "lo": rational_text(lo), "hi": rational_text(hi)}, out)
     return 0
 
 
@@ -333,7 +325,7 @@ def _cmd_linecall(args, out) -> int:
             raise CliSemanticError("empty measurement stream")
         stream = point_from_prefix(space, dots, name="measurements")
     verdict = line_call(stream, args.threshold_exp)
-    _emit(args.format, {"call": verdict}, [verdict], out)
+    _emit(args.format, {"call": verdict}, out, [verdict])
     return 0
 
 
@@ -367,8 +359,8 @@ def _cmd_subcover(args, out) -> int:
     _emit(
         args.format,
         {"subcover": sel_json, "union_covers_root": union_ok},
-        lines,
         out,
+        lines,
     )
     return 0
 
@@ -416,8 +408,8 @@ def _cmd_metric(args, out) -> int:
     _emit(
         args.format,
         {"terms": rows, "lo": rational_text(lo), "hi": rational_text(hi)},
-        lines,
         out,
+        lines,
     )
     return 0
 
@@ -435,8 +427,8 @@ def _cmd_validate(args, out) -> int:
             "ok": report.ok,
             "entries": list(report.entries),
         },
-        [str(report)],
         out,
+        [str(report)],
     )
     return 0
 

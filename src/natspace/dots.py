@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import partial
 from fractions import Fraction
@@ -406,28 +406,9 @@ def read_rational(text: str) -> Fraction:
     return Fraction(n * dd, d * dn)
 
 
-def dot_to_json(d: Dot) -> dict:
-    """Serialize a dot to its canonical JSON object form."""
-    if isinstance(d, MaxDot):
-        return {"kind": "max"}
-    if isinstance(d, DyadicInterval):
-        return {"kind": "dyadic", "n": d.n, "m": d.m}
-    if isinstance(d, RatInterval):
-        return {"kind": "rat", "lo": rational_text(d.lo, slash=True),
-                "hi": rational_text(d.hi, slash=True)}
-    if isinstance(d, NaryInterval):
-        return {"kind": "nary", "base": d.base, "n": d.n, "m": d.m}
-    if isinstance(d, Seq):
-        return {"kind": "seq", "syms": list(d.syms)}
-    if isinstance(d, TupleDot):
-        return {"kind": "tuple", "items": [dot_to_json(x) for x in d.items]}
-    if isinstance(d, Ball):
-        return {"kind": "ball", "i": d.i, "s": d.s}
-    if isinstance(d, Trail):
-        return {"kind": "trail", "items": [dot_to_json(x) for x in d.items]}
-    if isinstance(d, Isolated):
-        return {"kind": "iso", "k": d.k}
-    raise TypeError(f"unserializable dot {d!r}")
+_KINDS = {"max": MaxDot, "rat": RatInterval, "dyadic": DyadicInterval, "nary": NaryInterval,
+          "seq": Seq, "tuple": TupleDot, "ball": Ball, "trail": Trail, "iso": Isolated}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 
 def _json(v, kind: type):
@@ -437,25 +418,29 @@ def _json(v, kind: type):
     return v
 
 
+_RAT = (partial(rational_text, slash=True), lambda v: read_rational(_json(v, str)))
+_FORMS = {  # (write, read) of the fields that are no JSON int
+    "lo": _RAT,
+    "hi": _RAT,
+    "syms": (list, lambda v: tuple(_json(s, int) for s in _json(v, list))),
+    "items": (lambda v: list(map(dot_to_json, v)),
+              lambda v: tuple(map(dot_from_json, _json(v, list)))),
+}
+_INT = (int, partial(_json, kind=int))
+
+
+def dot_to_json(d: Dot) -> dict:
+    """A dot's canonical JSON object: its kind, then each field under its own name."""
+    if type(d) not in _KIND_OF:
+        raise TypeError(f"unserializable dot {d!r}")
+    return {"kind": _KIND_OF[type(d)]} | {
+        f.name: _FORMS.get(f.name, _INT)[0](getattr(d, f.name)) for f in fields(d)}
+
+
 def dot_from_json(obj: dict) -> Dot:
     """Parse the canonical JSON object form back into a dot."""
     kind = obj["kind"]
-    if kind == "max":
-        return MAX
-    if kind == "dyadic":
-        return DyadicInterval(_json(obj["n"], int), _json(obj["m"], int))
-    if kind == "rat":
-        return RatInterval(*(read_rational(_json(obj[end], str)) for end in ("lo", "hi")))
-    if kind == "nary":
-        return NaryInterval(_json(obj["base"], int), _json(obj["n"], int), _json(obj["m"], int))
-    if kind == "seq":
-        return Seq(tuple(_json(s, int) for s in _json(obj["syms"], list)))
-    if kind == "tuple":
-        return TupleDot(tuple(dot_from_json(x) for x in _json(obj["items"], list)))
-    if kind == "ball":
-        return Ball(_json(obj["i"], int), _json(obj["s"], int))
-    if kind == "trail":
-        return Trail(tuple(dot_from_json(x) for x in _json(obj["items"], list)))
-    if kind == "iso":
-        return Isolated(_json(obj["k"], int))
-    raise ValueError(f"unknown dot kind {kind!r}")
+    if type(kind) is not str or kind not in _KINDS:  # a list is no key
+        raise ValueError(f"unknown dot kind {kind!r}")
+    cls = _KINDS[kind]
+    return cls(*(_FORMS.get(f.name, _INT)[1](obj[f.name]) for f in fields(cls)))

@@ -175,11 +175,11 @@ class _TouchSet:
 def _level_row(space: Space, g: int) -> Tuple[Optional[tuple], Tuple[Dot, ...]]:
     """(row, rest): level g's interval dots as one dots.interval_row and
     its other dots in level order, or (None, level) when they are no row
-    (g >= 1: the space's level_row if it has one).  The root is never a row:
-    rest dots may touch it, which no segment shows."""
+    (g >= 1: the space's level_row where it gives a row).  The root is never
+    a row: rest dots may touch it, which no segment shows."""
     rows = space.derived(_level_row, dict)
-    if g not in rows and g and space.level_row is not None:
-        rows[g] = space.level_row(g)
+    if g not in rows and g and space.level_row is not None and (hooked := space.level_row(g))[0]:
+        rows[g] = hooked
     if g not in rows:
         level = space.level(g)
         row = interval_row(c for c in level if is_interval(c) and c != space.max_dot)
@@ -627,33 +627,31 @@ def _pair_stream(space: Space) -> Iterator[Tuple[Dot, Dot]]:
 
 class MetricEvaluator:
     """The metric d(x,y) = sum_m 2^-m |f_m(x) - f_m(y)| over the frozen
-    enumeration of separator pairs of a star-finite fann; every separator
-    splits levels down to MAX_LEVEL_GRADE."""
+    enumeration of separator pairs of a star-finite fann: f_m is the
+    separator of the m-th pair, and pair m is its endpoints a and b.  Every
+    separator splits levels down to MAX_LEVEL_GRADE."""
 
     def __init__(self, space: Space):
         if not space.finitely_branching:
             raise MetricDefect("the metric needs a finitely branching space")
         self.space = space
-        self._pairs = Lazy(lambda: _pair_stream(space))
-        self._seps: Dict[int, UrysohnFunction] = {}
+        self._separators = Lazy(
+            lambda: (urysohn_fan(space, a, b, MAX_LEVEL_GRADE) for a, b in _pair_stream(space)))
         # per point: (m, digits) -> value bounds; an entry dies with its point
         self._values: "weakref.WeakKeyDictionary[Point, Dict]" = weakref.WeakKeyDictionary()
         self._lock = threading.RLock()
 
     def pair(self, m: int) -> Tuple[Dot, Dot]:
+        sep = self.separator(m)
+        return sep.a, sep.b
+
+    def separator(self, m: int) -> UrysohnFunction:
         try:
-            return self._pairs[m]
+            return self._separators[m]
         except IndexError:
             raise MetricDefect(
                 f"{self.space.name}: no separator pair {m} up to grade {MAX_LEVEL_GRADE}"
             ) from None
-
-    def separator(self, m: int) -> UrysohnFunction:
-        with self._lock:
-            if m not in self._seps:
-                a, b = self.pair(m)
-                self._seps[m] = urysohn_fan(self.space, a, b, MAX_LEVEL_GRADE)
-            return self._seps[m]
 
     def values_of(self, x: Point) -> Callable[[int, int], Tuple[Fraction, Fraction]]:
         """value(m, digits): bounds on f_m(x) to that many ternary digits,

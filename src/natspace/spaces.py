@@ -122,9 +122,10 @@ class Space:
 
     A graded space binds its grade and successors hooks as attributes.
     Level g holds the successors of level g - 1's dots, in order and each
-    once, from (max_dot,); a space may state it in closed form as level(g),
-    and for g >= 1 as level_row(g): the dots.interval_row of its interval dots
-    as GridDots, which builds none, and its other dots in level order.
+    once, from (max_dot,).  A space may state level g >= 1 in closed form as
+    level_row(g) = (row, rest): row the dots.interval_row of its interval
+    dots (as GridDots, which builds none) or None, rest its other dots in
+    level order; the level is then the row's dots followed by its rest.
 
     Immutable after construction except for its caches, so shareable: the
     enumeration and level-set streams draw under their Lazy's lock, and the
@@ -143,7 +144,6 @@ class Space:
         successors: Optional[Callable[[Dot], Successors]] = None,
         predecessors: Optional[Callable[[Dot], Tuple[Dot, ...]]] = None,
         finitely_branching: bool = False,
-        level: Optional[Callable[[int], Tuple[Dot, ...]]] = None,
         width: Optional[Callable[[Dot], Fraction]] = None,
         is_isolated: Optional[Callable[[Dot], bool]] = None,
         rank: Optional[Callable[[Dot], Optional[int]]] = None,
@@ -172,8 +172,7 @@ class Space:
             self._indexed = 0  # enumeration indices below this are in _index_cache
             self._lock = threading.RLock()
         self._derived: dict = {}
-        closed = None if level is None else lambda: map(level, itertools.count())  # never ends
-        self._levels = Lazy(closed or self._level_sets)
+        self._levels = Lazy(self._level_sets)
 
     # -- relations ---------------------------------------------------------
 
@@ -278,9 +277,13 @@ class Space:
 
     def _level_sets(self) -> Iterator[Tuple[Dot, ...]]:
         out: Tuple[Dot, ...] = (self.max_dot,)
-        while True:
+        for g in itertools.count(1):
             yield out
-            out = tuple(dict.fromkeys(s for d in out for s in self.successors(d).dots))
+            if self.level_row is None:
+                out = tuple(dict.fromkeys(s for d in out for s in self.successors(d).dots))
+            else:
+                row, rest = self.level_row(g)
+                out = (() if row is None else tuple(row[0])) + rest
 
     def width(self, d: Dot) -> Fraction:
         if self._width is None:
@@ -461,16 +464,13 @@ def _interval_space(name: str, base: int, k: int, line: bool) -> Space:
                 m += 1
             return dot(i, m)
 
-    def level(g: int) -> Tuple[Dot, ...]:
-        return tuple(dot(n, m0 + g) for n in range(base ** (m0 + g) - spill))
-
     return Space(
         name,
         _interval_apart,
         _interval_refines,
         MAX if line else dot(0, m0),
         grade=grade, successors=successors, predecessors=predecessors,
-        finitely_branching=not line, level=None if line else level,
+        finitely_branching=not line,
         width=width,
         rank=rank,
         unrank=unrank,
@@ -1018,11 +1018,8 @@ def extend_with_isolated_point(space: Space) -> Space:
     def is_isolated(d: Dot) -> bool:
         return isinstance(d, Isolated) or space.is_isolated(d)
 
-    def level(g: int) -> Tuple[Dot, ...]:
-        return space.level(g) + (Isolated(g),) if g else (max_dot,)
-
     def level_row(g: int) -> tuple:
-        row, rest = space.level_row(g)
+        row, rest = (None, space.level(g)) if space.level_row is None else space.level_row(g)
         return row, rest + (Isolated(g),)
 
     return Space(
@@ -1031,9 +1028,9 @@ def extend_with_isolated_point(space: Space) -> Space:
         refines,
         max_dot,
         grade=grade, successors=succs, predecessors=preds,
-        finitely_branching=space.finitely_branching, level=level,
+        finitely_branching=space.finitely_branching,
         width=space._width,
         is_isolated=is_isolated,
-        level_row=None if space.level_row is None else level_row,
+        level_row=level_row if space.finitely_branching else None,
         **order,
     )

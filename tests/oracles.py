@@ -766,13 +766,18 @@ def value_bounds_reference(f, x, digit_goal: int) -> Tuple[Fraction, Fraction]:
     return digit_interval(best, 3)
 
 
+def level_sets_reference(space, top: int) -> List[Tuple]:
+    """Levels 0..top of a finitely branching space, breadth first: the
+    maximal dot, then each level's successors in order, each dot kept once."""
+    levels = [(space.max_dot,)]
+    while len(levels) <= top:
+        levels.append(tuple(dict.fromkeys(s for d in levels[-1] for s in space.successors(d).dots)))
+    return levels
+
+
 def level_reference(space, g: int) -> Tuple:
-    """Level g of a finitely branching space: the maximal dot expanded g
-    times into its successors, in order, each dot kept once."""
-    out = (space.max_dot,)
-    for _ in range(g):
-        out = tuple(dict.fromkeys(s for d in out for s in space.successors(d).dots))
-    return out
+    """Level g of a finitely branching space (see level_sets_reference)."""
+    return level_sets_reference(space, g)[g]
 
 
 def normalized_dots_reference(p) -> Iterator:

@@ -309,7 +309,8 @@ _WIRE_FORMS = [  # one dot of each kind and its JSON object, keys in order
 ]
 
 
-@pytest.mark.parametrize("dot, form", _WIRE_FORMS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "dot, form", _WIRE_FORMS, ids=[type(d).__name__ for d, _ in _WIRE_FORMS])
 def test_json_wire_form_is_pinned(dot, form):
     obj = dot_to_json(dot)
     assert json.dumps(obj) == json.dumps(dict(form))  # nested objects' key order too

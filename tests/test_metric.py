@@ -524,6 +524,17 @@ def test_hooked_level_rows_match_the_level_derivation(name, extend):
         assert [row_span(row, c) for c in probes] == [row_span(ref_row, c) for c in probes], g
 
 
+@pytest.mark.parametrize("name", ["cantor", "T3"])
+def test_level_rows_off_the_grids_are_derived_from_the_level(name):
+    """On an extension over a space with no level_row hook, the extension's
+    hook gives no row, and the metric derives (row, rest) from level(g)."""
+    space = ns.extend_with_isolated_point(_STD_BUILDERS[name]())
+    row_of = functools.partial(
+        oracles.interval_row_reference, grid_types=(D, NaryInterval), int_endpoints=int_endpoints)
+    for g in range(8):
+        assert _level_row(space, g) == oracles.level_row_reference(space, g, is_interval, row_of)
+
+
 @st.composite
 def touch_sets(draw):
     """At most six dots of sigma_[0,1]^+: grid dots up to grade 7 and

@@ -31,11 +31,15 @@ def test_demo_runs(script, first_line):
     assert proc.stdout.splitlines()[0] == first_line
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _script("bench_pairs")
 
 
 def test_bench_pairs_alternate_which_side_runs_first():
@@ -142,3 +146,31 @@ def test_bench_pairs_refuse_a_pair_whose_answers_differ():
     failed = [{"parent": _run(1, 1), "change": _run(1, 1, failed=2)}] * 2
     summary = bp.summarize(failed, {"throughput_qps": "higher"})
     assert not summary["all_runs_correct"] and summary["failed"] == {"parent": 0, "change": 4}
+
+
+_MODULE = '''"""A module."""
+
+
+def add(a, b):
+    """Add."""
+    return (a +
+            b)
+'''
+
+
+def test_src_size_counts_code_not_layout(tmp_path):
+    src_size = _script("src_size")
+    nodes = src_size.ast_nodes(_MODULE)
+    reformatted = "def add(a, b):  # no docstrings\n    return a + b\n"
+    redocumented = _MODULE.replace('"""Add."""', '"""Add b to a,\n    over two lines."""')
+    assert src_size.ast_nodes(reformatted) == src_size.ast_nodes(redocumented) == nodes
+    assert src_size.ast_nodes(_MODULE + "\n\nX = 1\n") == nodes + 4  # Assign Name Store Constant
+    for tree, text in (("old", _MODULE), ("new", _MODULE + "\n\nX = 1\n")):
+        (tmp_path / tree / "src" / "natspace").mkdir(parents=True)
+        (tmp_path / tree / "src" / "natspace" / "m.py").write_text(text)
+    rows = [row.split("\t") for row in src_size.table([tmp_path / "old", tmp_path / "new"])]
+    assert rows[1:] == [[name, "7", str(nodes), "10", str(nodes + 4), "+3", "+4"]
+                        for name in ("m", "total")]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_size.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1].startswith("total\t"), proc.stderr

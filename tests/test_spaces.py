@@ -162,6 +162,15 @@ def test_grid_levels_match_the_successor_expansion(name, levels):
             assert space.level(g) == oracles.level_reference(space, g), (space.name, g)
 
 
+@pytest.mark.parametrize("name", [n for n in STD_NAMES if ns.std_space(n).finitely_branching])
+def test_levels_match_the_breadth_first_derivation(name):
+    # a closed-form level (the grids' level_row) and a derived one alike, and the
+    # extension's: the inner level (or row and rest) with iso(g) last
+    base = _STD_BUILDERS[name]()
+    for space in (base, ns.extend_with_isolated_point(base)):
+        assert [space.level(g) for g in range(8)] == oracles.level_sets_reference(space, 7), name
+
+
 def test_unit_fan_same_grade_apartness(sigma01):
     # overlapping grid: same-grade dots are apart iff indices differ by >= 3
     lev = list(sigma01.level(2))
