@@ -108,6 +108,19 @@ class Successors:
         return tuple(self.more(k) for k in range(count))
 
 
+def _level_sets(max_dot: Dot, successors, level_row) -> Iterator[Tuple[Dot, ...]]:
+    """A space's levels from (max_dot,): each the row's dots and rest of
+    level_row(g), or with no such hook the successors of the level before."""
+    out: Tuple[Dot, ...] = (max_dot,)
+    for g in itertools.count(1):
+        yield out
+        if level_row is None:
+            out = tuple(dict.fromkeys(s for d in out for s in successors(d).dots))
+        else:
+            row, rest = level_row(g)
+            out = (() if row is None else tuple(row[0])) + rest
+
+
 class Space:
     """A pre-natural space descriptor.
 
@@ -172,7 +185,8 @@ class Space:
             self._indexed = 0  # enumeration indices below this are in _index_cache
             self._lock = threading.RLock()
         self._derived: dict = {}
-        self._levels = Lazy(self._level_sets)
+        # no reference to the space in its own stream: a space dies with its last reference
+        self._levels = Lazy(functools.partial(_level_sets, max_dot, self.successors, level_row))
 
     # -- relations ---------------------------------------------------------
 
@@ -274,16 +288,6 @@ class Space:
         if not self.finitely_branching:
             raise SpaceDefect(f"{self.name}: level sets need a finitely branching space")
         return self._levels[g]
-
-    def _level_sets(self) -> Iterator[Tuple[Dot, ...]]:
-        out: Tuple[Dot, ...] = (self.max_dot,)
-        for g in itertools.count(1):
-            yield out
-            if self.level_row is None:
-                out = tuple(dict.fromkeys(s for d in out for s in self.successors(d).dots))
-            else:
-                row, rest = self.level_row(g)
-                out = (() if row is None else tuple(row[0])) + rest
 
     def width(self, d: Dot) -> Fraction:
         if self._width is None:

@@ -4,6 +4,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -246,6 +247,23 @@ def test_metric_cache_survives_recycled_point_ids(ext01):
     assert list(ev._values) == [q]
     near = ns.point_from_prefix(ext01, near_dots)
     assert ns.evaluate_metric(ev, near, q, 4) == (F(0), F(79, 648))
+
+
+@pytest.mark.parametrize("name", ["sigma_[0,1]", "cantor"])
+def test_a_space_and_its_metric_are_freed_by_reference_count(name):
+    # no level stream or separator holds its own space, so a fresh space,
+    # its evaluator and its separators go without a garbage collection
+    gc.disable()
+    try:
+        space = ns.extend_with_isolated_point(_STD_BUILDERS[name]())
+        ev = ns.MetricEvaluator(space)
+        x, y = (ns.canonical_point(space, d) for d in space.level(3)[:2])
+        ns.evaluate_metric(ev, x, y, 4)
+        refs = [weakref.ref(obj) for obj in (space, ev, ev.separator(0))]
+        del space, ev, x, y
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_metric_digit_goal_is_least_power_of_three():
