@@ -549,6 +549,7 @@ def test_level_rows_off_the_grids_are_derived_from_the_level(name):
     space = ns.extend_with_isolated_point(_STD_BUILDERS[name]())
     row_of = functools.partial(
         oracles.interval_row_reference, grid_types=(D, NaryInterval), int_endpoints=int_endpoints)
+    assert all(space.level_row(g)[0] is None for g in range(1, 8))
     for g in range(8):
         assert _level_row(space, g) == oracles.level_row_reference(space, g, is_interval, row_of)
 
