@@ -51,7 +51,7 @@ class RatInterval(Dot):
             raise ValueError(f"RatInterval needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def __repr__(self) -> str:
-        return f"[{self.lo},{self.hi}]"
+        return f"[{rational_text(self.lo)},{rational_text(self.hi)}]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +66,7 @@ class DyadicInterval(Dot):
             raise ValueError("DyadicInterval needs m >= 0")
 
     def __repr__(self) -> str:
-        lo, hi, den = int_endpoints(self)
-        return f"[{Fraction(lo, den)},{Fraction(hi, den)}]d"
+        return f"[{_fraction_text(self.n, 1 << self.m)},{_fraction_text(self.n + 2, 1 << self.m)}]d"
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +84,8 @@ class NaryInterval(Dot):
             raise ValueError("NaryInterval needs m >= 0")
 
     def __repr__(self) -> str:
-        lo, hi, den = int_endpoints(self)
-        return f"[{Fraction(lo, den)},{Fraction(hi, den)}]@{self.base}"
+        den = self.base**self.m
+        return f"[{_fraction_text(self.n, den)},{_fraction_text(self.n + 1, den)}]@{self.base}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -379,11 +378,23 @@ def nary_seq(d: NaryInterval) -> Seq:
 # ---------------------------------------------------------------------------
 
 
+def _int_text(n: int) -> str:
+    """str(n) at any length: Decimal prints past 2,000 bits, under any int-to-str
+    digit limit Python allows (640 digits at least)."""
+    return str(n) if n.bit_length() < 2000 else str(Decimal(n))
+
+
 def rational_text(q: Fraction, slash: bool = False) -> str:
-    """str(q), "n/d" or "n" ("n/d" always with slash), at any length: Decimal
-    prints an integer past Python's int-to-str digit limit."""
-    num = str(Decimal(q.numerator))
-    return f"{num}/{Decimal(q.denominator)}" if slash or q.denominator != 1 else num
+    """str(q), "n/d" or "n" ("n/d" always with slash), at any length."""
+    return _fraction_text(q.numerator, q.denominator, 1, slash)
+
+
+def _fraction_text(n: int, den: int, common: int = 0, slash: bool = False) -> str:
+    """rational_text(Fraction(n, den)) for den > 0, with no Fraction built:
+    common is their gcd, taken here unless the caller knows it."""
+    common = common or math.gcd(n, den)
+    n, den = n // common, den // common
+    return f"{_int_text(n)}/{_int_text(den)}" if slash or den != 1 else _int_text(n)
 
 
 def read_rational(text: str) -> Fraction:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import spaces
 from .dots import MAX, Dot, DyadicInterval, MaxDot, Seq, Trail
@@ -173,8 +173,9 @@ class CoverTrails:
     Every CoverTrails of one space shares that space's predecessor map, kept
     on the space as space.derived(CoverTrails, dict) (dot -> its predecessors
     but the max dot), so the walks of neighbouring dots climb through
-    ancestors once.  The map holds only dots that some walk reached; threads
-    that race on a dot store equal values."""
+    ancestors once, and its first copies (first) in
+    space.derived(CoverTrails.first, dict).  Both die with the space and
+    hold only dots that some walk reached; racing threads store equal values."""
 
     def __init__(self, space: Space, a: Dot):
         self.space = space
@@ -187,6 +188,21 @@ class CoverTrails:
             up, top = tuple(self.space.predecessors(d)), self.space.max_dot
             self._up[d] = up = tuple(p for p in up if p != top) if top in up else up
         return up
+
+    def first(self) -> Optional[Trail]:
+        """The trail iteration yields first, kept per dot (none for the max
+        dot): the first copy of a's first predecessor, then a; (a,) at grade
+        1.  A loop, not recursion, climbs to a kept dot and extends down."""
+        top, kept = self.space.max_dot, self.space.derived(CoverTrails.first, dict)
+        climb, d = [], self.a
+        while d not in kept and d != top:
+            climb.append(d)
+            d = (self._parents(d) or (top,))[0]
+        items = () if d == top else kept[d].items
+        for d in reversed(climb):
+            items += (d,)
+            kept[d] = Trail(items)
+        return kept.get(self.a)
 
     def __iter__(self) -> Iterator[Trail]:
         if self.a == self.space.max_dot:
@@ -286,9 +302,9 @@ def compress_sigmaR(f: Morphism) -> Morphism:
     """Turn a trail morphism on sigma_R into a refinement morphism: g(a) is
     the common refinement of f(b)-hat over all unglued copies b of a.  g
     never becomes apart from f on points.  When f.last_dot every copy has
-    the same image, so g maps the first copy only; otherwise it maps every
-    copy, and raises MorphismDefect when a has more than
-    COVER_TRAIL_BUDGET of them."""
+    the same image, so g maps the first copy only, kept per dot (see
+    CoverTrails.first); otherwise it maps every copy, and raises
+    MorphismDefect when a has more than COVER_TRAIL_BUDGET of them."""
     if f.kind != TRAIL:
         raise MorphismDefect("compress_sigmaR expects a trail morphism")
     sr = std_space("sigma_R")
@@ -298,7 +314,7 @@ def compress_sigmaR(f: Morphism) -> Morphism:
             return MAX
         trails = cover_trails(sr, a)
         if f.last_dot:
-            copies: Iterable[Trail] = itertools.islice(trails, 1)
+            copies: Iterable[Trail] = (trails.first(),)
         elif len(trails) > COVER_TRAIL_BUDGET:
             raise MorphismDefect(
                 f"compress_sigmaR: {a!r} has {len(trails)} unglued copies, over "

@@ -14,6 +14,7 @@ flattened.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .dots import Dot, MaxDot, TupleDot, dot_from_json, dot_to_json
@@ -62,7 +63,7 @@ class Split:
 BarNode = Union[Leaf, Split]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneticBar:
     space: Space
     node: BarNode
@@ -70,6 +71,24 @@ class GeneticBar:
     @property
     def root(self) -> Dot:
         return self.node.dot
+
+    @cached_property
+    def leaves(self) -> Tuple[Dot, ...]:
+        """All leaf dots of the derivation (finite exactly when every visited
+        cone branches finitely), walked on the first read only: Splits memoize
+        their children, so the walk cannot change; a walk that raises keeps
+        nothing, so an infinitely branching cone raises on every read."""
+        out: Dict[Dot, None] = {}  # an ordered set
+
+        def walk(node: BarNode) -> None:
+            if isinstance(node, Leaf):
+                out[node.dot] = None
+                return
+            for s in _finite_successors(self.space, node.dot):
+                walk(node.child(s))
+
+        walk(self.node)
+        return tuple(out)
 
 
 @dataclass
@@ -105,19 +124,8 @@ def _successors_above(space: Space, r: Dot, d: Dot) -> List[Dot]:
 
 
 def flatten(bar: GeneticBar) -> Tuple[Dot, ...]:
-    """All leaf dots of the derivation (finite exactly when every visited
-    cone branches finitely)."""
-    out: Dict[Dot, None] = {}  # an ordered set
-
-    def walk(node: BarNode) -> None:
-        if isinstance(node, Leaf):
-            out[node.dot] = None
-            return
-        for s in _finite_successors(bar.space, node.dot):
-            walk(node.child(s))
-
-    walk(bar.node)
-    return tuple(out)
+    """The bar's leaves (see GeneticBar.leaves), walked on the first call only."""
+    return bar.leaves
 
 
 def bar_contains(bar: GeneticBar, d: Dot) -> bool:

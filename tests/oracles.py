@@ -850,3 +850,45 @@ def level_row_reference(space, g: int, is_interval, row_of) -> Tuple:
     level = space.level(g)
     row = row_of([c for c in level if is_interval(c) and c != space.max_dot])
     return (row, tuple(c for c in level if not is_interval(c))) if row is not None else (None, level)
+
+
+# ---------------------------------------------------------------------------
+# Interval dot texts, random bar leaves and Heine-Borel selection, by
+# str(Fraction), plain recursion and a scan.
+# ---------------------------------------------------------------------------
+
+
+def interval_text_reference(lo: Fraction, hi: Fraction, suffix: str = "") -> str:
+    """An interval dot's text with each endpoint as str(Fraction) writes it:
+    "[lo,hi]", then "d" for a dyadic dot or "@base" for an n-ary one.  Past
+    Python's int-to-str digit limit str(Fraction) raises ValueError."""
+    return f"[{lo},{hi}]{suffix}"
+
+
+def random_bar_leaves(root, successors: Callable, max_depth: int, seed: int) -> List:
+    """The leaves of conftest.random_bar's bar, each once in walk order, by
+    recursion over successors(d) (a tuple): a dot is a leaf at the depth limit,
+    or when its draw from f"{seed}:{d!r}" is below 0.35 and it is no root."""
+    leaves: List = []
+
+    def walk(d, k: int) -> None:
+        if k <= 0 or (k < max_depth and random.Random(f"{seed}:{d!r}").random() < 0.35):
+            if d not in leaves:
+                leaves.append(d)
+            return
+        for s in successors(d):
+            walk(s, k - 1)
+
+    walk(root, max_depth)
+    return leaves
+
+
+def finite_subcover_scan(leaves: Sequence, cover: Sequence, refines: Callable) -> Tuple:
+    """Heine-Borel selection by a scan: for each leaf in order the first cover
+    dot it refines, each cover dot kept once, where it was first chosen."""
+    chosen: List = []
+    for d in leaves:
+        hit = next(c for c in cover if refines(d, c))
+        if hit not in chosen:
+            chosen.append(hit)
+    return tuple(chosen)

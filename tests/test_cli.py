@@ -155,6 +155,16 @@ def test_a_rat_endpoint_reads_at_any_length(tmp_path, capsys, digits):
         2, "", "error: R_rat: no grade structure\n")
 
 
+@pytest.mark.parametrize("digits", [1, 5000])
+def test_linecall_names_a_dot_off_sigma_R_at_any_length(tmp_path, capsys, digits):
+    # the dot reads, and its text in the error prints past int/str's digit limit
+    lo = "7" * digits
+    path = tmp_path / "rat.jsonl"
+    path.write_text('{"kind": "rat", "lo": "%s", "hi": "%s1"}\n' % (lo, lo))
+    assert run(capsys, "linecall", str(path)) == (
+        2, "", f"error: {path}: [{lo},{lo}1] is not a dot of sigma_R\n")
+
+
 @pytest.mark.parametrize("hi, text", [
     ("1/0", "zero denominator"),
     ("1e99999999999999999999", "exponent out of range"),  # Fraction(str) builds 10**exp

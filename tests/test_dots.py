@@ -31,6 +31,7 @@ from natspace.dots import (
     meeting_segment,
     merged_segments,
     nary_seq,
+    read_rational,
     seq_dot,
     width,
 )
@@ -360,3 +361,28 @@ long_rationals = st.builds(
 def test_a_rat_dot_round_trips_at_any_length(ends):
     d = RatInterval(*ends)
     assert dot_from_json(dot_to_json(d)) == d
+
+
+numerators = (st.integers(-3, 3) | st.integers()
+              | st.tuples(st.booleans(), _long_integers(0)).map(lambda s: -s[1] if s[0] else s[1]))
+
+
+@settings(deadline=None)
+@given(n=numerators, m=st.integers(0, 70) | st.integers(0, 20_000), base=st.integers(2, 12),
+       k=st.integers(0, 40) | st.integers(0, 6_000), den=st.integers(1, 10**6) | _long_integers(1))
+def test_interval_texts_are_the_fraction_texts(n, m, base, k, den):
+    cases = [
+        (D(n, m), F(n, 2**m), F(n + 2, 2**m), "d"),
+        (NaryInterval(base, n, k), F(n, base**k), F(n + 1, base**k), f"@{base}"),
+        (RatInterval(F(n, den), F(n + 1, den)), F(n, den), F(n + 1, den), ""),
+    ]
+    for d, lo, hi, suffix in cases:
+        text = repr(d)
+        try:
+            expected = oracles.interval_text_reference(lo, hi, suffix)
+        except ValueError:  # past int/str's digit limit: the text still reads back
+            assert text.endswith("]" + suffix)
+            lo_text, hi_text = text[1:text.index("]")].split(",")
+            assert (read_rational(lo_text), read_rational(hi_text)) == (lo, hi)
+        else:
+            assert text == expected

@@ -183,6 +183,28 @@ def test_cover_trails_share_one_predecessor_map_per_space(name):
     assert _walks(space, dots[::-1]) == listed[::-1]
 
 
+def _first_copy_pool(space):
+    """Dots of a fresh space whose first copies the property below asks for:
+    sigma_R's down to grade 41, the levels of the finite-level spaces."""
+    if space.name == "sigma_R":
+        return st.integers(0, 40).flatmap(
+            lambda m: st.builds(D, st.integers(-(2 ** (m + 2)), 2 ** (m + 2)), st.just(m)))
+    return st.sampled_from([a for g in range(10) for a in space.level(g)])
+
+
+@pytest.mark.parametrize("name", ["sigma_R", "sigma_[0,1]", "T3"])
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_a_first_copy_is_the_first_trail_of_the_walk(name, data):
+    space = spaces._STD_BUILDERS[name]()  # no first copy kept yet
+    dots = data.draw(st.lists(_first_copy_pool(space), min_size=1, max_size=40))
+    for a in dots + dots[::-1]:  # kept copies met before and after their ancestors
+        trails = ns.cover_trails(space, a)
+        assert trails.first() == next(iter(trails), None), a
+    assert ns.cover_trails(space, space.max_dot).first() is None
+    assert set(space.derived(encodings.CoverTrails.first, dict)) >= set(dots) - {space.max_dot}
+
+
 class _Map(dict):
     """A dict that a weak reference can watch."""
 

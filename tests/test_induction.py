@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import natspace as ns
 from natspace.dots import DyadicInterval as D, Seq, Trail, endpoints
@@ -14,6 +15,7 @@ from natspace.induction import (
     GeneticBar,
     Ind1,
     Leaf,
+    Split,
 )
 
 import oracles
@@ -53,6 +55,47 @@ def test_flatten_union_covers_unit(sigma01):
         bar = random_bar(sigma01, D(0, 1), 5, seed=seed)
         segs = [endpoints(d) for d in ns.flatten(bar)]
         assert oracles.union_covers(segs, F(0), F(1))
+
+
+def test_flatten_walks_a_bar_once(sigma01, monkeypatch):
+    made = []  # children the bar's own function built
+
+    def node(d, k):
+        return Leaf(d) if k == 0 else Split(d, lambda s: made.append(s) or node(s, k - 1))
+
+    bar = GeneticBar(sigma01, node(sigma01.max_dot, 4))
+    asked = []  # Split.child calls of a walk
+    child = Split.child
+    monkeypatch.setattr(Split, "child", lambda self, s: asked.append(s) or child(self, s))
+    leaves = ns.flatten(bar)
+    assert leaves and made and len(asked) == len(made)
+    del made[:], asked[:]
+    assert ns.flatten(bar) == leaves and ns.finite_subcover(
+        sigma01, Cover(dots=leaves, witness=bar)) == leaves
+    assert made == asked == []
+
+
+def test_a_bar_over_an_infinitely_branching_cone_raises_on_every_flatten(baire):
+    bar = GeneticBar(baire, Split(baire.max_dot, Leaf))
+    for _ in range(2):
+        with pytest.raises(BarDefect, match="branches infinitely"):
+            ns.flatten(bar)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5), shuffle=st.randoms())
+def test_finite_subcover_is_the_scan_of_the_leaves(sigma01, seed, depth, shuffle):
+    bar = random_bar(sigma01, sigma01.max_dot, depth, seed)
+    leaves = oracles.random_bar_leaves(
+        sigma01.max_dot, lambda d: sigma01.successors(d).dots, depth, seed)
+    cover = list(leaves) + [D(0, 1), D(1, 2)]
+    shuffle.shuffle(cover)
+    if shuffle.random() < 0.5:  # the subcover reads the leaves a caller walked, or walks them
+        assert ns.flatten(bar) == tuple(leaves)
+    expected = oracles.finite_subcover_scan(leaves, cover, lambda d, c: (
+        oracles.interval_contains_reference(endpoints(c), endpoints(d))))
+    assert ns.finite_subcover(sigma01, Cover(dots=tuple(cover), witness=bar)) == expected
+    assert ns.flatten(bar) == tuple(leaves)
 
 
 def test_finite_subcover_frozen_examples(sigma01):
